@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,6 @@ from .detectors import compute_scene_stats, detect_map
 from .errors import ConfigError, SpecScanError
 from .evaluation import (
     bench_detector,
-    bench_record_to_dict,
     compare_paths,
     error_report_to_dict,
     metrics_to_dict,
@@ -40,10 +41,12 @@ from .evaluation import (
     render_metrics_table,
     seg_metrics,
 )
-from .labeling import band_threshold_label, binarize, fit_clear_sky_line, hot, ndwi, otsu_threshold
+from .labeling import band_threshold_label, binarize, fit_clear_sky_line, hot, ndwi
 from .pipeline import (
     APPLICATIONS,
+    Application,
     PipelineConfig,
+    _otsu_mask,
     build_summary,
     emit_summary,
     run_pipeline,
@@ -90,22 +93,24 @@ def _add_stretch_flags(parser) -> None:
     parser.add_argument("--q-high", type=float, default=0.99, help="high quantile fraction")
 
 
-def _write_score_outputs(scores, out_prefix: str, do_otsu: bool, bins: int, polarity: str):
+def _application(command: str) -> Application:
+    """The application entry whose score ``specscan label|detect <command>`` computes."""
+    return next(app for app in APPLICATIONS.values() if app.command == command)
+
+
+def _write_score_outputs(scores, out_prefix: str, do_otsu: bool, bins: int, polarity: str) -> dict:
     """Write score map (header+payload) and, optionally, an Otsu mask."""
     score_header = Path(str(out_prefix) + ".json")
     save_score_map(scores, score_header)
     outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}
-    threshold = None
     if do_otsu:
-        result = otsu_threshold(scores, bins=bins)
-        threshold = result.threshold
-        mask = binarize(scores, result.threshold, polarity=polarity)
+        otsu, mask = _otsu_mask(scores, bins, polarity)
         mask_path = Path(str(out_prefix) + "_mask.pgm")
         save_mask(mask, mask_path)
         outputs["mask"] = str(mask_path)
-        outputs["threshold"] = result.threshold
+        outputs["threshold"] = otsu.threshold
         outputs["positive_count"] = mask.positive_count()
-    return outputs, threshold
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,7 @@ def _cmd_stretch(args) -> int:
 def _cmd_label_ndwi(args) -> int:
     cube = load_cube(args.cube)
     scores = ndwi(cube)
-    outputs, _ = _write_score_outputs(scores, args.out, args.otsu, args.bins, "above")
+    outputs = _write_score_outputs(scores, args.out, args.otsu, args.bins, _application("ndwi").polarity)
     _emit(args, outputs)
     return 0
 
@@ -133,13 +138,8 @@ def _cmd_label_hot(args) -> int:
     cube = load_cube(args.cube)
     line = fit_clear_sky_line(cube)
     scores = hot(cube, line, mode=_HOT_MODE_FLAGS[args.mode])
-    outputs, _ = _write_score_outputs(scores, args.out, args.otsu, args.bins, "above")
-    outputs["clear_sky_line"] = {
-        "slope": line.slope,
-        "intercept": line.intercept,
-        "n_fit_points": line.n_fit_points,
-        "fit_residual_rms": line.fit_residual_rms,
-    }
+    outputs = _write_score_outputs(scores, args.out, args.otsu, args.bins, _application("hot").polarity)
+    outputs["clear_sky_line"] = asdict(line)
     _emit(args, outputs)
     return 0
 
@@ -164,16 +164,7 @@ def _cmd_label_threshold(args) -> int:
 
 def _cmd_stats(args) -> int:
     cube = load_cube(args.cube)
-    stats = compute_scene_stats(cube)
-    payload = {
-        "pixel_count": stats.pixel_count,
-        "bands": stats.n_bands,
-        "ridge": stats.ridge,
-        "condition_estimate": stats.condition_estimate(),
-        "mean": stats.mean.tolist(),
-    }
-    if args.full:
-        payload["covariance"] = stats.covariance.tolist()
+    payload = compute_scene_stats(cube).describe(bands=True, covariance=args.full)
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         _emit(args, {"out": str(args.out)})
@@ -194,15 +185,15 @@ def _load_target(args, cube: RasterCube):
 
 
 def _cmd_detect(args) -> int:
-    if args.detector in ("sam", "mf") and not args.target:
+    app = _application(args.detector)
+    if app.needs_target and not args.target:
         args.parser.error(f"detect {args.detector} requires --target")
-    if args.detector in ("sam", "mf") and not args.library:
+    if app.needs_target and not args.library:
         args.parser.error(f"detect {args.detector} requires --library")
     cube = load_cube(args.cube)
-    target = _load_target(args, cube) if args.detector in ("sam", "mf") else None
+    target = _load_target(args, cube) if app.needs_target else None
     scores = detect_map(cube, args.detector, target=target, precision=args.precision)
-    polarity = "below" if args.detector == "sam" else "above"
-    outputs, _ = _write_score_outputs(scores, args.out, args.otsu, args.bins, polarity)
+    outputs = _write_score_outputs(scores, args.out, args.otsu, args.bins, app.polarity)
     if scores.flags is not None:
         outputs["flagged_pixels"] = int(scores.flags.sum())
     _emit(args, outputs)
@@ -277,7 +268,7 @@ def _cmd_bench(args) -> int:
                 application=args.application,
             )
         )
-    payload = [bench_record_to_dict(r) for r in records]
+    payload = [asdict(r) for r in records]
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if args.json:
@@ -289,8 +280,7 @@ def _cmd_bench(args) -> int:
 
 def _pipeline_config(args, cube: RasterCube, scene_id: str) -> PipelineConfig:
     target = None
-    detector_suffix = args.application.rsplit("_", 1)[-1]
-    if detector_suffix in ("sam", "mf") and args.library and args.target:
+    if APPLICATIONS[args.application].needs_target and args.library and args.target:
         target = _load_target(args, cube)
     stretch = None if args.no_stretch else _stretch_params(args)
     return PipelineConfig(
@@ -313,6 +303,12 @@ def _pipeline_config(args, cube: RasterCube, scene_id: str) -> PipelineConfig:
 def _cmd_pipeline_run(args) -> int:
     if args.scene_id and len(args.cube) > 1:
         args.parser.error("--scene-id only applies to a single --cube")
+    if len(args.cube) > 1:
+        shared = sorted(stem for stem, n in Counter(Path(p).stem for p in args.cube).items() if n > 1)
+        if shared:
+            args.parser.error(
+                f"--cube files share the stem {', '.join(shared)}: each scene needs its own output directory"
+            )
     out_root = Path(args.out)
 
     def run_one(cube_path: str) -> dict:

@@ -31,6 +31,9 @@ from .cube import RasterCube, ScoreMap, Spectrum, TargetSpectrum
 from .errors import ComputeError, DataError
 
 DETECTORS = ("sam", "mf", "rx")
+TARGET_DETECTORS = ("sam", "mf")
+# Side of a threshold that holds the detections: a small spectral angle is a close match.
+POLARITY = {"sam": "below", "mf": "above", "rx": "above"}
 PRECISIONS = ("single", "double")
 
 _RIDGE_BASE_FRACTION = 1e-6
@@ -82,6 +85,20 @@ class SceneStats:
         """Cheap condition estimate of the regularized covariance from L's diagonal."""
         diag = np.diag(self.factor_lower)
         return float((diag.max() / diag.min()) ** 2)
+
+    def describe(self, bands: bool = False, covariance: bool = False) -> dict:
+        """JSON-ready digest: pixel count, ridge, condition estimate and mean.
+
+        `bands` adds the band count after the pixel count; `covariance`
+        appends the full matrix.
+        """
+        digest = {"pixel_count": self.pixel_count}
+        if bands:
+            digest["bands"] = self.n_bands
+        digest.update(ridge=self.ridge, condition_estimate=self.condition_estimate(), mean=self.mean.tolist())
+        if covariance:
+            digest["covariance"] = self.covariance.tolist()
+        return digest
 
 
 def _factorize(cov: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
@@ -217,7 +234,7 @@ def detect_map(
         raise DataError(f"unknown precision {precision!r}; expected one of {PRECISIONS}")
     dtype = np.float32 if precision == "single" else np.float64
 
-    if detector in ("sam", "mf") and target is None:
+    if detector in TARGET_DETECTORS and target is None:
         raise DataError(f"detector {detector!r} requires a target spectrum")
     if detector in ("mf", "rx") and stats is None:
         stats = compute_scene_stats(cube)

@@ -277,18 +277,6 @@ def bench_detector(
     )
 
 
-def bench_record_to_dict(record: BenchRecord) -> dict:
-    return {
-        "name": record.name,
-        "application": record.application,
-        "model": record.model,
-        "artifact_bytes": record.artifact_bytes,
-        "single_input_seconds": record.single_input_seconds,
-        "inputs_shape": record.inputs_shape,
-        "repetitions": record.repetitions,
-    }
-
-
 def _format_bytes(count: int) -> str:
     if count < 1024:
         return f"{count} B"

@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -29,10 +31,11 @@ from .cube import (
     save_mask,
     save_score_map,
 )
-from .detectors import compute_scene_stats, detect_map
-from .errors import ConfigError, DataError, SpecScanError, StageError
+from .detectors import POLARITY, TARGET_DETECTORS, compute_scene_stats, detect_map
+from .errors import ConfigError, DataError, FormatError, SpecScanError, StageError
 from .labeling import (
     HOT_MODES,
+    OtsuResult,
     band_threshold_label,
     binarize,
     fit_clear_sky_line,
@@ -42,22 +45,79 @@ from .labeling import (
 )
 from .preprocess import StretchParams, stretch_cube
 
-APPLICATIONS = (
-    "clouds",
-    "surface_water",
-    "thermal",
-    "vegetation_sam",
-    "vegetation_mf",
-    "vegetation_rx",
-    "mineral_sam",
-    "mineral_mf",
-    "mineral_rx",
-)
-
 SUMMARY_MAX_BYTES = 2048
 MAX_DETECTION_BOXES = 16
 
-_DETECTOR_POLARITY = {"sam": "below", "mf": "above", "rx": "above"}
+
+@dataclass(frozen=True)
+class Application:
+    """How one application turns a scene into a mask.
+
+    ``score(scene, config, diagnostics)`` returns the score map and the
+    algorithm name recorded in the summary; it may add entries to the run
+    report's diagnostics. A band-window application labels the pixels of
+    ``thermal_band`` within ``[thermal_low, thermal_high]``; every other one
+    labels the ``polarity`` side of ``fixed_threshold`` or, without one, of
+    the Otsu threshold of its scores. ``command`` names the ``specscan label``
+    or ``specscan detect`` subcommand that computes the same score.
+    """
+
+    score: Callable[[RasterCube, PipelineConfig, dict], tuple[ScoreMap, str]]
+    command: str
+    polarity: str = "above"
+    band_window: bool = False
+    stretch: bool = True
+    needs_target: bool = False
+
+
+def _score_haze(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
+    line = fit_clear_sky_line(scene)
+    diagnostics["clear_sky_line"] = asdict(line)
+    return hot(scene, line, mode=config.hot_mode), f"hot[{config.hot_mode}]"
+
+
+def _score_water(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
+    return ndwi(scene), "ndwi"
+
+
+def _score_band(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
+    plane = scene.plane(config.thermal_band).astype(np.float64)
+    return ScoreMap(data=plane, score_kind="BandValue"), "band_threshold"
+
+
+def _score_detector(
+    detector: str, scene: RasterCube, config: PipelineConfig, diagnostics: dict
+) -> tuple[ScoreMap, str]:
+    stats = compute_scene_stats(scene)
+    diagnostics["scene_stats"] = stats.describe()
+    scores = detect_map(scene, detector, target=config.target, stats=stats, precision=config.precision)
+    return scores, detector
+
+
+def _detector(name: str) -> Application:
+    return Application(
+        partial(_score_detector, name),
+        command=name,
+        polarity=POLARITY[name],
+        needs_target=name in TARGET_DETECTORS,
+    )
+
+
+APPLICATIONS: dict[str, Application] = {
+    # The clear-sky fit regresses over the darkest 0.15% of blue values; the
+    # quantile clamp collapses the darkest 1% to v_min, which would make that
+    # fit vertical on every scene. Cloud labeling therefore sees the original
+    # bands.
+    "clouds": Application(_score_haze, command="hot", stretch=False),
+    "surface_water": Application(_score_water, command="ndwi"),
+    "thermal": Application(_score_band, command="threshold", band_window=True),
+    "vegetation_sam": _detector("sam"),
+    "vegetation_mf": _detector("mf"),
+    "vegetation_rx": _detector("rx"),
+    "mineral_sam": _detector("sam"),
+    "mineral_mf": _detector("mf"),
+    "mineral_rx": _detector("rx"),
+}
 
 
 @dataclass
@@ -78,17 +138,11 @@ class PipelineConfig:
     max_boxes: int = MAX_DETECTION_BOXES
     output_dir: str | Path | None = None
 
-    def detector(self) -> str | None:
-        """The spectral detector this application runs, if any."""
-        for name in ("sam", "mf", "rx"):
-            if self.application.endswith("_" + name):
-                return name
-        return None
-
     def validate(self) -> None:
-        if self.application not in APPLICATIONS:
+        app = APPLICATIONS.get(self.application)
+        if app is None:
             raise ConfigError(
-                f"unknown application {self.application!r}; expected one of {APPLICATIONS}"
+                f"unknown application {self.application!r}; expected one of {tuple(APPLICATIONS)}"
             )
         if self.hot_mode not in HOT_MODES:
             raise ConfigError(f"unknown HOT mode {self.hot_mode!r}")
@@ -98,11 +152,18 @@ class PipelineConfig:
             raise ConfigError("otsu_bins must be >= 2")
         if not 1 <= self.max_boxes <= MAX_DETECTION_BOXES:
             raise ConfigError(f"max_boxes must be in [1, {MAX_DETECTION_BOXES}]")
-        detector = self.detector()
-        if detector in ("sam", "mf") and self.target is None:
+        if app.needs_target and self.target is None:
             raise ConfigError(f"application {self.application!r} requires a target spectrum")
-        if self.application == "thermal" and self.thermal_low is None and self.thermal_high is None:
-            raise ConfigError("thermal application requires at least one band threshold bound")
+        if app.band_window:
+            if self.thermal_low is None and self.thermal_high is None:
+                raise ConfigError(
+                    f"application {self.application!r} requires at least one band threshold bound"
+                )
+            if self.fixed_threshold is not None:
+                raise ConfigError(
+                    f"application {self.application!r} labels a band window; fixed_threshold "
+                    "(--threshold) does not apply, set thermal_low/thermal_high (--low/--high)"
+                )
         if (
             self.thermal_low is not None
             and self.thermal_high is not None
@@ -111,42 +172,12 @@ class PipelineConfig:
             raise ConfigError("thermal_low exceeds thermal_high")
 
 
-def config_to_dict(config: PipelineConfig) -> dict:
-    """JSON-ready echo of a config for the run report."""
-    target = None
-    if config.target is not None:
-        target = {
-            "label": config.target.label,
-            "source": config.target.source,
-            "values": config.target.values.tolist(),
-        }
-    stretch = None
-    if config.stretch is not None:
-        stretch = {
-            "v_min": config.stretch.v_min,
-            "v_max": config.stretch.v_max,
-            "q_low_fraction": config.stretch.q_low_fraction,
-            "q_high_fraction": config.stretch.q_high_fraction,
-        }
-    return {
-        "application": config.application,
-        "scene_id": config.scene_id,
-        "stretch": stretch,
-        "otsu_bins": config.otsu_bins,
-        "hot_mode": config.hot_mode,
-        "fixed_threshold": config.fixed_threshold,
-        "target": target,
-        "thermal_band": config.thermal_band,
-        "thermal_low": config.thermal_low,
-        "thermal_high": config.thermal_high,
-        "precision": config.precision,
-        "max_boxes": config.max_boxes,
-    }
-
-
 @dataclass
 class SummaryMessage:
-    """Compact per-scene digest for a low-bandwidth link."""
+    """Compact per-scene digest for a low-bandwidth link.
+
+    Fields serialize in declaration order (see :func:`summary_to_bytes`).
+    """
 
     scene_id: str
     application: str
@@ -227,19 +258,7 @@ def build_summary(
 
 def summary_to_bytes(message: SummaryMessage) -> bytes:
     """Canonical UTF-8 JSON encoding with a fixed key order."""
-    payload = {
-        "scene_id": message.scene_id,
-        "application": message.application,
-        "pixel_count": message.pixel_count,
-        "positive_count": message.positive_count,
-        "positive_fraction": message.positive_fraction,
-        "threshold": message.threshold,
-        "detection_boxes": [list(box) for box in message.detection_boxes],
-        "produced_at": message.produced_at,
-        "algorithm": message.algorithm,
-        "version": message.version,
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return json.dumps(asdict(message), separators=(",", ":")).encode("utf-8")
 
 
 def emit_summary(message: SummaryMessage, path: str | Path) -> None:
@@ -258,20 +277,16 @@ def emit_summary(message: SummaryMessage, path: str | Path) -> None:
 
 
 def parse_summary(path: str | Path) -> SummaryMessage:
-    """Read back a summary written by :func:`emit_summary`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SummaryMessage(
-        scene_id=payload["scene_id"],
-        application=payload["application"],
-        pixel_count=payload["pixel_count"],
-        positive_count=payload["positive_count"],
-        positive_fraction=payload["positive_fraction"],
-        threshold=payload["threshold"],
-        detection_boxes=[tuple(box) for box in payload["detection_boxes"]],
-        produced_at=payload["produced_at"],
-        algorithm=payload["algorithm"],
-        version=payload["version"],
-    )
+    """Read back a summary written by :func:`emit_summary`.
+
+    Raises:
+        FormatError: the file is not JSON, or its keys are not exactly the
+            summary's fields.
+    """
+    try:
+        return SummaryMessage(**json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"malformed summary {path}: {exc}") from exc
 
 
 @dataclass
@@ -280,6 +295,21 @@ class PipelineResult:
     scores: ScoreMap
     summary: SummaryMessage
     report: dict
+
+
+def _otsu_mask(scores: ScoreMap, bins: int, polarity: str) -> tuple[OtsuResult, BinaryMask]:
+    """Otsu threshold of `scores` and the mask of its `polarity` side."""
+    otsu = otsu_threshold(scores, bins=bins)
+    return otsu, binarize(scores, otsu.threshold, polarity=polarity)
+
+
+def _json_default(value):
+    """JSON hook for the run report: arrays become lists, paths strings."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Path):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 class _StageClock:
@@ -320,83 +350,40 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
     survive.
     """
     config.validate()
+    app = APPLICATIONS[config.application]
 
+    diagnostics: dict = {}
+    clock = _StageClock()
     report: dict = {
         "scene_id": config.scene_id,
-        "config": config_to_dict(config),
-        "diagnostics": {},
-        "stages": [],
+        "config": asdict(config),
+        "diagnostics": diagnostics,
+        "stages": clock.timings,
     }
-    clock = _StageClock()
-    report["stages"] = clock.timings
 
     with clock("stretch"):
-        # The clear-sky fit regresses over the darkest 0.15% of blue values;
-        # the quantile clamp collapses the darkest 1% to v_min, which would
-        # make that fit vertical on every scene. Cloud labeling therefore
-        # sees the original bands.
-        use_stretch = config.stretch is not None and config.application != "clouds"
+        use_stretch = config.stretch is not None and app.stretch
         scene = stretch_cube(cube, config.stretch) if use_stretch else cube
-        report["diagnostics"]["stretch_applied"] = use_stretch
+        diagnostics["stretch_applied"] = use_stretch
 
-    detector = config.detector()
     with clock("score"):
-        if config.application == "clouds":
-            line = fit_clear_sky_line(scene)
-            report["diagnostics"]["clear_sky_line"] = {
-                "slope": line.slope,
-                "intercept": line.intercept,
-                "n_fit_points": line.n_fit_points,
-                "fit_residual_rms": line.fit_residual_rms,
-            }
-            scores = hot(scene, line, mode=config.hot_mode)
-            algorithm = f"hot[{config.hot_mode}]"
-        elif config.application == "surface_water":
-            scores = ndwi(scene)
-            algorithm = "ndwi"
-        elif config.application == "thermal":
-            plane = scene.plane(config.thermal_band).astype(np.float64)
-            scores = ScoreMap(data=plane, score_kind="BandValue")
-            algorithm = "band_threshold"
-        else:
-            stats = compute_scene_stats(scene)
-            report["diagnostics"]["scene_stats"] = {
-                "pixel_count": stats.pixel_count,
-                "ridge": stats.ridge,
-                "condition_estimate": stats.condition_estimate(),
-                "mean": stats.mean.tolist(),
-            }
-            scores = detect_map(
-                scene, detector, target=config.target, stats=stats, precision=config.precision
-            )
-            algorithm = detector
+        scores, algorithm = app.score(scene, config, diagnostics)
 
     with clock("threshold"):
-        if config.application == "thermal":
-            threshold = config.thermal_low if config.thermal_low is not None else config.thermal_high
-            mask = band_threshold_label(
-                scene, config.thermal_band, low=config.thermal_low, high=config.thermal_high
-            )
-            report["diagnostics"]["band_threshold"] = {
-                "band": config.thermal_band,
-                "low": config.thermal_low,
-                "high": config.thermal_high,
-            }
+        if app.band_window:
+            low, high = config.thermal_low, config.thermal_high
+            threshold = low if low is not None else high
+            mask = band_threshold_label(scene, config.thermal_band, low=low, high=high)
+            diagnostics["band_threshold"] = {"band": config.thermal_band, "low": low, "high": high}
+        elif config.fixed_threshold is not None:
+            threshold = config.fixed_threshold
+            mask = binarize(scores, threshold, polarity=app.polarity)
+            algorithm += "+fixed"
         else:
-            polarity = _DETECTOR_POLARITY.get(detector, "above") if detector else "above"
-            if config.fixed_threshold is not None:
-                threshold = config.fixed_threshold
-            else:
-                otsu = otsu_threshold(scores, bins=config.otsu_bins)
-                threshold = otsu.threshold
-                report["diagnostics"]["otsu"] = {
-                    "threshold": otsu.threshold,
-                    "inter_class_variance": otsu.inter_class_variance,
-                    "histogram_bins": otsu.histogram_bins,
-                    "degenerate": otsu.degenerate,
-                }
-            mask = binarize(scores, threshold, polarity=polarity)
-            algorithm += "+fixed" if config.fixed_threshold is not None else "+otsu"
+            otsu, mask = _otsu_mask(scores, config.otsu_bins, app.polarity)
+            threshold = otsu.threshold
+            diagnostics["otsu"] = asdict(otsu)
+            algorithm += "+otsu"
 
     with clock("summarize"):
         summary = build_summary(
@@ -429,7 +416,7 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
                     "summary": summary_path.name,
                 }
                 report_path = out_dir / "report.json"
-                report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+                report_path.write_text(json.dumps(report, indent=2, default=_json_default) + "\n", encoding="utf-8")
                 written.append(report_path)
         except BaseException:
             for path in written:

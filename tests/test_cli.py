@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specscan import BinaryMask, save_cube, save_mask
 from specscan.cli import main
+from specscan.detectors import DETECTORS
+from specscan.pipeline import APPLICATIONS
 from test_pipeline import hazy_scene, water_scene
 
 
@@ -256,6 +259,34 @@ class TestPipelineCli:
         assert code == 1
         assert "--scene-id" in capsys.readouterr().err
 
+    def test_cubes_sharing_a_stem_are_usage_error(self, capsys, tmp_path):
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"dir{i}" / "scene.json"
+            path.parent.mkdir()
+            save_cube(water_scene(seed=i), path)
+            paths.append(str(path))
+        out = tmp_path / "o"
+        code = main(
+            ["pipeline", "run", "--cube", paths[0], "--cube", paths[1],
+             "--application", "surface_water", "--out", str(out)]
+        )
+        assert code == 1
+        assert "scene" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_band_window_rejects_threshold_flag(self, capsys, tmp_path):
+        scene = tmp_path / "t.json"
+        save_cube(water_scene(), scene)
+        out = tmp_path / "thermal_run"
+        code = main(
+            ["pipeline", "run", "--cube", str(scene), "--application", "thermal",
+             "--out", str(out), "--threshold", "0.1", "--low", "0.6"]
+        )
+        assert code == 1
+        assert "fixed_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_thermal_run_with_band_flags(self, tmp_path):
         scene = tmp_path / "t.json"
         save_cube(water_scene(), scene)
@@ -287,3 +318,40 @@ class TestSummaryCli:
         assert summary["detection_boxes"] == [[1, 1, 4, 2]]
         payload = json.loads(capsys.readouterr().out)
         assert payload["bytes"] == out.stat().st_size
+
+
+@pytest.mark.parametrize("application", list(APPLICATIONS))
+def test_cli_scores_agree_with_the_application_table(application, tmp_path):
+    """`label`/`detect` and `pipeline run` label the same pixels for every entry.
+
+    Entries sharing a score command (vegetation_X and mineral_X) also give
+    identical outputs, so only the target spectrum tells them apart.
+    """
+    app = APPLICATIONS[application]
+    scene = tmp_path / "hazy.json"
+    save_cube(hazy_scene(), scene)
+    library = write_library(tmp_path)
+    target = ["--library", str(library), "--target", "veg"] if app.needs_target else []
+    band = ["--band", "nir", "--low", "0.35"] if app.band_window else []
+
+    def pipeline(name, out, *extra):
+        argv = ["pipeline", "run", "--cube", str(scene), "--application", name, "--out", str(out)]
+        assert main(argv + target + band + list(extra)) == 0
+        return out / "mask.pgm", out / "score.raw"
+
+    mask, score = pipeline(application, tmp_path / "run", "--no-stretch")
+    prefix = tmp_path / "cli"
+    if app.band_window:
+        argv, cli_mask, cli_score = ["label", "threshold", *band], Path(f"{prefix}.pgm"), None
+    else:
+        argv = ["detect" if app.command in DETECTORS else "label", app.command, "--otsu", *target]
+        cli_mask, cli_score = Path(f"{prefix}_mask.pgm"), Path(f"{prefix}.raw")
+    assert main(argv + ["--cube", str(scene), "--out", str(prefix)]) == 0
+    assert cli_mask.read_bytes() == mask.read_bytes()
+    if cli_score is not None:
+        assert cli_score.read_bytes() == score.read_bytes()
+
+    twin = next(name for name, entry in APPLICATIONS.items() if entry.command == app.command)
+    ours = pipeline(application, tmp_path / "ours")
+    theirs = pipeline(twin, tmp_path / "twin")
+    assert [p.read_bytes() for p in ours] == [p.read_bytes() for p in theirs]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from specscan import (
     seg_metrics,
     serialize_detector_params,
 )
-from specscan.evaluation import bench_record_to_dict, error_report_to_dict, render_error_report
+from specscan.evaluation import error_report_to_dict, render_error_report
 from conftest import random_cube
 from oracles import confusion_loop
 
@@ -196,7 +197,7 @@ class TestBench:
         rng = np.random.default_rng(16)
         cube = random_cube(rng, bands=3, height=6, width=6, roles=False)
         record = bench_detector(cube, "rx", repetitions=3)
-        payload = bench_record_to_dict(record)
+        payload = asdict(record)
         assert payload["model"] == "RX"
         assert payload["repetitions"] == 3
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from specscan import (
     BinaryMask,
     ConfigError,
     DataError,
+    FormatError,
     PipelineConfig,
     RasterCube,
     SummaryMessage,
@@ -18,7 +20,7 @@ from specscan import (
     parse_summary,
     run_pipeline,
 )
-from specscan.pipeline import SUMMARY_MAX_BYTES, summary_to_bytes
+from specscan.pipeline import APPLICATIONS, SUMMARY_MAX_BYTES, Application, summary_to_bytes
 from oracles import flood_fill_boxes
 
 RGBN_META = [
@@ -156,6 +158,25 @@ class TestSummaryMessage:
             "algorithm",
             "version",
         ]
+
+    def test_parse_non_json_is_format_error(self, tmp_path):
+        (tmp_path / "sum.json").write_text("{not json", encoding="utf-8")
+        with pytest.raises(FormatError, match="malformed summary"):
+            parse_summary(tmp_path / "sum.json")
+
+    def test_parse_missing_key_is_format_error(self, tmp_path):
+        payload = json.loads(summary_to_bytes(self.make_message()))
+        del payload["threshold"]
+        (tmp_path / "sum.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match="threshold"):
+            parse_summary(tmp_path / "sum.json")
+
+    def test_parse_extra_key_is_format_error(self, tmp_path):
+        payload = json.loads(summary_to_bytes(self.make_message()))
+        payload["priority"] = 1
+        (tmp_path / "sum.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match="priority"):
+            parse_summary(tmp_path / "sum.json")
 
     def test_fraction_must_match(self):
         with pytest.raises(DataError, match="fraction"):
@@ -304,6 +325,34 @@ class TestRunPipeline:
         result = run_pipeline(cube, config)
         assert result.scores.score_kind == "MF"
         assert result.summary.algorithm == "mf+otsu"
+
+    def test_band_window_rejects_fixed_threshold(self):
+        cube = water_scene()
+        config = PipelineConfig(application="thermal", thermal_low=0.5, fixed_threshold=0.1)
+        with pytest.raises(ConfigError, match="fixed_threshold"):
+            run_pipeline(cube, config)
+
+    def test_threshold_policy_comes_from_the_table(self, monkeypatch):
+        # a new band-window entry gets the same checks as the built-in one
+        entry = Application(APPLICATIONS["thermal"].score, command="threshold", band_window=True)
+        monkeypatch.setitem(APPLICATIONS, "snowline", entry)
+        with pytest.raises(ConfigError, match="fixed_threshold"):
+            PipelineConfig(application="snowline", thermal_low=0.5, fixed_threshold=0.1).validate()
+        with pytest.raises(ConfigError, match="bound"):
+            PipelineConfig(application="snowline").validate()
+        result = run_pipeline(water_scene(), PipelineConfig(application="snowline", stretch=None, thermal_low=0.5))
+        assert result.summary.algorithm == "band_threshold"
+        assert result.summary.threshold == 0.5
+
+    def test_report_echoes_the_whole_config(self, tmp_path):
+        target = TargetSpectrum(label="veg", values=np.array([0.2, 0.3, 0.4, 0.5]), source="lib.csv")
+        config = PipelineConfig(application="vegetation_sam", target=target, output_dir=tmp_path / "r")
+        run_pipeline(water_scene(), config)
+        echo = json.loads((tmp_path / "r" / "report.json").read_text())["config"]
+        assert echo["target"]["values"] == [0.2, 0.3, 0.4, 0.5]
+        assert echo["stretch"] == {"v_min": 0.0, "v_max": 1.0, "q_low_fraction": 0.01, "q_high_fraction": 0.99}
+        assert echo["output_dir"] == str(tmp_path / "r")
+        assert set(echo) == {field.name for field in fields(PipelineConfig)}
 
     def test_invalid_application(self):
         cube = water_scene()
