@@ -29,7 +29,7 @@ from .cube import (
     save_mask,
     save_score_map,
 )
-from .detectors import compute_scene_stats, detect_map
+from .detectors import DETECTORS, PRECISIONS, compute_scene_stats
 from .errors import ConfigError, SpecScanError
 from .evaluation import (
     bench_detector,
@@ -41,10 +41,10 @@ from .evaluation import (
     render_metrics_table,
     seg_metrics,
 )
-from .labeling import band_threshold_label, binarize, fit_clear_sky_line, hot, ndwi
+from .labeling import band_threshold_label, binarize
 from .pipeline import (
     APPLICATIONS,
-    Application,
+    MAX_DETECTION_BOXES,
     PipelineConfig,
     _otsu_mask,
     build_summary,
@@ -93,9 +93,11 @@ def _add_stretch_flags(parser) -> None:
     parser.add_argument("--q-high", type=float, default=0.99, help="high quantile fraction")
 
 
-def _application(command: str) -> Application:
-    """The application entry whose score ``specscan label|detect <command>`` computes."""
-    return next(app for app in APPLICATIONS.values() if app.command == command)
+def _add_score_flags(parser) -> None:
+    parser.add_argument("--out", required=True, help="output prefix (<out>.json/.raw, <out>_mask.pgm)")
+    parser.add_argument("--otsu", action="store_true", help="also write an Otsu-thresholded mask")
+    parser.add_argument("--bins", type=int, default=256, help="Otsu histogram bins")
+    parser.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
 
 def _write_score_outputs(scores, out_prefix: str, do_otsu: bool, bins: int, polarity: str) -> dict:
@@ -123,24 +125,6 @@ def _cmd_stretch(args) -> int:
     stretched = stretch_cube(cube, params)
     save_cube(stretched, args.out)
     _emit(args, {"out": str(args.out), "width": cube.width, "height": cube.height, "bands": cube.bands})
-    return 0
-
-
-def _cmd_label_ndwi(args) -> int:
-    cube = load_cube(args.cube)
-    scores = ndwi(cube)
-    outputs = _write_score_outputs(scores, args.out, args.otsu, args.bins, _application("ndwi").polarity)
-    _emit(args, outputs)
-    return 0
-
-
-def _cmd_label_hot(args) -> int:
-    cube = load_cube(args.cube)
-    line = fit_clear_sky_line(cube)
-    scores = hot(cube, line, mode=_HOT_MODE_FLAGS[args.mode])
-    outputs = _write_score_outputs(scores, args.out, args.otsu, args.bins, _application("hot").polarity)
-    outputs["clear_sky_line"] = asdict(line)
-    _emit(args, outputs)
     return 0
 
 
@@ -184,17 +168,27 @@ def _load_target(args, cube: RasterCube):
     return matches[0]
 
 
-def _cmd_detect(args) -> int:
-    app = _application(args.detector)
-    if app.needs_target and not args.target:
-        args.parser.error(f"detect {args.detector} requires --target")
-    if app.needs_target and not args.library:
-        args.parser.error(f"detect {args.detector} requires --library")
+def _cmd_score(args) -> int:
+    """``label ndwi|hot`` and ``detect sam|mf|rx``: the score step of the matching application."""
+    name = next(name for name, entry in APPLICATIONS.items() if entry.command == args.score)
+    app = APPLICATIONS[name]
+    if app.needs_target:
+        for flag in ("target", "library"):
+            if not getattr(args, flag):
+                args.parser.error(f"detect {args.score} requires --{flag}")
     cube = load_cube(args.cube)
     target = _load_target(args, cube) if app.needs_target else None
-    scores = detect_map(cube, args.detector, target=target, precision=args.precision)
+    config = PipelineConfig(application=name, stretch=None, target=target)
+    if "mode" in args:  # label hot
+        config.hot_mode = _HOT_MODE_FLAGS[args.mode]
+    if "precision" in args:  # detect
+        config.precision = args.precision
+    diagnostics: dict = {}
+    scores, _ = app.score(cube, config, diagnostics)
     outputs = _write_score_outputs(scores, args.out, args.otsu, args.bins, app.polarity)
-    if scores.flags is not None:
+    if "clear_sky_line" in diagnostics:
+        outputs["clear_sky_line"] = diagnostics["clear_sky_line"]
+    if args.score in DETECTORS and scores.flags is not None:
         outputs["flagged_pixels"] = int(scores.flags.sum())
     _emit(args, outputs)
     return 0
@@ -255,19 +249,18 @@ def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed + 1)
     target = rng.random(args.bands)
     stats = compute_scene_stats(cube)
-    records = []
-    for detector in ("sam", "mf", "rx"):
-        records.append(
-            bench_detector(
-                cube,
-                detector,
-                target=target if detector in ("sam", "mf") else None,
-                stats=stats if detector in ("mf", "rx") else None,
-                precision=args.precision,
-                repetitions=args.repetitions,
-                application=args.application,
-            )
+    records = [
+        bench_detector(
+            cube,
+            detector,
+            target=target,
+            stats=stats,
+            precision=args.precision,
+            repetitions=args.repetitions,
+            application=args.application,
         )
+        for detector in DETECTORS
+    ]
     payload = [asdict(r) for r in records]
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -378,28 +371,22 @@ def build_parser() -> _Parser:
 
     label = sub.add_parser("label", help="automated label generation", formatter_class=formatter)
     label.set_defaults(parser=label)
-    label_sub = label.add_subparsers(dest="labeler", required=True, metavar="LABELER")
+    label_sub = label.add_subparsers(dest="score", required=True, metavar="LABELER")
 
-    def add_label(name, func, help_text):
-        p = label_sub.add_parser(name, help=help_text, formatter_class=formatter)
+    def add_cube_command(subparsers, name, help_text, func=_cmd_score):
+        p = subparsers.add_parser(name, help=help_text, formatter_class=formatter)
         p.set_defaults(func=func, parser=p)
         p.add_argument("--cube", required=True, help="input cube header (JSON)")
         return p
 
-    p = add_label("ndwi", _cmd_label_ndwi, "water index from green/NIR bands")
-    p.add_argument("--out", required=True, help="output prefix (<out>.json/.raw, <out>_mask.pgm)")
-    p.add_argument("--otsu", action="store_true", help="also write an Otsu-thresholded mask")
-    p.add_argument("--bins", type=int, default=256, help="Otsu histogram bins")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
+    p = add_cube_command(label_sub, "ndwi", "water index from green/NIR bands")
+    _add_score_flags(p)
 
-    p = add_label("hot", _cmd_label_hot, "haze transform against a fitted clear-sky line")
-    p.add_argument("--out", required=True, help="output prefix (<out>.json/.raw, <out>_mask.pgm)")
+    p = add_cube_command(label_sub, "hot", "haze transform against a fitted clear-sky line")
     p.add_argument("--mode", choices=sorted(_HOT_MODE_FLAGS), default="as-written", help="HOT formula variant")
-    p.add_argument("--otsu", action="store_true", help="also write an Otsu-thresholded mask")
-    p.add_argument("--bins", type=int, default=256, help="Otsu histogram bins")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
+    _add_score_flags(p)
 
-    p = add_label("threshold", _cmd_label_threshold, "label pixels inside a band-value window")
+    p = add_cube_command(label_sub, "threshold", "label pixels inside a band-value window", _cmd_label_threshold)
     p.add_argument("--band", required=True, help="band role (blue/green/red/nir) or index")
     p.add_argument("--low", type=float, default=None, help="lower bound (inclusive)")
     p.add_argument("--high", type=float, default=None, help="upper bound (inclusive)")
@@ -414,22 +401,17 @@ def build_parser() -> _Parser:
 
     detect = sub.add_parser("detect", help="per-pixel spectral detector maps", formatter_class=formatter)
     detect.set_defaults(parser=detect)
-    detect_sub = detect.add_subparsers(dest="detector", required=True, metavar="DETECTOR")
+    detect_sub = detect.add_subparsers(dest="score", required=True, metavar="DETECTOR")
     for name, help_text in (
         ("sam", "spectral angle against a library target"),
         ("mf", "matched filter against a library target"),
         ("rx", "anomaly score against scene statistics"),
     ):
-        p = detect_sub.add_parser(name, help=help_text, formatter_class=formatter)
-        p.set_defaults(func=_cmd_detect, parser=p, detector=name)
-        p.add_argument("--cube", required=True, help="input cube header (JSON)")
+        p = add_cube_command(detect_sub, name, help_text)
         p.add_argument("--library", default=None, help="spectral library CSV")
         p.add_argument("--target", default=None, help="target label within the library")
-        p.add_argument("--out", required=True, help="output prefix (<out>.json/.raw, <out>_mask.pgm)")
-        p.add_argument("--precision", choices=("single", "double"), default="single", help="kernel precision")
-        p.add_argument("--otsu", action="store_true", help="also write an Otsu-thresholded mask")
-        p.add_argument("--bins", type=int, default=256, help="Otsu histogram bins")
-        p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
+        p.add_argument("--precision", choices=PRECISIONS, default="single", help="kernel precision")
+        _add_score_flags(p)
 
     p = add("binarize", _cmd_binarize, "threshold a score map into a mask")
     p.add_argument("--scores", required=True, help="score map header (JSON)")
@@ -458,7 +440,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bands", type=int, default=48, help="synthetic scene bands")
     p.add_argument("--repetitions", type=int, default=5, help="timed repetitions (after 1 warm-up)")
     p.add_argument("--seed", type=int, default=0, help="synthetic data seed")
-    p.add_argument("--precision", choices=("single", "double"), default="single", help="kernel precision")
+    p.add_argument("--precision", choices=PRECISIONS, default="single", help="kernel precision")
     p.add_argument("--application", default="synthetic", help="application label for the table")
     p.add_argument("--out", default=None, help="also write records JSON here")
     p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
@@ -482,8 +464,8 @@ def build_parser() -> _Parser:
     p.add_argument("--band", default="nir", help="band for the thermal application")
     p.add_argument("--low", type=float, default=None, help="thermal lower bound (inclusive)")
     p.add_argument("--high", type=float, default=None, help="thermal upper bound (inclusive)")
-    p.add_argument("--precision", choices=("single", "double"), default="single", help="detector kernel precision")
-    p.add_argument("--max-boxes", type=int, default=16, help="detection boxes kept in the summary")
+    p.add_argument("--precision", choices=PRECISIONS, default="single", help="detector kernel precision")
+    p.add_argument("--max-boxes", type=int, default=MAX_DETECTION_BOXES, help="detection boxes kept in the summary")
     p.add_argument("--jobs", type=int, default=1, help="concurrent scenes")
     p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
@@ -493,7 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--application", required=True, help="application name recorded in the summary")
     p.add_argument("--threshold", type=float, default=0.0, help="threshold recorded in the summary")
     p.add_argument("--algorithm", default="external", help="algorithm recorded in the summary")
-    p.add_argument("--max-boxes", type=int, default=16, help="detection boxes kept")
+    p.add_argument("--max-boxes", type=int, default=MAX_DETECTION_BOXES, help="detection boxes kept")
     p.add_argument("--out", required=True, help="output summary path (.json)")
     p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 

@@ -16,6 +16,10 @@ in :class:`SceneStats` and every quadratic form goes through triangular
 solves. Statistics accumulate in double precision in a fixed order; per-pixel
 map kernels run in a configurable working precision, single by default, to
 mirror accelerator arithmetic against a double-precision reference path.
+Scalar ``mf`` and ``rx`` are one-pixel float64 calls of the map kernel.
+Scalar ``sam`` is the reference the SAM map is tested against: the map's row
+norms can differ from ``np.linalg.norm`` in the last bit, so it does not
+return exactly 0 for identical spectra.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import ComputeError, DataError
 
 DETECTORS = ("sam", "mf", "rx")
 TARGET_DETECTORS = ("sam", "mf")
+STATS_DETECTORS = ("mf", "rx")
 # Side of a threshold that holds the detections: a small spectral angle is a close match.
 POLARITY = {"sam": "below", "mf": "above", "rx": "above"}
 PRECISIONS = ("single", "double")
@@ -187,6 +192,25 @@ def sam(x: Spectrum, y: Spectrum | TargetSpectrum) -> float:
     return 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
+def _whitened_scores(
+    pixels: NDArray[np.floating],
+    detector: str,
+    target: TargetSpectrum | Spectrum | None,
+    stats: SceneStats,
+) -> NDArray[np.float64]:
+    """``mf`` or ``rx`` scores of (N, B) spectra, computed in their dtype."""
+    dtype = pixels.dtype
+    factor = stats.factor_lower.astype(dtype)
+    whitened = solve_triangular(factor, (pixels - stats.mean.astype(dtype)).T, lower=True)
+    if detector == "rx":
+        return np.einsum("ij,ij->j", whitened, whitened).astype(np.float64)
+    t_dev = (_target_values(target) - stats.mean).astype(dtype)
+    if not t_dev.any():
+        raise ComputeError("matched filter is undefined when the target equals the scene mean")
+    whitened_t = solve_triangular(factor, t_dev, lower=True)
+    return ((whitened_t @ whitened) / np.dot(whitened_t, whitened_t)).astype(np.float64)
+
+
 def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> float:
     """Matched-filter score of `x` against `target` under `stats`.
 
@@ -196,12 +220,7 @@ def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> flo
     t = _target_values(target)
     if x.shape != (stats.n_bands,) or t.shape != (stats.n_bands,):
         raise DataError(f"spectrum lengths must match the {stats.n_bands}-band statistics")
-    t_dev = t - stats.mean
-    if not t_dev.any():
-        raise ComputeError("matched filter is undefined when the target equals the scene mean")
-    whitened_t = solve_triangular(stats.factor_lower, t_dev, lower=True)
-    whitened_x = solve_triangular(stats.factor_lower, x - stats.mean, lower=True)
-    return float(np.dot(whitened_t, whitened_x) / np.dot(whitened_t, whitened_t))
+    return float(_whitened_scores(x[np.newaxis], "mf", t, stats)[0])
 
 
 def rx(x: Spectrum, stats: SceneStats) -> float:
@@ -209,8 +228,7 @@ def rx(x: Spectrum, stats: SceneStats) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (stats.n_bands,):
         raise DataError(f"spectrum length {x.shape} must match the {stats.n_bands}-band statistics")
-    whitened = solve_triangular(stats.factor_lower, x - stats.mean, lower=True)
-    return float(np.dot(whitened, whitened))
+    return float(_whitened_scores(x[np.newaxis], "rx", None, stats)[0])
 
 
 def detect_map(
@@ -236,7 +254,7 @@ def detect_map(
 
     if detector in TARGET_DETECTORS and target is None:
         raise DataError(f"detector {detector!r} requires a target spectrum")
-    if detector in ("mf", "rx") and stats is None:
+    if detector in STATS_DETECTORS and stats is None:
         stats = compute_scene_stats(cube)
 
     pixels = cube.pixels().astype(dtype)
@@ -265,17 +283,7 @@ def detect_map(
     else:
         if stats.n_bands != cube.bands:
             raise DataError(f"statistics cover {stats.n_bands} bands, cube has {cube.bands}")
-        mean = stats.mean.astype(dtype)
-        factor = stats.factor_lower.astype(dtype)
-        whitened = solve_triangular(factor, (pixels - mean).T, lower=True)
-        if detector == "rx":
-            scores = np.einsum("ij,ij->j", whitened, whitened).astype(np.float64)
-        else:
-            t_dev = (_target_values(target) - stats.mean).astype(dtype)
-            if not t_dev.any():
-                raise ComputeError("matched filter is undefined when the target equals the scene mean")
-            whitened_t = solve_triangular(factor, t_dev, lower=True)
-            scores = ((whitened_t @ whitened) / np.dot(whitened_t, whitened_t)).astype(np.float64)
+        scores = _whitened_scores(pixels, detector, target, stats)
 
     return ScoreMap(
         data=scores.reshape(cube.height, cube.width),

@@ -12,7 +12,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cube import BinaryMask, RasterCube, ScoreMap, TargetSpectrum
-from .detectors import SceneStats, compute_scene_stats, detect_map
+from .detectors import (
+    DETECTORS,
+    STATS_DETECTORS,
+    TARGET_DETECTORS,
+    SceneStats,
+    compute_scene_stats,
+    detect_map,
+)
 from .errors import DataError
 
 
@@ -199,26 +206,18 @@ def serialize_detector_params(
     arrays concatenated as raw little-endian float64.
     """
     detector = str(detector).lower()
-    arrays: list[tuple[str, np.ndarray]] = []
-    if detector == "sam":
-        if target is None:
-            raise DataError("sam serialization requires a target")
-        values = target.values if isinstance(target, TargetSpectrum) else np.asarray(target)
-        arrays.append(("target", np.asarray(values, dtype=np.float64)))
-    elif detector == "mf":
-        if target is None or stats is None:
-            raise DataError("mf serialization requires a target and statistics")
-        values = target.values if isinstance(target, TargetSpectrum) else np.asarray(target)
-        arrays.append(("target", np.asarray(values, dtype=np.float64)))
-        arrays.append(("mean", stats.mean))
-        arrays.append(("covariance", stats.covariance))
-    elif detector == "rx":
-        if stats is None:
-            raise DataError("rx serialization requires statistics")
-        arrays.append(("mean", stats.mean))
-        arrays.append(("covariance", stats.covariance))
-    else:
+    if detector not in DETECTORS:
         raise DataError(f"unknown detector {detector!r}")
+    arrays: list[tuple[str, np.ndarray]] = []
+    if detector in TARGET_DETECTORS:
+        if target is None:
+            raise DataError(f"{detector} serialization requires a target")
+        values = target.values if isinstance(target, TargetSpectrum) else np.asarray(target)
+        arrays.append(("target", np.asarray(values, dtype=np.float64)))
+    if detector in STATS_DETECTORS:
+        if stats is None:
+            raise DataError(f"{detector} serialization requires statistics")
+        arrays += [("mean", stats.mean), ("covariance", stats.covariance)]
     header = {
         "detector": detector,
         "dtype": "f64",
@@ -259,7 +258,7 @@ def bench_detector(
     if repetitions < 3:
         raise DataError(f"benchmarks need >= 3 repetitions, got {repetitions}")
     detector = str(detector).lower()
-    if detector in ("mf", "rx") and stats is None:
+    if detector in STATS_DETECTORS and stats is None:
         stats = compute_scene_stats(cube)
     artifact = serialize_detector_params(detector, target=target, stats=stats)
     seconds = _timed_median(

@@ -31,7 +31,14 @@ from .cube import (
     save_mask,
     save_score_map,
 )
-from .detectors import POLARITY, TARGET_DETECTORS, compute_scene_stats, detect_map
+from .detectors import (
+    POLARITY,
+    PRECISIONS,
+    STATS_DETECTORS,
+    TARGET_DETECTORS,
+    compute_scene_stats,
+    detect_map,
+)
 from .errors import ConfigError, DataError, FormatError, SpecScanError, StageError
 from .labeling import (
     HOT_MODES,
@@ -88,8 +95,10 @@ def _score_band(scene: RasterCube, config: PipelineConfig, diagnostics: dict) ->
 def _score_detector(
     detector: str, scene: RasterCube, config: PipelineConfig, diagnostics: dict
 ) -> tuple[ScoreMap, str]:
-    stats = compute_scene_stats(scene)
-    diagnostics["scene_stats"] = stats.describe()
+    stats = None
+    if detector in STATS_DETECTORS:
+        stats = compute_scene_stats(scene)
+        diagnostics["scene_stats"] = stats.describe()
     scores = detect_map(scene, detector, target=config.target, stats=stats, precision=config.precision)
     return scores, detector
 
@@ -146,7 +155,7 @@ class PipelineConfig:
             )
         if self.hot_mode not in HOT_MODES:
             raise ConfigError(f"unknown HOT mode {self.hot_mode!r}")
-        if self.precision not in ("single", "double"):
+        if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}")
         if self.otsu_bins < 2:
             raise ConfigError("otsu_bins must be >= 2")

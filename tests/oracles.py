@@ -57,6 +57,19 @@ def gauss_jordan_inverse(matrix):
     return aug[:, n:]
 
 
+def sam_arccos(x, y):
+    """Spectral angle as the arccosine of the clipped cosine, from loop dot products.
+
+    Loses digits near 0 and pi, where the cosine is flat; compare away from them.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    dot = sum(a * b for a, b in zip(x, y))
+    norm_x = math.sqrt(sum(a * a for a in x))
+    norm_y = math.sqrt(sum(b * b for b in y))
+    return math.acos(max(-1.0, min(1.0, dot / (norm_x * norm_y))))
+
+
 def mf_bruteforce(x, target, mean, cov_inverse):
     t_dev = np.asarray(target, dtype=np.float64) - mean
     x_dev = np.asarray(x, dtype=np.float64) - mean

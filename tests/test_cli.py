@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specscan import BinaryMask, save_cube, save_mask
+from specscan import BinaryMask, RasterCube, save_cube, save_mask
 from specscan.cli import main
 from specscan.detectors import DETECTORS
 from specscan.pipeline import APPLICATIONS
@@ -97,6 +97,20 @@ class TestLabel:
         payload = json.loads(capsys.readouterr().out)
         assert "clear_sky_line" in payload
 
+    def test_hot_line_matches_the_pipeline_report(self, capsys, tmp_path):
+        scene = tmp_path / "hazy.json"
+        save_cube(hazy_scene(), scene)
+        argv = ["label", "hot", "--cube", str(scene), "--out", str(tmp_path / "hot"), "--mode", "point-line", "--json"]
+        assert main(argv) == 0
+        line = json.loads(capsys.readouterr().out)["clear_sky_line"]
+        run = tmp_path / "run"
+        argv = ["pipeline", "run", "--cube", str(scene), "--application", "clouds", "--hot-mode", "point-line",
+                "--out", str(run)]
+        assert main(argv) == 0
+        report = json.loads((run / "report.json").read_text())
+        assert line == report["diagnostics"]["clear_sky_line"]
+        assert (tmp_path / "hot.raw").read_bytes() == (run / "score.raw").read_bytes()
+
     def test_threshold_label(self, capsys, scene_path, tmp_path):
         out = tmp_path / "thermal.pgm"
         code = main(
@@ -142,6 +156,19 @@ class TestStatsAndDetect:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert "mask" in payload
+
+    def test_detect_sam_counts_zero_norm_pixels(self, capsys, tmp_path):
+        cube = water_scene()
+        data = cube.data.copy()
+        data[:, 3, 5] = 0.0
+        scene = tmp_path / "zero.json"
+        save_cube(RasterCube(data=data, band_meta=cube.band_meta), scene)
+        code = main(
+            ["detect", "sam", "--cube", str(scene), "--library", str(write_library(tmp_path)),
+             "--target", "veg", "--out", str(tmp_path / "sam"), "--json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["flagged_pixels"] == 1
 
     def test_detect_unknown_target_label(self, capsys, scene_path, tmp_path):
         library = write_library(tmp_path)

@@ -14,7 +14,7 @@ from specscan import (
     scene_stats_from_moments,
 )
 from conftest import random_cube
-from oracles import covariance_bruteforce, gauss_jordan_inverse, mf_bruteforce, rx_bruteforce
+from oracles import covariance_bruteforce, gauss_jordan_inverse, mf_bruteforce, rx_bruteforce, sam_arccos
 
 
 def cube_from_pixels(pixels, width=None):
@@ -287,6 +287,21 @@ class TestDetectMap:
             diff = np.abs(single.data - double.data)
             assert diff.mean() < 1e-5, detector
             assert diff.max() < 1e-3, detector
+
+    def test_sam_matches_arccos_oracle(self):
+        rng = np.random.default_rng(46)
+        cube = cube_from_pixels(rng.normal(size=(80, 5)), width=10)
+        target = rng.normal(size=5)
+        sam_map = detect_map(cube, "sam", target=target, precision="double").data.ravel()
+        checked = 0
+        for spectrum, mapped in zip(cube.pixels().astype(np.float64), sam_map):
+            want = sam_arccos(spectrum, target)
+            if not 0.01 < want < np.pi - 0.01:
+                continue
+            assert sam(spectrum, target) == pytest.approx(want, rel=1e-9)
+            assert mapped == pytest.approx(want, rel=1e-9)
+            checked += 1
+        assert checked >= 70
 
     def test_map_matches_scalar_kernels(self):
         rng = np.random.default_rng(45)

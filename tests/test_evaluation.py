@@ -131,15 +131,23 @@ class TestComparePaths:
 
 
 class TestDetectorSerialization:
-    def test_rx_artifact_byte_count(self):
+    @pytest.mark.parametrize("detector", ["sam", "mf", "rx"])
+    def test_artifact_byte_count(self, detector):
+        # every detector gets both inputs; each artifact holds only what it uses
         bands = 48
         rng = np.random.default_rng(11)
         stats = compute_scene_stats_for_bands(rng, bands)
-        blob = serialize_detector_params("rx", stats=stats)
+        target = TargetSpectrum(label="t", values=rng.random(bands))
+        blob = serialize_detector_params(detector, target=target, stats=stats)
         newline = blob.index(b"\n")
         header = json.loads(blob[:newline])
-        assert header["arrays"] == {"covariance": [bands, bands], "mean": [bands]}
-        assert len(blob) - newline - 1 == 8 * (bands + bands * bands)
+        arrays, values = {
+            "sam": ({"target": [bands]}, bands),
+            "mf": ({"covariance": [bands, bands], "mean": [bands], "target": [bands]}, 2 * bands + bands * bands),
+            "rx": ({"covariance": [bands, bands], "mean": [bands]}, bands + bands * bands),
+        }[detector]
+        assert header == {"arrays": arrays, "detector": detector, "dtype": "f64"}
+        assert len(blob) - newline - 1 == 8 * values
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(12)

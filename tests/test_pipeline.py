@@ -253,6 +253,21 @@ class TestRunPipeline:
         assert result.summary.positive_count == result.mask.positive_count()
         assert result.report["diagnostics"]["scene_stats"]["pixel_count"] == 400
 
+    def test_sam_applications_compute_no_scene_stats(self, monkeypatch):
+        import specscan.detectors as detectors_module
+        import specscan.pipeline as pipeline_module
+
+        def no_stats(*args, **kwargs):
+            raise AssertionError("SAM does not use scene statistics")
+
+        monkeypatch.setattr(pipeline_module, "compute_scene_stats", no_stats)
+        monkeypatch.setattr(detectors_module, "compute_scene_stats", no_stats)
+        target = TargetSpectrum(label="t", values=np.array([0.2, 0.6, 0.2, 0.1]))
+        for application in ("vegetation_sam", "mineral_sam"):
+            result = run_pipeline(water_scene(), PipelineConfig(application=application, target=target))
+            assert result.scores.score_kind == "SAM"
+            assert "scene_stats" not in result.report["diagnostics"]
+
     def test_mf_without_target_fails_before_compute(self, tmp_path):
         cube = water_scene()
         out = tmp_path / "nothing"
