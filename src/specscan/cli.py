@@ -12,7 +12,7 @@ import json
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ from .pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
     PipelineConfig,
-    _otsu_mask,
     build_summary,
     emit_summary,
     run_pipeline,
@@ -100,21 +99,6 @@ def _add_score_flags(parser) -> None:
     parser.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
 
-def _write_score_outputs(scores, out_prefix: str, do_otsu: bool, bins: int, polarity: str) -> dict:
-    """Write score map (header+payload) and, optionally, an Otsu mask."""
-    score_header = Path(str(out_prefix) + ".json")
-    save_score_map(scores, score_header)
-    outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}
-    if do_otsu:
-        otsu, mask = _otsu_mask(scores, bins, polarity)
-        mask_path = Path(str(out_prefix) + "_mask.pgm")
-        save_mask(mask, mask_path)
-        outputs["mask"] = str(mask_path)
-        outputs["threshold"] = otsu.threshold
-        outputs["positive_count"] = mask.positive_count()
-    return outputs
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -157,10 +141,17 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_target(args, cube: RasterCube):
-    targets = load_spectral_library(
-        args.library, band_wavelengths=cube.wavelengths(), band_count=cube.bands
-    )
+def _target(args, app, cube: RasterCube | None = None):
+    """The ``--target`` spectrum of ``--library`` when `app` needs one and both flags are set.
+
+    Without `cube` the spectrum stays on the library's own grid, which is
+    enough to validate a config before any payload is read; with one it is
+    resampled onto the cube's bands.
+    """
+    if not (app.needs_target and args.library and args.target):
+        return None
+    grid = {} if cube is None else {"band_wavelengths": cube.wavelengths(), "band_count": cube.bands}
+    targets = load_spectral_library(args.library, **grid)
     matches = [t for t in targets if t.label == args.target]
     if not matches:
         available = ", ".join(t.label for t in targets)
@@ -169,23 +160,31 @@ def _load_target(args, cube: RasterCube):
 
 
 def _cmd_score(args) -> int:
-    """``label ndwi|hot`` and ``detect sam|mf|rx``: the score step of the matching application."""
+    """``label ndwi|hot`` and ``detect sam|mf|rx``: the score and label steps of the matching application."""
     name = next(name for name, entry in APPLICATIONS.items() if entry.command == args.score)
     app = APPLICATIONS[name]
     if app.needs_target:
         for flag in ("target", "library"):
             if not getattr(args, flag):
                 args.parser.error(f"detect {args.score} requires --{flag}")
-    cube = load_cube(args.cube)
-    target = _load_target(args, cube) if app.needs_target else None
-    config = PipelineConfig(application=name, stretch=None, target=target)
+    config = PipelineConfig(application=name, stretch=None, target=_target(args, app), otsu_bins=args.bins)
     if "mode" in args:  # label hot
         config.hot_mode = _HOT_MODE_FLAGS[args.mode]
     if "precision" in args:  # detect
         config.precision = args.precision
+    config.validate()
+    cube = load_cube(args.cube)
+    config.target = _target(args, app, cube)
     diagnostics: dict = {}
     scores, _ = app.score(cube, config, diagnostics)
-    outputs = _write_score_outputs(scores, args.out, args.otsu, args.bins, app.polarity)
+    score_header = Path(f"{args.out}.json")
+    save_score_map(scores, score_header)
+    outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}
+    if args.otsu:
+        mask, threshold, _ = app.label(cube, scores, config, diagnostics)
+        mask_path = Path(f"{args.out}_mask.pgm")
+        save_mask(mask, mask_path)
+        outputs.update(mask=str(mask_path), threshold=threshold, positive_count=mask.positive_count())
     if "clear_sky_line" in diagnostics:
         outputs["clear_sky_line"] = diagnostics["clear_sky_line"]
     if args.score in DETECTORS and scores.flags is not None:
@@ -271,28 +270,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _pipeline_config(args, cube: RasterCube, scene_id: str) -> PipelineConfig:
-    target = None
-    if APPLICATIONS[args.application].needs_target and args.library and args.target:
-        target = _load_target(args, cube)
-    stretch = None if args.no_stretch else _stretch_params(args)
-    return PipelineConfig(
-        application=args.application,
-        scene_id=scene_id,
-        stretch=stretch,
-        otsu_bins=args.otsu_bins,
-        hot_mode=_HOT_MODE_FLAGS[args.hot_mode],
-        fixed_threshold=args.threshold,
-        target=target,
-        thermal_band=_parse_band(args.band),
-        thermal_low=args.low,
-        thermal_high=args.high,
-        precision=args.precision,
-        max_boxes=args.max_boxes,
-        output_dir=None,
-    )
-
-
 def _cmd_pipeline_run(args) -> int:
     if args.scene_id and len(args.cube) > 1:
         args.parser.error("--scene-id only applies to a single --cube")
@@ -302,17 +279,32 @@ def _cmd_pipeline_run(args) -> int:
             args.parser.error(
                 f"--cube files share the stem {', '.join(shared)}: each scene needs its own output directory"
             )
+    app = APPLICATIONS[args.application]
+    config = PipelineConfig(
+        application=args.application,
+        stretch=None if args.no_stretch else _stretch_params(args),
+        otsu_bins=args.otsu_bins,
+        hot_mode=_HOT_MODE_FLAGS[args.hot_mode],
+        fixed_threshold=args.threshold,
+        target=_target(args, app),
+        thermal_band=_parse_band(args.band),
+        thermal_low=args.low,
+        thermal_high=args.high,
+        precision=args.precision,
+        max_boxes=args.max_boxes,
+    )
+    config.validate()
     out_root = Path(args.out)
 
     def run_one(cube_path: str) -> dict:
         cube = load_cube(cube_path)
         scene_id = args.scene_id or Path(cube_path).stem
-        config = _pipeline_config(args, cube, scene_id)
-        config.output_dir = out_root / scene_id if len(args.cube) > 1 else out_root
-        result = run_pipeline(cube, config)
+        output_dir = out_root / scene_id if len(args.cube) > 1 else out_root
+        scene_config = replace(config, scene_id=scene_id, target=_target(args, app, cube), output_dir=output_dir)
+        result = run_pipeline(cube, scene_config)
         return {
             "scene_id": scene_id,
-            "output_dir": str(config.output_dir),
+            "output_dir": str(output_dir),
             "positive_count": result.summary.positive_count,
             "positive_fraction": result.summary.positive_fraction,
             "threshold": result.summary.threshold,

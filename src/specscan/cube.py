@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -273,10 +273,7 @@ def save_cube(cube: RasterCube, header_path: str | Path) -> None:
         "byte_order": "little",
         "payload": payload_name,
         "nodata": cube.nodata,
-        "bands_meta": [
-            {"name": m.name, "role": m.role, "wavelength_nm": m.wavelength_nm}
-            for m in cube.band_meta
-        ],
+        "bands_meta": [asdict(m) for m in cube.band_meta],
     }
     raw = np.ascontiguousarray(cube.data).astype("<f4", copy=False).tobytes()
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -42,7 +43,6 @@ from .detectors import (
 from .errors import ConfigError, DataError, FormatError, SpecScanError, StageError
 from .labeling import (
     HOT_MODES,
-    OtsuResult,
     band_threshold_label,
     binarize,
     fit_clear_sky_line,
@@ -62,11 +62,9 @@ class Application:
 
     ``score(scene, config, diagnostics)`` returns the score map and the
     algorithm name recorded in the summary; it may add entries to the run
-    report's diagnostics. A band-window application labels the pixels of
-    ``thermal_band`` within ``[thermal_low, thermal_high]``; every other one
-    labels the ``polarity`` side of ``fixed_threshold`` or, without one, of
-    the Otsu threshold of its scores. ``command`` names the ``specscan label``
-    or ``specscan detect`` subcommand that computes the same score.
+    report's diagnostics. :meth:`label` thresholds that map. ``command``
+    names the ``specscan label`` or ``specscan detect`` subcommand that
+    computes the same score.
     """
 
     score: Callable[[RasterCube, PipelineConfig, dict], tuple[ScoreMap, str]]
@@ -75,6 +73,29 @@ class Application:
     band_window: bool = False
     stretch: bool = True
     needs_target: bool = False
+
+    def label(
+        self, scene: RasterCube, scores: ScoreMap, config: PipelineConfig, diagnostics: dict
+    ) -> tuple[BinaryMask, float, str]:
+        """The mask, its threshold and the suffix of the algorithm name.
+
+        A band-window entry labels the pixels of ``thermal_band`` within
+        ``[thermal_low, thermal_high]``; every other one labels the
+        ``polarity`` side of ``fixed_threshold`` or, without one, of the Otsu
+        threshold of `scores`.
+        """
+        if self.band_window:
+            low, high = config.thermal_low, config.thermal_high
+            mask = band_threshold_label(scene, config.thermal_band, low=low, high=high)
+            diagnostics["band_threshold"] = {"band": config.thermal_band, "low": low, "high": high}
+            return mask, low if low is not None else high, ""
+        if config.fixed_threshold is not None:
+            threshold, suffix = config.fixed_threshold, "+fixed"
+        else:
+            otsu = otsu_threshold(scores, bins=config.otsu_bins)
+            diagnostics["otsu"] = asdict(otsu)
+            threshold, suffix = otsu.threshold, "+otsu"
+        return binarize(scores, threshold, polarity=self.polarity), threshold, suffix
 
 
 def _score_haze(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
@@ -306,12 +327,6 @@ class PipelineResult:
     report: dict
 
 
-def _otsu_mask(scores: ScoreMap, bins: int, polarity: str) -> tuple[OtsuResult, BinaryMask]:
-    """Otsu threshold of `scores` and the mask of its `polarity` side."""
-    otsu = otsu_threshold(scores, bins=bins)
-    return otsu, binarize(scores, otsu.threshold, polarity=polarity)
-
-
 def _json_default(value):
     """JSON hook for the run report: arrays become lists, paths strings."""
     if isinstance(value, np.ndarray):
@@ -321,33 +336,19 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-class _StageClock:
-    """Collects per-stage wall times and attributes failures to stages."""
+@contextmanager
+def _stage(stages: list[dict], name: str):
+    """Append ``{"name", "seconds"}`` to `stages` when the block succeeds.
 
-    def __init__(self):
-        self.timings: list[dict] = []
-        self._name = None
-        self._start = 0.0
-
-    def __call__(self, name: str):
-        self._name = name
-        return self
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.timings.append(
-                {"name": self._name, "seconds": time.perf_counter() - self._start}
-            )
-            return False
-        if isinstance(exc, StageError):
-            return False
-        if isinstance(exc, (SpecScanError, OSError)):
-            raise StageError(self._name, str(exc)) from exc
-        return False
+    A package or OS error in the block is re-raised as a StageError naming
+    the stage; any other exception passes through untimed.
+    """
+    start = time.perf_counter()
+    try:
+        yield
+    except (SpecScanError, OSError) as exc:
+        raise StageError(name, str(exc)) from exc
+    stages.append({"name": name, "seconds": time.perf_counter() - start})
 
 
 def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
@@ -362,39 +363,28 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
     app = APPLICATIONS[config.application]
 
     diagnostics: dict = {}
-    clock = _StageClock()
+    stages: list[dict] = []
+    stage = partial(_stage, stages)
     report: dict = {
         "scene_id": config.scene_id,
         "config": asdict(config),
         "diagnostics": diagnostics,
-        "stages": clock.timings,
+        "stages": stages,
     }
 
-    with clock("stretch"):
+    with stage("stretch"):
         use_stretch = config.stretch is not None and app.stretch
         scene = stretch_cube(cube, config.stretch) if use_stretch else cube
         diagnostics["stretch_applied"] = use_stretch
 
-    with clock("score"):
+    with stage("score"):
         scores, algorithm = app.score(scene, config, diagnostics)
 
-    with clock("threshold"):
-        if app.band_window:
-            low, high = config.thermal_low, config.thermal_high
-            threshold = low if low is not None else high
-            mask = band_threshold_label(scene, config.thermal_band, low=low, high=high)
-            diagnostics["band_threshold"] = {"band": config.thermal_band, "low": low, "high": high}
-        elif config.fixed_threshold is not None:
-            threshold = config.fixed_threshold
-            mask = binarize(scores, threshold, polarity=app.polarity)
-            algorithm += "+fixed"
-        else:
-            otsu, mask = _otsu_mask(scores, config.otsu_bins, app.polarity)
-            threshold = otsu.threshold
-            diagnostics["otsu"] = asdict(otsu)
-            algorithm += "+otsu"
+    with stage("threshold"):
+        mask, threshold, suffix = app.label(scene, scores, config, diagnostics)
+        algorithm += suffix
 
-    with clock("summarize"):
+    with stage("summarize"):
         summary = build_summary(
             mask,
             application=config.application,
@@ -408,7 +398,7 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
         out_dir = Path(config.output_dir)
         written: list[Path] = []
         try:
-            with clock("write"):
+            with stage("write"):
                 out_dir.mkdir(parents=True, exist_ok=True)
                 score_header = out_dir / "score.json"
                 save_score_map(scores, score_header)

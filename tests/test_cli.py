@@ -57,6 +57,26 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "ndwi" in out
 
+    def test_malformed_cube_is_exit_two(self, capsys, scene_path, tmp_path):
+        header = json.loads(scene_path.read_text())
+        header["interleave"] = "bip"
+        scene_path.write_text(json.dumps(header))
+        assert main(["label", "ndwi", "--cube", str(scene_path), "--out", str(tmp_path / "n")]) == 2
+        assert "interleave" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["label", "ndwi"], ["label", "ndwi", "--otsu"], ["label", "hot", "--otsu"], ["detect", "rx", "--otsu"]],
+        ids=" ".join,
+    )
+    def test_bins_below_two_is_usage_error_before_any_write(self, capsys, scene_path, tmp_path, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(argv + ["--cube", str(scene_path), "--out", str(out / "n"), "--bins", "1"])
+        assert code == 1
+        assert "otsu_bins" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_subcommand_help_lists_defaults(self, capsys):
         assert main(["label", "ndwi", "--help"]) == 0
         help_text = capsys.readouterr().out
@@ -314,6 +334,24 @@ class TestPipelineCli:
         assert "fixed_threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "application, flags, message",
+        [
+            ("thermal", ["--low", "0.6", "--threshold", "0.1"], "fixed_threshold"),
+            ("vegetation_mf", [], "requires a target spectrum"),
+        ],
+        ids=["thermal-threshold", "mf-without-target"],
+    )
+    def test_config_errors_come_before_the_payload_is_read(self, capsys, tmp_path, application, flags, message):
+        scene = tmp_path / "w.json"
+        save_cube(water_scene(), scene)
+        scene.with_suffix(".raw").unlink()
+        out = tmp_path / "never"
+        code = main(["pipeline", "run", "--cube", str(scene), "--application", application, "--out", str(out)] + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_thermal_run_with_band_flags(self, tmp_path):
         scene = tmp_path / "t.json"
         save_cube(water_scene(), scene)
@@ -351,6 +389,8 @@ class TestSummaryCli:
 def test_cli_scores_agree_with_the_application_table(application, tmp_path):
     """`label`/`detect` and `pipeline run` label the same pixels for every entry.
 
+    ``--bins`` is the Otsu step's ``--otsu-bins``.
+
     Entries sharing a score command (vegetation_X and mineral_X) also give
     identical outputs, so only the target spectrum tells them apart.
     """
@@ -366,12 +406,12 @@ def test_cli_scores_agree_with_the_application_table(application, tmp_path):
         assert main(argv + target + band + list(extra)) == 0
         return out / "mask.pgm", out / "score.raw"
 
-    mask, score = pipeline(application, tmp_path / "run", "--no-stretch")
+    mask, score = pipeline(application, tmp_path / "run", "--no-stretch", "--otsu-bins", "7")
     prefix = tmp_path / "cli"
     if app.band_window:
         argv, cli_mask, cli_score = ["label", "threshold", *band], Path(f"{prefix}.pgm"), None
     else:
-        argv = ["detect" if app.command in DETECTORS else "label", app.command, "--otsu", *target]
+        argv = ["detect" if app.command in DETECTORS else "label", app.command, "--otsu", "--bins", "7", *target]
         cli_mask, cli_score = Path(f"{prefix}_mask.pgm"), Path(f"{prefix}.raw")
     assert main(argv + ["--cube", str(scene), "--out", str(prefix)]) == 0
     assert cli_mask.read_bytes() == mask.read_bytes()

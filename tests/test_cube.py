@@ -21,6 +21,9 @@ from specscan import (
 )
 from conftest import RGBN, random_cube
 
+# A valid 2x1x2 header for tests that break one part of it.
+HEADER = {"width": 2, "height": 1, "bands": 2, "payload": "m.raw"}
+
 
 def cubes_equal(a: RasterCube, b: RasterCube) -> bool:
     if a.data.dtype != b.data.dtype or not np.array_equal(a.data, b.data):
@@ -93,18 +96,6 @@ class TestCubeRoundTrip:
         with pytest.raises(FormatError, match="malformed"):
             load_cube(tmp_path / "bad.json")
 
-    def test_unsupported_layout_fields(self, tmp_path):
-        base = {
-            "width": 1,
-            "height": 1,
-            "bands": 1,
-            "payload": "x.raw",
-            "dtype": "f64",
-        }
-        (tmp_path / "x.json").write_text(json.dumps(base))
-        with pytest.raises(FormatError, match="dtype"):
-            load_cube(tmp_path / "x.json")
-
     def test_nonfinite_payload_rejected(self, tmp_path):
         header = {"width": 2, "height": 1, "bands": 1, "payload": "nan.raw"}
         (tmp_path / "nan.json").write_text(json.dumps(header))
@@ -129,6 +120,46 @@ class TestCubeRoundTrip:
         (tmp_path / "dup.raw").write_bytes(np.zeros(2, dtype="<f4").tobytes())
         with pytest.raises(FormatError, match="duplicated"):
             load_cube(tmp_path / "dup.json")
+
+
+    def test_header_bytes(self, tmp_path):
+        meta = [BandMeta(name="g", role="green", wavelength_nm=560.0), BandMeta(name="x")]
+        cube = RasterCube(data=np.zeros((2, 1, 3), dtype=np.float32), band_meta=meta, nodata=-1.0)
+        save_cube(cube, tmp_path / "h.json")
+        assert (tmp_path / "h.json").read_bytes() == (
+            b'{\n  "width": 3,\n  "height": 1,\n  "bands": 2,\n  "dtype": "f32",\n'
+            b'  "interleave": "bsq",\n  "byte_order": "little",\n  "payload": "h.raw",\n'
+            b'  "nodata": -1.0,\n  "bands_meta": [\n'
+            b'    {\n      "name": "g",\n      "role": "green",\n      "wavelength_nm": 560.0\n    },\n'
+            b'    {\n      "name": "x",\n      "role": "other",\n      "wavelength_nm": null\n    }\n'
+            b'  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ([1, 2], "JSON object"),
+            ({k: v for k, v in HEADER.items() if k != "width"}, "missing field 'width'"),
+            ({**HEADER, "dtype": "f64"}, "dtype"),
+            ({**HEADER, "interleave": "bip"}, "interleave"),
+            ({**HEADER, "byte_order": "big"}, "byte order"),
+            ({**HEADER, "height": "two"}, "non-integer"),
+            ({**HEADER, "bands": 0}, ">= 1"),
+            ({**HEADER, "bands_meta": [{"name": "a"}]}, "entries for 2 bands"),
+            ({**HEADER, "bands_meta": ["a", "b"]}, "must be objects"),
+            ({**HEADER, "payload": "absent.raw"}, "cannot read cube payload"),
+            ({**HEADER, "nodata": float("inf")}, "finite"),
+        ],
+        ids=[
+            "non-object", "missing-field", "dtype", "interleave", "byte-order", "non-integer-dims",
+            "zero-dims", "meta-length", "meta-entry", "missing-payload", "non-finite-nodata",
+        ],
+    )
+    def test_malformed_header_is_format_error(self, tmp_path, header, message):
+        (tmp_path / "m.json").write_text(json.dumps(header))
+        (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match=message):
+            load_cube(tmp_path / "m.json")
 
 
 class TestBandAccess:

@@ -20,7 +20,13 @@ from specscan import (
     parse_summary,
     run_pipeline,
 )
-from specscan.pipeline import APPLICATIONS, SUMMARY_MAX_BYTES, Application, summary_to_bytes
+from specscan.pipeline import (
+    APPLICATIONS,
+    MAX_DETECTION_BOXES,
+    SUMMARY_MAX_BYTES,
+    Application,
+    summary_to_bytes,
+)
 from oracles import flood_fill_boxes
 
 RGBN_META = [
@@ -369,10 +375,34 @@ class TestRunPipeline:
         assert echo["output_dir"] == str(tmp_path / "r")
         assert set(echo) == {field.name for field in fields(PipelineConfig)}
 
-    def test_invalid_application(self):
-        cube = water_scene()
-        with pytest.raises(ConfigError, match="application"):
-            run_pipeline(cube, PipelineConfig(application="earthquakes"))
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"application": "earthquakes"}, "application"),
+            ({"hot_mode": "bogus"}, "HOT mode"),
+            ({"precision": "quad"}, "precision"),
+            ({"otsu_bins": 1}, "otsu_bins"),
+            ({"max_boxes": 0}, "max_boxes"),
+            ({"max_boxes": MAX_DETECTION_BOXES + 1}, "max_boxes"),
+            ({"application": "thermal", "thermal_low": 0.7, "thermal_high": 0.2}, "exceeds"),
+        ],
+        ids=["application", "hot-mode", "precision", "otsu-bins", "no-boxes", "too-many-boxes", "inverted-window"],
+    )
+    def test_invalid_config(self, fields, message):
+        config = PipelineConfig(**{"application": "surface_water", **fields})
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(water_scene(), config)
+
+    def test_other_exceptions_leave_the_stage_unwrapped(self, monkeypatch):
+        import specscan.pipeline as pipeline_module
+
+        def broken(scene):
+            raise ValueError("not a package error")
+
+        monkeypatch.setattr(pipeline_module, "ndwi", broken)
+        with pytest.raises(ValueError, match="not a package error") as excinfo:
+            run_pipeline(water_scene(), PipelineConfig(application="surface_water"))
+        assert type(excinfo.value) is ValueError
 
     def test_sam_application_labels_matching_pixels(self):
         # left half points along the target in band space, right half along a
