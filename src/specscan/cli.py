@@ -41,7 +41,7 @@ from .evaluation import (
     render_metrics_table,
     seg_metrics,
 )
-from .labeling import band_threshold_label, binarize
+from .labeling import binarize
 from .pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
@@ -68,12 +68,10 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    """Print `payload` as JSON under --json, else the optional text rendering."""
-    if getattr(args, "json", False):
+def _emit(args, payload: dict) -> None:
+    """Print `payload` as JSON under --json."""
+    if args.json:
         print(json.dumps(payload))
-    elif text is not None:
-        print(text)
 
 
 def _stretch_params(args) -> StretchParams:
@@ -120,10 +118,14 @@ def _parse_band(value: str):
 
 
 def _cmd_label_threshold(args) -> int:
-    if args.low is None and args.high is None:
-        args.parser.error("at least one of --low/--high is required")
+    """``label threshold``: the score and label steps of the ``thermal`` application."""
+    app = APPLICATIONS["thermal"]
+    config = PipelineConfig(
+        application="thermal", thermal_band=_parse_band(args.band), thermal_low=args.low, thermal_high=args.high
+    )
+    config.validate()
     cube = load_cube(args.cube)
-    mask = band_threshold_label(cube, _parse_band(args.band), low=args.low, high=args.high)
+    mask, _, _ = app.label(cube, app.score(cube, config, {})[0], config, {})
     mask_path = Path(str(args.out) + ".pgm") if not str(args.out).endswith(".pgm") else Path(args.out)
     save_mask(mask, mask_path)
     _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})

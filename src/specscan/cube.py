@@ -322,6 +322,8 @@ def load_cube(header_path: str | Path) -> RasterCube:
         raise FormatError(f"cube dimensions must be >= 1, got {width}x{height}x{bands}")
 
     meta_entries = header.get("bands_meta") or []
+    if not isinstance(meta_entries, list):
+        raise FormatError(f"bands_meta in {header_path} must be a list")
     if meta_entries and len(meta_entries) != bands:
         raise FormatError(
             f"bands_meta has {len(meta_entries)} entries for {bands} bands in {header_path}"
@@ -337,6 +339,8 @@ def load_cube(header_path: str | Path) -> RasterCube:
         ]
     except AttributeError as exc:
         raise FormatError(f"bands_meta entries must be objects in {header_path}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed bands_meta entry in {header_path}: {exc}") from exc
 
     payload_path = header_path.parent / str(header["payload"])
     try:
@@ -352,7 +356,10 @@ def load_cube(header_path: str | Path) -> RasterCube:
 
     nodata = header.get("nodata")
     if nodata is not None:
-        nodata = float(nodata)
+        try:
+            nodata = float(nodata)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"nodata in {header_path} must be a number") from exc
         if not math.isfinite(nodata):
             raise FormatError(f"nodata in {header_path} must be finite")
     try:

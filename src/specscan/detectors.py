@@ -160,10 +160,7 @@ def compute_scene_stats(
         raise ComputeError(f"scene statistics need >= 2 valid pixels, have {n_pixels}")
     mean = pixels.mean(axis=0)
     centered = pixels - mean
-    cov = centered.T @ centered / n_pixels
-    cov = (cov + cov.T) / 2.0
-    factor, ridge = _factorize(cov)
-    return SceneStats(mean=mean, covariance=cov, factor_lower=factor, ridge=ridge, pixel_count=n_pixels)
+    return scene_stats_from_moments(mean, centered.T @ centered / n_pixels, n_pixels)
 
 
 def _target_values(target: TargetSpectrum | Spectrum) -> NDArray[np.float64]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -355,9 +357,10 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
     """Run one scene through stretch, scoring, thresholding, and summary.
 
     When ``config.output_dir`` is set, writes ``score.json``/``score.raw``,
-    ``mask.pgm``, ``summary.json``, and ``report.json`` there; a failure at
-    any stage removes whatever was already written so no partial outputs
-    survive.
+    ``mask.pgm``, ``summary.json``, and ``report.json`` into a ``.staging-*``
+    directory inside it and renames them into place only once all five are
+    written. A run that fails therefore leaves the directory as it was: empty
+    or absent for a first run, the previous run's files for a re-run.
     """
     config.validate()
     app = APPLICATIONS[config.application]
@@ -396,30 +399,17 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
 
     if config.output_dir is not None:
         out_dir = Path(config.output_dir)
-        written: list[Path] = []
-        try:
-            with stage("write"):
-                out_dir.mkdir(parents=True, exist_ok=True)
-                score_header = out_dir / "score.json"
-                save_score_map(scores, score_header)
-                written += [score_header, out_dir / "score.raw"]
-                mask_path = out_dir / "mask.pgm"
-                save_mask(mask, mask_path)
-                written.append(mask_path)
-                summary_path = out_dir / "summary.json"
-                emit_summary(summary, summary_path)
-                written.append(summary_path)
-                report["outputs"] = {
-                    "score": score_header.name,
-                    "mask": mask_path.name,
-                    "summary": summary_path.name,
-                }
-                report_path = out_dir / "report.json"
-                report_path.write_text(json.dumps(report, indent=2, default=_json_default) + "\n", encoding="utf-8")
-                written.append(report_path)
-        except BaseException:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
+        with stage("write"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as staging:
+                staging = Path(staging)
+                save_score_map(scores, staging / "score.json")
+                save_mask(mask, staging / "mask.pgm")
+                emit_summary(summary, staging / "summary.json")
+                report["outputs"] = {"score": "score.json", "mask": "mask.pgm", "summary": "summary.json"}
+                report_text = json.dumps(report, indent=2, default=_json_default) + "\n"
+                (staging / "report.json").write_text(report_text, encoding="utf-8")
+                for path in sorted(staging.iterdir()):
+                    os.replace(path, out_dir / path.name)
 
     return PipelineResult(mask=mask, scores=scores, summary=summary, report=report)

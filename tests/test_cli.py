@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specscan import BinaryMask, RasterCube, save_cube, save_mask
+from specscan import BandMeta, BinaryMask, RasterCube, save_cube, save_mask
 from specscan.cli import main
 from specscan.detectors import DETECTORS
 from specscan.pipeline import APPLICATIONS
@@ -57,12 +57,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "ndwi" in out
 
-    def test_malformed_cube_is_exit_two(self, capsys, scene_path, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("interleave", "bip", "interleave"), ("nodata", "abc", "nodata")],
+        ids=["interleave", "string-nodata"],
+    )
+    def test_malformed_cube_is_exit_two(self, capsys, scene_path, tmp_path, field, value, message):
         header = json.loads(scene_path.read_text())
-        header["interleave"] = "bip"
+        header[field] = value
         scene_path.write_text(json.dumps(header))
         assert main(["label", "ndwi", "--cube", str(scene_path), "--out", str(tmp_path / "n")]) == 2
-        assert "interleave" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -147,6 +152,18 @@ class TestLabel:
         )
         assert code == 1
         assert not (tmp_path / "t.pgm").exists()
+
+    def test_threshold_config_error_comes_before_the_payload_is_read(self, capsys, scene_path, tmp_path):
+        scene_path.with_suffix(".raw").unlink()
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(
+            ["label", "threshold", "--cube", str(scene_path), "--band", "nir",
+             "--low", "0.6", "--high", "0.2", "--out", str(out / "t.pgm")]
+        )
+        assert code == 1
+        assert "thermal_low exceeds thermal_high" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestStatsAndDetect:
@@ -351,6 +368,28 @@ class TestPipelineCli:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_target_is_resampled_onto_the_cube_wavelengths(self, tmp_path):
+        cube = water_scene()
+        grid = [480.0, 560.0, 660.0, 830.0]
+        meta = [BandMeta(name=m.name, role=m.role, wavelength_nm=wl) for m, wl in zip(cube.band_meta, grid)]
+        scene = tmp_path / "w.json"
+        save_cube(RasterCube(data=cube.data, band_meta=meta), scene)
+        library_wl, library_values = [900.0, 400.0, 550.0, 700.0], [0.5, 0.05, 0.1, 0.3]
+        library = tmp_path / "lib.csv"
+        rows = [f"veg,{wl},{v}" for wl, v in zip(library_wl, library_values)]
+        library.write_text("\n".join(["label,wavelength_nm,value", *rows]) + "\n")
+        out = tmp_path / "run"
+        code = main(
+            ["pipeline", "run", "--cube", str(scene), "--application", "vegetation_mf",
+             "--library", str(library), "--target", "veg", "--out", str(out)]
+        )
+        assert code == 0
+        target = json.loads((out / "report.json").read_text())["config"]["target"]
+        assert target["wavelengths_nm"] == grid
+        order = np.argsort(library_wl)
+        expected = np.interp(grid, np.array(library_wl)[order], np.array(library_values)[order])
+        np.testing.assert_array_equal(target["values"], expected)
 
     def test_thermal_run_with_band_flags(self, tmp_path):
         scene = tmp_path / "t.json"

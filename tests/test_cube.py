@@ -149,10 +149,15 @@ class TestCubeRoundTrip:
             ({**HEADER, "bands_meta": ["a", "b"]}, "must be objects"),
             ({**HEADER, "payload": "absent.raw"}, "cannot read cube payload"),
             ({**HEADER, "nodata": float("inf")}, "finite"),
+            ({**HEADER, "nodata": "abc"}, "nodata .* must be a number"),
+            ({**HEADER, "nodata": [1]}, "nodata .* must be a number"),
+            ({**HEADER, "bands_meta": 3}, "must be a list"),
+            ({**HEADER, "bands_meta": [{"name": "a", "wavelength_nm": "abc"}, {"name": "b"}]}, "malformed bands_meta"),
         ],
         ids=[
             "non-object", "missing-field", "dtype", "interleave", "byte-order", "non-integer-dims",
             "zero-dims", "meta-length", "meta-entry", "missing-payload", "non-finite-nodata",
+            "string-nodata", "list-nodata", "meta-not-list", "string-wavelength",
         ],
     )
     def test_malformed_header_is_format_error(self, tmp_path, header, message):

@@ -12,6 +12,7 @@ from specscan import (
     FormatError,
     PipelineConfig,
     RasterCube,
+    StageError,
     SummaryMessage,
     TargetSpectrum,
     build_summary,
@@ -324,6 +325,28 @@ class TestRunPipeline:
             run_pipeline(cube, config)
         leftovers = list(out.glob("*")) if out.exists() else []
         assert leftovers == []
+
+    @pytest.mark.parametrize("failure", ["forced", "oversize"])
+    def test_failed_rerun_keeps_the_previous_run(self, tmp_path, monkeypatch, failure):
+        out = tmp_path / "run"
+        run_pipeline(water_scene(seed=11), PipelineConfig(application="surface_water", output_dir=out))
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(first) == ["mask.pgm", "report.json", "score.json", "score.raw", "summary.json"]
+
+        rerun = PipelineConfig(application="surface_water", output_dir=out)
+        if failure == "forced":
+            import specscan.pipeline as pipeline_module
+
+            def boom(message, path):
+                raise DataError("forced failure after earlier writes")
+
+            monkeypatch.setattr(pipeline_module, "emit_summary", boom)
+        else:
+            rerun.scene_id = "s" * 2100
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(water_scene(seed=12), rerun)
+        assert excinfo.value.stage == "write"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
 
     def test_stage_attribution(self):
         # clouds needs blue/red; a cube without them fails in the score stage
