@@ -94,7 +94,6 @@ def _add_score_flags(parser) -> None:
     parser.add_argument("--out", required=True, help="output prefix (<out>.json/.raw, <out>_mask.pgm)")
     parser.add_argument("--otsu", action="store_true", help="also write an Otsu-thresholded mask")
     parser.add_argument("--bins", type=int, default=256, help="Otsu histogram bins")
-    parser.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def _cmd_label_threshold(args) -> int:
     )
     config.validate()
     cube = load_cube(args.cube)
-    mask, _, _ = app.label(cube, app.score(cube, config, {})[0], config, {})
+    mask, _, _ = app.label(app.score(cube, config, {})[0], config, {})
     mask_path = Path(str(args.out) + ".pgm") if not str(args.out).endswith(".pgm") else Path(args.out)
     save_mask(mask, mask_path)
     _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})
@@ -165,10 +164,6 @@ def _cmd_score(args) -> int:
     """``label ndwi|hot`` and ``detect sam|mf|rx``: the score and label steps of the matching application."""
     name = next(name for name, entry in APPLICATIONS.items() if entry.command == args.score)
     app = APPLICATIONS[name]
-    if app.needs_target:
-        for flag in ("target", "library"):
-            if not getattr(args, flag):
-                args.parser.error(f"detect {args.score} requires --{flag}")
     config = PipelineConfig(application=name, stretch=None, target=_target(args, app), otsu_bins=args.bins)
     if "mode" in args:  # label hot
         config.hot_mode = _HOT_MODE_FLAGS[args.mode]
@@ -183,7 +178,7 @@ def _cmd_score(args) -> int:
     save_score_map(scores, score_header)
     outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}
     if args.otsu:
-        mask, threshold, _ = app.label(cube, scores, config, diagnostics)
+        mask, threshold, _ = app.label(scores, config, diagnostics)
         mask_path = Path(f"{args.out}_mask.pgm")
         save_mask(mask, mask_path)
         outputs.update(mask=str(mask_path), threshold=threshold, positive_count=mask.positive_count())
@@ -299,29 +294,38 @@ def _cmd_pipeline_run(args) -> int:
     out_root = Path(args.out)
 
     def run_one(cube_path: str) -> dict:
-        cube = load_cube(cube_path)
+        """One scene's result entry, or its error: a failed scene does not stop the batch."""
         scene_id = args.scene_id or Path(cube_path).stem
         output_dir = out_root / scene_id if len(args.cube) > 1 else out_root
-        scene_config = replace(config, scene_id=scene_id, target=_target(args, app, cube), output_dir=output_dir)
-        result = run_pipeline(cube, scene_config)
+        item = {"scene_id": scene_id, "output_dir": str(output_dir)}
+        try:
+            cube = load_cube(cube_path)
+            scene_config = replace(config, scene_id=scene_id, target=_target(args, app, cube), output_dir=output_dir)
+            summary = run_pipeline(cube, scene_config).summary
+        except (SpecScanError, OSError) as exc:
+            return {**item, "error": str(exc)}
         return {
-            "scene_id": scene_id,
-            "output_dir": str(output_dir),
-            "positive_count": result.summary.positive_count,
-            "positive_fraction": result.summary.positive_fraction,
-            "threshold": result.summary.threshold,
-            "summary_bytes": len(summary_to_bytes(result.summary)),
+            **item,
+            "positive_count": summary.positive_count,
+            "positive_fraction": summary.positive_fraction,
+            "threshold": summary.threshold,
+            "summary_bytes": len(summary_to_bytes(summary)),
         }
 
+    # A single scene or --jobs 1 runs on the main thread: running one scene on a
+    # worker thread raised peak RSS by 11% (fragmented) and 19% (wide4) in perfbench.
     if args.jobs > 1 and len(args.cube) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_one, args.cube))
     else:
         results = [run_one(path) for path in args.cube]
     for item in results:
-        _note(f"scene {item['scene_id']}: {item['positive_count']} positive pixels")
+        if "error" in item:
+            _note(f"specscan: data error: {item['error']}")
+        else:
+            _note(f"scene {item['scene_id']}: {item['positive_count']} positive pixels")
     _emit(args, {"scenes": results})
-    return 0
+    return 2 if any("error" in item for item in results) else 0
 
 
 def _cmd_summary(args) -> int:
@@ -349,86 +353,76 @@ def build_parser() -> _Parser:
         description="Spectral scene analysis: stretching, labeling, detection, evaluation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    formatter = argparse.ArgumentDefaultsHelpFormatter
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    leaves = []
 
-    def add(name, func, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter, **kwargs)
-        p.set_defaults(func=func, parser=p)
+    def add(subparsers, name, help_text, func=None, cube=False):
+        """A subcommand parser; one with `func` is a leaf that runs it."""
+        p = subparsers.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        if func is not None:
+            p.set_defaults(func=func, parser=p)
+            leaves.append(p)
+        if cube:
+            p.add_argument("--cube", required=True, help="input cube header (JSON)")
         return p
 
-    p = add("stretch", _cmd_stretch, "quantile-stretch every band of a cube")
-    p.add_argument("--cube", required=True, help="input cube header (JSON)")
+    p = add(sub, "stretch", "quantile-stretch every band of a cube", _cmd_stretch, cube=True)
     p.add_argument("--out", required=True, help="output cube header path")
     _add_stretch_flags(p)
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    label = sub.add_parser("label", help="automated label generation", formatter_class=formatter)
-    label.set_defaults(parser=label)
-    label_sub = label.add_subparsers(dest="score", required=True, metavar="LABELER")
-
-    def add_cube_command(subparsers, name, help_text, func=_cmd_score):
-        p = subparsers.add_parser(name, help=help_text, formatter_class=formatter)
-        p.set_defaults(func=func, parser=p)
-        p.add_argument("--cube", required=True, help="input cube header (JSON)")
-        return p
-
-    p = add_cube_command(label_sub, "ndwi", "water index from green/NIR bands")
+    label_sub = add(sub, "label", "automated label generation").add_subparsers(
+        dest="score", required=True, metavar="LABELER"
+    )
+    p = add(label_sub, "ndwi", "water index from green/NIR bands", _cmd_score, cube=True)
     _add_score_flags(p)
 
-    p = add_cube_command(label_sub, "hot", "haze transform against a fitted clear-sky line")
+    p = add(label_sub, "hot", "haze transform against a fitted clear-sky line", _cmd_score, cube=True)
     p.add_argument("--mode", choices=sorted(_HOT_MODE_FLAGS), default="as-written", help="HOT formula variant")
     _add_score_flags(p)
 
-    p = add_cube_command(label_sub, "threshold", "label pixels inside a band-value window", _cmd_label_threshold)
+    p = add(label_sub, "threshold", "label pixels inside a band-value window", _cmd_label_threshold, cube=True)
     p.add_argument("--band", required=True, help="band role (blue/green/red/nir) or index")
     p.add_argument("--low", type=float, default=None, help="lower bound (inclusive)")
     p.add_argument("--high", type=float, default=None, help="upper bound (inclusive)")
     p.add_argument("--out", required=True, help="output mask path (.pgm)")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    p = add("stats", _cmd_stats, "scene mean/covariance statistics")
-    p.add_argument("--cube", required=True, help="input cube header (JSON)")
+    p = add(sub, "stats", "scene mean/covariance statistics", _cmd_stats, cube=True)
     p.add_argument("--out", default=None, help="write statistics JSON here instead of stdout")
     p.add_argument("--full", action="store_true", help="include the full covariance matrix")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    detect = sub.add_parser("detect", help="per-pixel spectral detector maps", formatter_class=formatter)
-    detect.set_defaults(parser=detect)
-    detect_sub = detect.add_subparsers(dest="score", required=True, metavar="DETECTOR")
+    detect_sub = add(sub, "detect", "per-pixel spectral detector maps").add_subparsers(
+        dest="score", required=True, metavar="DETECTOR"
+    )
     for name, help_text in (
         ("sam", "spectral angle against a library target"),
         ("mf", "matched filter against a library target"),
         ("rx", "anomaly score against scene statistics"),
     ):
-        p = add_cube_command(detect_sub, name, help_text)
+        p = add(detect_sub, name, help_text, _cmd_score, cube=True)
         p.add_argument("--library", default=None, help="spectral library CSV")
         p.add_argument("--target", default=None, help="target label within the library")
         p.add_argument("--precision", choices=PRECISIONS, default="single", help="kernel precision")
         _add_score_flags(p)
 
-    p = add("binarize", _cmd_binarize, "threshold a score map into a mask")
+    p = add(sub, "binarize", "threshold a score map into a mask", _cmd_binarize)
     p.add_argument("--scores", required=True, help="score map header (JSON)")
     p.add_argument("--threshold", type=float, required=True, help="decision threshold")
     p.add_argument("--polarity", choices=("above", "below"), default="above", help="which side becomes label 1")
     p.add_argument("--out", required=True, help="output mask path (.pgm)")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    p = add("eval", _cmd_eval, "segmentation metrics for a mask pair")
+    p = add(sub, "eval", "segmentation metrics for a mask pair", _cmd_eval)
     p.add_argument("--pred", required=True, help="predicted mask (.pgm)")
     p.add_argument("--truth", required=True, help="reference mask (.pgm)")
     p.add_argument("--application", default="masks", help="label for reports")
     p.add_argument("--table", action="store_true", help="render a metrics table instead of JSON")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    p = add("compare-paths", _cmd_compare_paths, "elementwise error between two score maps")
+    p = add(sub, "compare-paths", "elementwise error between two score maps", _cmd_compare_paths)
     p.add_argument("--a", required=True, help="first score map header")
     p.add_argument("--b", required=True, help="second score map header")
     p.add_argument("--bins", type=int, default=32, help="error histogram bins")
     p.add_argument("--out", default=None, help="also write the report JSON here")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    p = add("bench", _cmd_bench, "time detector maps on a synthetic scene")
+    p = add(sub, "bench", "time detector maps on a synthetic scene", _cmd_bench)
     p.add_argument("--width", type=int, default=128, help="synthetic scene width")
     p.add_argument("--height", type=int, default=128, help="synthetic scene height")
     p.add_argument("--bands", type=int, default=48, help="synthetic scene bands")
@@ -437,13 +431,11 @@ def build_parser() -> _Parser:
     p.add_argument("--precision", choices=PRECISIONS, default="single", help="kernel precision")
     p.add_argument("--application", default="synthetic", help="application label for the table")
     p.add_argument("--out", default=None, help="also write records JSON here")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    pipeline = sub.add_parser("pipeline", help="end-to-end scene runs", formatter_class=formatter)
-    pipeline.set_defaults(parser=pipeline)
-    pipeline_sub = pipeline.add_subparsers(dest="pipeline_command", required=True, metavar="ACTION")
-    p = pipeline_sub.add_parser("run", help="scene -> mask + score map + summary", formatter_class=formatter)
-    p.set_defaults(func=_cmd_pipeline_run, parser=p)
+    pipeline_sub = add(sub, "pipeline", "end-to-end scene runs").add_subparsers(
+        dest="pipeline_command", required=True, metavar="ACTION"
+    )
+    p = add(pipeline_sub, "run", "scene -> mask + score map + summary", _cmd_pipeline_run)
     p.add_argument("--cube", required=True, action="append", help="input cube header; repeat for multiple scenes")
     p.add_argument("--application", required=True, choices=APPLICATIONS, help="what to detect")
     p.add_argument("--out", required=True, help="output directory")
@@ -461,9 +453,8 @@ def build_parser() -> _Parser:
     p.add_argument("--precision", choices=PRECISIONS, default="single", help="detector kernel precision")
     p.add_argument("--max-boxes", type=int, default=MAX_DETECTION_BOXES, help="detection boxes kept in the summary")
     p.add_argument("--jobs", type=int, default=1, help="concurrent scenes")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
-    p = add("summary", _cmd_summary, "build a summary message from a mask")
+    p = add(sub, "summary", "build a summary message from a mask", _cmd_summary)
     p.add_argument("--mask", required=True, help="input mask (.pgm)")
     p.add_argument("--scene-id", required=True, help="scene identifier")
     p.add_argument("--application", required=True, help="application name recorded in the summary")
@@ -471,8 +462,9 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithm", default="external", help="algorithm recorded in the summary")
     p.add_argument("--max-boxes", type=int, default=MAX_DETECTION_BOXES, help="detection boxes kept")
     p.add_argument("--out", required=True, help="output summary path (.json)")
-    p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
 
+    for p in leaves:  # last, so --json ends every usage line
+        p.add_argument("--json", action="store_true", help="print a JSON result to stdout")
     return parser
 
 

@@ -100,7 +100,10 @@ class RasterCube:
         if dupes:
             raise DataError(f"duplicated band role(s): {dupes}")
         if self.nodata is not None:
-            nodata = float(self.nodata)
+            try:
+                nodata = float(self.nodata)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"nodata {self.nodata!r} must be a number") from exc
             if not math.isfinite(nodata):
                 raise DataError("nodata value must be finite")
             self.nodata = nodata
@@ -217,14 +220,6 @@ class ScoreMap:
             if flags.shape != data.shape:
                 raise DataError("flags shape must match score data shape")
             self.flags = flags
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass
@@ -353,17 +348,8 @@ def load_cube(header_path: str | Path) -> RasterCube:
             f"payload {payload_path} holds {len(raw)} bytes, header implies {expected}"
         )
     data = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(bands, height, width)
-
-    nodata = header.get("nodata")
-    if nodata is not None:
-        try:
-            nodata = float(nodata)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"nodata in {header_path} must be a number") from exc
-        if not math.isfinite(nodata):
-            raise FormatError(f"nodata in {header_path} must be finite")
     try:
-        return RasterCube(data=data, band_meta=band_meta, nodata=nodata)
+        return RasterCube(data=data, band_meta=band_meta, nodata=header.get("nodata"))
     except DataError as exc:
         raise FormatError(f"cube {header_path} invalid: {exc}") from exc
 

@@ -216,12 +216,11 @@ def binarize(
 
 
 def band_threshold_label(
-    cube: RasterCube,
-    band: int | str,
+    scores: ScoreMap | NDArray[np.floating],
     low: float | None = None,
     high: float | None = None,
 ) -> BinaryMask:
-    """Label pixels whose band value lies within [low, high], bounds inclusive.
+    """Label pixels whose score lies within [low, high], bounds inclusive.
 
     A missing bound leaves that side unbounded; at least one bound is
     required.
@@ -230,10 +229,10 @@ def band_threshold_label(
         raise ConfigError("band threshold needs at least one of low/high")
     if low is not None and high is not None and low > high:
         raise ConfigError(f"low ({low}) exceeds high ({high})")
-    plane = cube.plane(band).astype(np.float64)
-    labels = np.ones(plane.shape, dtype=bool)
+    values = np.asarray(scores.data if isinstance(scores, ScoreMap) else scores, dtype=np.float64)
+    labels = np.ones(values.shape, dtype=bool)
     if low is not None:
-        labels &= plane >= low
+        labels &= values >= low
     if high is not None:
-        labels &= plane <= high
+        labels &= values <= high
     return BinaryMask(data=labels.astype(np.uint8))

@@ -76,19 +76,17 @@ class Application:
     stretch: bool = True
     needs_target: bool = False
 
-    def label(
-        self, scene: RasterCube, scores: ScoreMap, config: PipelineConfig, diagnostics: dict
-    ) -> tuple[BinaryMask, float, str]:
+    def label(self, scores: ScoreMap, config: PipelineConfig, diagnostics: dict) -> tuple[BinaryMask, float, str]:
         """The mask, its threshold and the suffix of the algorithm name.
 
-        A band-window entry labels the pixels of ``thermal_band`` within
-        ``[thermal_low, thermal_high]``; every other one labels the
+        A band-window entry labels the scores (the ``thermal_band`` values)
+        within ``[thermal_low, thermal_high]``; every other one labels the
         ``polarity`` side of ``fixed_threshold`` or, without one, of the Otsu
         threshold of `scores`.
         """
         if self.band_window:
             low, high = config.thermal_low, config.thermal_high
-            mask = band_threshold_label(scene, config.thermal_band, low=low, high=high)
+            mask = band_threshold_label(scores, low=low, high=high)
             diagnostics["band_threshold"] = {"band": config.thermal_band, "low": low, "high": high}
             return mask, low if low is not None else high, ""
         if config.fixed_threshold is not None:
@@ -185,7 +183,9 @@ class PipelineConfig:
         if not 1 <= self.max_boxes <= MAX_DETECTION_BOXES:
             raise ConfigError(f"max_boxes must be in [1, {MAX_DETECTION_BOXES}]")
         if app.needs_target and self.target is None:
-            raise ConfigError(f"application {self.application!r} requires a target spectrum")
+            raise ConfigError(
+                f"application {self.application!r} requires a target spectrum (--library and --target)"
+            )
         if app.band_window:
             if self.thermal_low is None and self.thermal_high is None:
                 raise ConfigError(
@@ -240,23 +240,18 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     """Bounding boxes (x, y, w, h) of 4-connected label-1 components.
 
     Sorted by component pixel count descending (ties: top-most, then
-    left-most box), truncated to `max_boxes`.
+    left-most box, then label order), truncated to `max_boxes`.
     """
     labeled, count = ndimage.label(mask.data)
-    if count == 0:
-        return []
+    objects = ndimage.find_objects(labeled)
     sizes = np.bincount(labeled.ravel())[1:]
-    boxes = []
-    for i, slices in enumerate(ndimage.find_objects(labeled)):
-        rows, cols = slices
-        boxes.append(
-            (
-                int(sizes[i]),
-                (int(cols.start), int(rows.start), int(cols.stop - cols.start), int(rows.stop - rows.start)),
-            )
-        )
-    boxes.sort(key=lambda item: (-item[0], item[1][1], item[1][0]))
-    return [box for _, box in boxes[:max_boxes]]
+    tops = np.fromiter((rows.start for rows, _ in objects), dtype=np.intp, count=count)
+    lefts = np.fromiter((cols.start for _, cols in objects), dtype=np.intp, count=count)
+    ranked = np.lexsort((lefts, tops, -sizes))[:max_boxes]
+    return [
+        (cols.start, rows.start, cols.stop - cols.start, rows.stop - rows.start)
+        for rows, cols in (objects[i] for i in ranked)
+    ]
 
 
 def build_summary(
@@ -270,10 +265,6 @@ def build_summary(
     """Summarize a mask: counts, threshold, and largest detection boxes."""
     pixel_count = mask.height * mask.width
     positive = mask.positive_count()
-    boxes = connected_boxes(mask, max_boxes)
-    for x, y, w, h in boxes:
-        if x + w > mask.width or y + h > mask.height:
-            raise DataError("detection box exceeds image bounds")
     return SummaryMessage(
         scene_id=scene_id,
         application=application,
@@ -281,7 +272,7 @@ def build_summary(
         positive_count=positive,
         positive_fraction=positive / pixel_count,
         threshold=float(threshold),
-        detection_boxes=boxes,
+        detection_boxes=connected_boxes(mask, max_boxes),
         produced_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         algorithm=algorithm,
         version=__version__,
@@ -384,7 +375,7 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
         scores, algorithm = app.score(scene, config, diagnostics)
 
     with stage("threshold"):
-        mask, threshold, suffix = app.label(scene, scores, config, diagnostics)
+        mask, threshold, suffix = app.label(scores, config, diagnostics)
         algorithm += suffix
 
     with stage("summarize"):

@@ -85,9 +85,9 @@ def stretch_band(
 def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
     """Stretch every band independently with its own quantiles.
 
-    Band metadata is preserved. If the input declares nodata, invalid pixels
-    are written as ``v_min - 1`` (guaranteed outside the stretched range) and
-    the output declares that value as its nodata.
+    Band metadata and validity are preserved. If the input declares nodata,
+    invalid pixels are written as ``v_min - 1`` and the output declares that
+    value as its nodata.
     """
     fractions = (params.q_low_fraction, params.q_high_fraction)
     out = np.empty_like(cube.data)
@@ -103,6 +103,8 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
     nodata = None
     if cube.nodata is not None:
         nodata = params.v_min - 1.0
-        if cube.validity is not None:
-            out[:, ~cube.validity] = np.float32(nodata)
-    return RasterCube(data=out, band_meta=list(cube.band_meta), nodata=nodata)
+        out[:, ~cube.validity] = np.float32(nodata)
+    # The input's validity, not a rescan for the sentinel: once |v_min| >=
+    # 2**24, float32(v_min - 1) == float32(v_min) and a rescan would also
+    # flag valid pixels stretched to v_min.
+    return RasterCube(data=out, band_meta=list(cube.band_meta), nodata=nodata, validity=cube.validity)

@@ -298,6 +298,31 @@ class TestPipelineCli:
         for i in range(3):
             assert (tmp_path / "multi" / f"scene_{i}" / "summary.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_scene_does_not_stop_the_batch(self, capsys, tmp_path, jobs):
+        for i, name in enumerate("acb"):
+            save_cube(water_scene(seed=i), tmp_path / f"{name}.json")
+        (tmp_path / "c.raw").write_bytes(b"12345")
+        out = tmp_path / "multi"
+        argv = ["pipeline", "run", "--application", "surface_water", "--out", str(out), "--jobs", jobs, "--json"]
+        for name in "acb":
+            argv += ["--cube", str(tmp_path / f"{name}.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        for name in "ab":
+            files = sorted(path.name for path in (out / name).iterdir())
+            assert files == ["mask.pgm", "report.json", "score.json", "score.raw", "summary.json"]
+        assert not (out / "c").exists()
+        scenes = json.loads(captured.out)["scenes"]
+        assert [scene["scene_id"] for scene in scenes] == ["a", "c", "b"]
+        assert ["error" in scene for scene in scenes] == [False, True, False]
+        assert "5 bytes" in scenes[1]["error"]
+        assert scenes[0]["positive_count"] == scenes[2]["positive_count"] == 16 * 32
+        lines = captured.err.splitlines()
+        assert lines[0] == "scene a: 512 positive pixels"
+        assert lines[1] == f"specscan: data error: {scenes[1]['error']}"
+        assert lines[2] == "scene b: 512 positive pixels"
+
     def test_validation_failure_writes_nothing(self, capsys, tmp_path):
         scene = tmp_path / "w.json"
         save_cube(water_scene(), scene)

@@ -229,6 +229,10 @@ class TestInvariants:
         assert cube.validity.tolist() == [[True, False], [True, True]]
         assert cube.valid_pixel_count() == 3
 
+    def test_non_numeric_nodata_is_data_error(self):
+        with pytest.raises(DataError, match="nodata 'abc' must be a number"):
+            RasterCube(data=np.zeros((1, 1, 1), dtype=np.float32), nodata="abc")
+
     def test_mask_values_checked(self):
         with pytest.raises(DataError, match="0 or 1"):
             BinaryMask(data=np.array([[0, 2]], dtype=np.uint8))
@@ -258,6 +262,11 @@ class TestMaskPgm:
         raw = (tmp_path / "m.pgm").read_bytes()
         assert raw.startswith(b"P5\n2 1\n255\n")
         assert raw[-2:] == bytes([0, 255])
+
+    def test_header_comments_are_skipped(self, tmp_path):
+        header = b"P5\n# made by GIMP\n3 2 # w h\n255\n"
+        (tmp_path / "c.pgm").write_bytes(header + bytes([0, 255, 0, 255, 255, 0]))
+        assert load_mask(tmp_path / "c.pgm").data.tolist() == [[0, 1, 0], [1, 1, 0]]
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P2\n1 1\n255\n0")

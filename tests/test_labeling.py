@@ -7,6 +7,7 @@ from specscan import (
     ComputeError,
     ConfigError,
     DataError,
+    PipelineConfig,
     RasterCube,
     band_threshold_label,
     binarize,
@@ -14,6 +15,7 @@ from specscan import (
     hot,
     ndwi,
     otsu_threshold,
+    run_pipeline,
 )
 from oracles import clear_sky_fit, otsu_exhaustive
 
@@ -283,25 +285,26 @@ class TestBinarize:
 class TestBandThreshold:
     def test_low_only(self, make_cube):
         cube = make_cube({"nir": [[0.1, 0.5, 0.9]]})
-        mask = band_threshold_label(cube, "nir", low=0.6)
+        mask = band_threshold_label(cube.plane("nir"), low=0.6)
         assert mask.data.ravel().tolist() == [0, 0, 1]
 
     def test_window(self, make_cube):
         cube = make_cube({"nir": [[0.1, 0.5, 0.9]]})
-        mask = band_threshold_label(cube, "nir", low=0.2, high=0.6)
+        mask = band_threshold_label(cube.plane("nir"), low=0.2, high=0.6)
         assert mask.data.ravel().tolist() == [0, 1, 0]
 
     def test_low_above_high(self, make_cube):
         cube = make_cube({"nir": [[0.1]]})
         with pytest.raises(ConfigError, match="exceeds"):
-            band_threshold_label(cube, "nir", low=0.6, high=0.2)
+            band_threshold_label(cube.plane("nir"), low=0.6, high=0.2)
 
     def test_no_bounds(self, make_cube):
         cube = make_cube({"nir": [[0.1]]})
         with pytest.raises(ConfigError, match="at least one"):
-            band_threshold_label(cube, "nir")
+            band_threshold_label(cube.plane("nir"))
 
     def test_by_index(self, make_cube):
         cube = make_cube({"nir": [[0.1, 0.9]]})
-        mask = band_threshold_label(cube, 0, low=0.5)
+        config = PipelineConfig(application="thermal", stretch=None, thermal_band=0, thermal_low=0.5)
+        mask = run_pipeline(cube, config).mask
         assert mask.data.ravel().tolist() == [0, 1]

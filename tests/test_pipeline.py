@@ -107,6 +107,15 @@ class TestConnectedBoxes:
         boxes = connected_boxes(BinaryMask(data=data), max_boxes=2)
         assert boxes == [(0, 0, 4, 1), (0, 2, 2, 1)]
 
+    def test_size_ties_rank_by_box_not_label_order(self):
+        data = np.zeros((5, 16), dtype=np.uint8)
+        data[0:2, 1:11] = 1  # A: 20 px, labelled first, left edge 1
+        data[0:4, 15] = 1    # B: 20 px, left edge 0
+        data[4, :] = 1
+        boxes = connected_boxes(BinaryMask(data=data))
+        assert boxes == [(0, 0, 16, 5), (1, 0, 10, 2)]
+        assert boxes == [box for _, box in flood_fill_boxes(data)]
+
     def test_diagonal_not_connected(self):
         data = np.zeros((3, 3), dtype=np.uint8)
         data[0, 0] = 1

@@ -145,6 +145,16 @@ class TestStretchCube:
         # quantiles came from the three valid pixels only
         assert out.data[0, 0, 0] == 0.0 and out.data[0, 1, 0] == 1.0
 
+    def test_validity_kept_where_the_sentinel_rounds_onto_v_min(self):
+        # float32(2**25 - 1) == float32(2**25): valid pixels stretched to v_min
+        # hold the same value as the nodata sentinel.
+        data = np.arange(20, dtype=np.float32).reshape(1, 4, 5)
+        data[0, 0, 0] = -9999.0
+        cube = RasterCube(data=data, nodata=-9999.0)
+        out = stretch_cube(cube, StretchParams(v_min=2.0**25, v_max=2.0**25 + 1.0))
+        assert out.validity.tolist() == cube.validity.tolist()
+        assert out.valid_pixel_count() == 19
+
     def test_all_invalid_cube_propagates_error(self):
         data = np.full((1, 2, 2), -9999.0, dtype=np.float32)
         cube = RasterCube(data=data, nodata=-9999.0)
