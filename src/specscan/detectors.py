@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
 
 from .cube import RasterCube, ScoreMap, Spectrum, TargetSpectrum
 from .errors import ComputeError, DataError
@@ -196,6 +195,10 @@ def _whitened_scores(
     stats: SceneStats,
 ) -> NDArray[np.float64]:
     """``mf`` or ``rx`` scores of (N, B) spectra, computed in their dtype."""
+    # Imported here, not at module level, so that the applications that never
+    # whiten (clouds, surface_water, thermal, *_sam) never load scipy.
+    from scipy.linalg import solve_triangular
+
     dtype = pixels.dtype
     factor = stats.factor_lower.astype(dtype)
     whitened = solve_triangular(factor, (pixels - stats.mean.astype(dtype)).T, lower=True)

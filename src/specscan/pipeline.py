@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from ._version import __version__
 from .cube import (
@@ -236,21 +235,87 @@ class SummaryMessage:
                 raise DataError(f"invalid detection box ({x}, {y}, {w}, {h})")
 
 
+def _find_roots(parent: np.ndarray) -> np.ndarray:
+    """Each node's root, by pointer jumping; no pointer goes to a larger index."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent = grand
+
+
 def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> list[tuple[int, int, int, int]]:
     """Bounding boxes (x, y, w, h) of 4-connected label-1 components.
 
     Sorted by component pixel count descending (ties: top-most, then
-    left-most box, then label order), truncated to `max_boxes`.
+    left-most box, then the component whose first pixel comes first in
+    row-major order), truncated to `max_boxes`.
+
+    Run-based labelling (He, Chao & Suzuki 2008): a component is a union of
+    row runs, and runs in adjacent rows join where they overlap. The joins
+    are merged by min-label hooking and pointer jumping (Shiloach & Vishkin
+    1982), so each component ends up named by its first run.
     """
-    labeled, count = ndimage.label(mask.data)
-    objects = ndimage.find_objects(labeled)
-    sizes = np.bincount(labeled.ravel())[1:]
-    tops = np.fromiter((rows.start for rows, _ in objects), dtype=np.intp, count=count)
-    lefts = np.fromiter((cols.start for _, cols in objects), dtype=np.intp, count=count)
-    ranked = np.lexsort((lefts, tops, -sizes))[:max_boxes]
+    height, width = mask.data.shape
+    stride = width + 1
+    # Runs as row-major keys row * stride + column: along each zero-padded
+    # row the value changes at a run's start and again one past its end.
+    padded = np.zeros((height, width + 2), dtype=bool)
+    padded[:, 1:-1] = mask.data
+    changes = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    starts, stops = changes[0::2], changes[1::2]
+    rows, run_lefts = np.divmod(starts, stride)
+    # Runs lo .. hi - 1 of the row above overlap each run.
+    lo = np.searchsorted(stops, starts - stride, side="right")
+    hi = np.searchsorted(starts, stops - stride, side="left")
+    # Hooking each run to the first run it overlaps above gives a forest
+    # whose roots are the runs with nothing above them.
+    parent = np.arange(starts.size)
+    joined = hi > lo
+    parent[joined] = lo[joined]
+    root = _find_roots(parent)
+    is_root = root == np.arange(root.size)
+    tree = (np.cumsum(is_root) - 1)[root]
+    # A run that overlaps several runs above also joins their trees.
+    bridges = np.flatnonzero(hi - lo > 1)
+    extra = hi[bridges] - lo[bridges] - 1
+    below = np.repeat(bridges, extra)
+    above = np.repeat(lo[bridges] + 1 - (np.cumsum(extra) - extra), extra) + np.arange(below.size)
+    u, v = tree[above], tree[below]
+    merged = np.arange(int(is_root.sum()))
+    while True:
+        apart = u != v
+        if not apart.any():
+            break
+        u, v = u[apart], v[apart]
+        # u and v are roots, so whichever write to a root lands is a valid merge.
+        merged[np.maximum(u, v)] = np.minimum(u, v)
+        merged = _find_roots(merged)
+        u, v = merged[u], merged[v]
+    is_first = merged == np.arange(merged.size)
+    component = (np.cumsum(is_first) - 1)[merged][tree]
+    count = int(is_first.sum())
+    sizes = np.bincount(component, weights=stops - starts, minlength=count).astype(np.intp)
+    tops = rows[np.flatnonzero(is_root)[is_first]]
+    lefts = np.full(count, width)
+    np.minimum.at(lefts, component, run_lefts)
+    # Only components at least as large as the max_boxes-th largest can rank.
+    ranked = np.arange(count)
+    if 0 < max_boxes < count:
+        ranked = np.flatnonzero(sizes >= np.partition(sizes, count - max_boxes)[count - max_boxes])
+    ranked = ranked[np.lexsort((lefts[ranked], tops[ranked], -sizes[ranked]))][:max_boxes]
+    # Right and bottom edges only for the boxes kept.
+    slot = np.full(count, -1)
+    slot[ranked] = np.arange(ranked.size)
+    in_ranked = np.flatnonzero(slot[component] >= 0)
+    owner = slot[component[in_ranked]]
+    rights = np.zeros(ranked.size, dtype=np.intp)
+    bottoms = np.zeros(ranked.size, dtype=np.intp)
+    np.maximum.at(rights, owner, (run_lefts + stops - starts)[in_ranked])
+    np.maximum.at(bottoms, owner, rows[in_ranked])
     return [
-        (cols.start, rows.start, cols.stop - cols.start, rows.stop - rows.start)
-        for rows, cols in (objects[i] for i in ranked)
+        (int(lefts[c]), int(tops[c]), int(right - lefts[c]), int(bottom - tops[c] + 1))
+        for c, right, bottom in zip(ranked, rights, bottoms)
     ]
 
 

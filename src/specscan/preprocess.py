@@ -86,8 +86,9 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
     """Stretch every band independently with its own quantiles.
 
     Band metadata and validity are preserved. If the input declares nodata,
-    invalid pixels are written as ``v_min - 1`` and the output declares that
-    value as its nodata.
+    invalid pixels are written as ``v_min - 1``, or as the next float32 below
+    ``v_min`` where that is lower, and the output declares that value as its
+    nodata.
     """
     fractions = (params.q_low_fraction, params.q_high_fraction)
     out = np.empty_like(cube.data)
@@ -102,9 +103,10 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
         out[i] = stretched
     nodata = None
     if cube.nodata is not None:
-        nodata = params.v_min - 1.0
+        # Above |v_min| = 2**24, float32 can round v_min - 1 onto v_min, and a
+        # reload of the written cube would take valid pixels stretched to
+        # v_min for nodata; the next float32 below v_min stays apart.
+        nodata = min(params.v_min - 1.0, float(np.nextafter(np.float32(params.v_min), np.float32(-np.inf))))
         out[:, ~cube.validity] = np.float32(nodata)
-    # The input's validity, not a rescan for the sentinel: once |v_min| >=
-    # 2**24, float32(v_min - 1) == float32(v_min) and a rescan would also
-    # flag valid pixels stretched to v_min.
+    # Passing the input's validity spares RasterCube a rescan for the sentinel.
     return RasterCube(data=out, band_meta=list(cube.band_meta), nodata=nodata, validity=cube.validity)

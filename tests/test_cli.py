@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specscan import BandMeta, BinaryMask, RasterCube, save_cube, save_mask
+from specscan import BandMeta, BinaryMask, RasterCube, load_cube, save_cube, save_mask
 from specscan.cli import main
 from specscan.detectors import DETECTORS
 from specscan.pipeline import APPLICATIONS
@@ -96,6 +96,19 @@ class TestStretch:
         assert out.exists() and out.with_suffix(".raw").exists()
         payload = json.loads(capsys.readouterr().out)
         assert payload["out"] == str(out)
+
+    def test_reload_keeps_validity_where_v_min_is_beyond_float32_integers(self, tmp_path):
+        # float32(2**25 - 1) == float32(2**25): a v_min - 1 sentinel would
+        # reload valid pixels stretched to v_min as nodata.
+        data = np.random.default_rng(5).random((4, 64, 64), dtype=np.float32)
+        data[:, :, :6] = -9999.0
+        source = tmp_path / "scene.json"
+        save_cube(RasterCube(data=data, nodata=-9999.0), source)
+        out = tmp_path / "stretched.json"
+        code = main(["stretch", "--cube", str(source), "--out", str(out),
+                     "--v-min", "33554432", "--v-max", "33554440"])
+        assert code == 0
+        assert load_cube(out).valid_pixel_count() == load_cube(source).valid_pixel_count() == 64 * 58
 
 
 class TestLabel:

@@ -72,6 +72,26 @@ def water_scene(height=32, width=32, seed=1):
     return RasterCube(data=data, band_meta=list(RGBN_META))
 
 
+def structured_masks():
+    """Shapes random masks do not reach: long chains of runs, merges late in the scan."""
+    comb = np.zeros((12, 25), dtype=np.uint8)
+    comb[:, ::2] = 1
+    comb[-1] = 1  # the teeth join only on the bottom row
+    snake = np.zeros((13, 20), dtype=np.uint8)
+    snake[::2] = 1
+    snake[1::4, -1] = 1
+    snake[3::4, 0] = 1
+    spiral = np.zeros((21, 21), dtype=np.uint8)
+    for k in range(0, 10, 2):
+        spiral[k, k:21 - k] = 1
+        spiral[k:21 - k, 20 - k] = 1
+        spiral[20 - k, k:21 - k] = 1
+        spiral[k + 2:21 - k, k] = 1
+        spiral[k + 2, k + 1] = 1  # steps in to the next ring
+    checkerboard = (np.add.outer(np.arange(10), np.arange(11)) % 2).astype(np.uint8)
+    return [comb, comb[::-1], snake, spiral, np.ones((9, 14), dtype=np.uint8), checkerboard]
+
+
 class TestConnectedBoxes:
     def test_empty_mask(self):
         mask = BinaryMask(data=np.zeros((4, 4), dtype=np.uint8))
@@ -93,8 +113,9 @@ class TestConnectedBoxes:
 
     def test_randomized_against_flood_fill(self):
         rng = np.random.default_rng(27)
-        for _ in range(10):
-            data = (rng.random((12, 16)) > 0.7).astype(np.uint8)
+        masks = [(rng.random((12, 16)) > 0.7).astype(np.uint8) for _ in range(10)]
+        masks += [(rng.random(shape) > 0.5).astype(np.uint8) for shape in ((1, 40), (40, 1))]
+        for data in masks + structured_masks():
             boxes = connected_boxes(BinaryMask(data=data), max_boxes=16)
             oracle = [box for _, box in flood_fill_boxes(data)][:16]
             assert boxes == oracle
