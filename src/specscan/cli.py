@@ -21,6 +21,7 @@ from ._version import __version__
 from .cube import (
     BandMeta,
     RasterCube,
+    TargetSpectrum,
     load_cube,
     load_mask,
     load_score_map,
@@ -101,8 +102,8 @@ def _add_score_flags(parser) -> None:
 
 
 def _cmd_stretch(args) -> int:
-    cube = load_cube(args.cube)
     params = _stretch_params(args)
+    cube = load_cube(args.cube)
     stretched = stretch_cube(cube, params)
     save_cube(stretched, args.out)
     _emit(args, {"out": str(args.out), "width": cube.width, "height": cube.height, "bands": cube.bands})
@@ -142,22 +143,25 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _target(args, app, cube: RasterCube | None = None):
+def _target(args, app) -> TargetSpectrum | None:
     """The ``--target`` spectrum of ``--library`` when `app` needs one and both flags are set.
 
-    Without `cube` the spectrum stays on the library's own grid, which is
-    enough to validate a config before any payload is read; with one it is
-    resampled onto the cube's bands.
+    The library is read once, on its own grid, which is enough to validate a
+    config before any payload is read; :func:`_on_bands` fits the target onto
+    each cube. Other targets of the library need not fit the cube.
     """
     if not (app.needs_target and args.library and args.target):
         return None
-    grid = {} if cube is None else {"band_wavelengths": cube.wavelengths(), "band_count": cube.bands}
-    targets = load_spectral_library(args.library, **grid)
+    targets = load_spectral_library(args.library)
     matches = [t for t in targets if t.label == args.target]
     if not matches:
         available = ", ".join(t.label for t in targets)
         raise ConfigError(f"target {args.target!r} not in library (have: {available})")
     return matches[0]
+
+
+def _on_bands(target: TargetSpectrum | None, cube: RasterCube) -> TargetSpectrum | None:
+    return None if target is None else target.on_bands(cube.wavelengths(), cube.bands)
 
 
 def _cmd_score(args) -> int:
@@ -171,7 +175,7 @@ def _cmd_score(args) -> int:
         config.precision = args.precision
     config.validate()
     cube = load_cube(args.cube)
-    config.target = _target(args, app, cube)
+    config.target = _on_bands(config.target, cube)
     diagnostics: dict = {}
     scores, _ = app.score(cube, config, diagnostics)
     score_header = Path(f"{args.out}.json")
@@ -270,6 +274,8 @@ def _cmd_bench(args) -> int:
 def _cmd_pipeline_run(args) -> int:
     if args.scene_id and len(args.cube) > 1:
         args.parser.error("--scene-id only applies to a single --cube")
+    if args.jobs < 1:
+        args.parser.error(f"--jobs must be at least 1, got {args.jobs}")
     if len(args.cube) > 1:
         shared = sorted(stem for stem, n in Counter(Path(p).stem for p in args.cube).items() if n > 1)
         if shared:
@@ -300,7 +306,8 @@ def _cmd_pipeline_run(args) -> int:
         item = {"scene_id": scene_id, "output_dir": str(output_dir)}
         try:
             cube = load_cube(cube_path)
-            scene_config = replace(config, scene_id=scene_id, target=_target(args, app, cube), output_dir=output_dir)
+            target = _on_bands(config.target, cube)
+            scene_config = replace(config, scene_id=scene_id, target=target, output_dir=output_dir)
             summary = run_pipeline(cube, scene_config).summary
         except (SpecScanError, OSError) as exc:
             return {**item, "error": str(exc)}

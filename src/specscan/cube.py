@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +246,33 @@ class TargetSpectrum:
                 raise DataError("wavelength grid must match spectrum length")
             self.wavelengths_nm = wl
 
+    def on_bands(self, band_wavelengths: NDArray[np.floating] | None, band_count: int | None) -> TargetSpectrum:
+        """This spectrum on a cube's bands.
+
+        With wavelengths on both sides it is linearly interpolated onto
+        `band_wavelengths`; a grid point outside its own range is an error.
+        Otherwise it is taken positionally and must have `band_count` (or the
+        grid length) samples when one is declared.
+        """
+        grid = None if band_wavelengths is None else np.asarray(band_wavelengths, dtype=np.float64)
+        if self.wavelengths_nm is not None and grid is not None:
+            order = np.argsort(self.wavelengths_nm, kind="stable")
+            wl, values = self.wavelengths_nm[order], self.values[order]
+            if np.any(np.diff(wl) == 0.0):
+                raise DataError(f"target {self.label!r} repeats a wavelength")
+            if grid.min() < wl[0] or grid.max() > wl[-1]:
+                raise DataError(
+                    f"band grid [{grid.min()}, {grid.max()}] nm extends outside "
+                    f"target {self.label!r} coverage [{wl[0]}, {wl[-1]}] nm"
+                )
+            return replace(self, values=np.interp(grid, wl, values), wavelengths_nm=grid)
+        expected_len = band_count if band_count is not None else (grid.size if grid is not None else None)
+        if expected_len is not None and self.values.size != expected_len:
+            raise DataError(
+                f"target {self.label!r} has {self.values.size} samples, band grid expects {expected_len}"
+            )
+        return self
+
 
 # ---------------------------------------------------------------------------
 # Cube header + payload I/O
@@ -464,11 +491,8 @@ def load_spectral_library(
 ) -> list[TargetSpectrum]:
     """Load reference target spectra from a long-form CSV.
 
-    Each target's rows are gathered in file order. Targets that declare
-    wavelengths are linearly interpolated onto `band_wavelengths` when that
-    grid is given; a grid point outside the library's range is an error.
-    Targets without wavelengths are taken positionally and must match
-    `band_count` (or the grid length) when one is declared.
+    Each target's rows are gathered in file order, and each target is fit
+    onto `band_wavelengths` and `band_count` by :meth:`TargetSpectrum.on_bands`.
     """
     csv_path = Path(csv_path)
     try:
@@ -516,38 +540,12 @@ def load_spectral_library(
     if not records:
         raise FormatError(f"spectral library {csv_path} has no data rows")
 
-    grid = None if band_wavelengths is None else np.asarray(band_wavelengths, dtype=np.float64)
-    expected_len = band_count if band_count is not None else (grid.size if grid is not None else None)
-
     targets: list[TargetSpectrum] = []
     for label, samples in records.items():
         wavelengths = [wl for wl, _ in samples]
-        values = np.asarray([v for _, v in samples], dtype=np.float64)
         has_wl = [wl is not None for wl in wavelengths]
         if any(has_wl) and not all(has_wl):
             raise FormatError(f"target {label!r} mixes rows with and without wavelengths")
-        if all(has_wl) and grid is not None:
-            wl = np.asarray(wavelengths, dtype=np.float64)
-            order = np.argsort(wl, kind="stable")
-            wl, values = wl[order], values[order]
-            if np.any(np.diff(wl) == 0.0):
-                raise DataError(f"target {label!r} repeats a wavelength")
-            if grid.min() < wl[0] or grid.max() > wl[-1]:
-                raise DataError(
-                    f"band grid [{grid.min()}, {grid.max()}] nm extends outside "
-                    f"target {label!r} coverage [{wl[0]}, {wl[-1]}] nm"
-                )
-            resampled = np.interp(grid, wl, values)
-            targets.append(
-                TargetSpectrum(label=label, values=resampled, source=str(csv_path), wavelengths_nm=grid)
-            )
-            continue
-        if expected_len is not None and values.size != expected_len:
-            raise DataError(
-                f"target {label!r} has {values.size} samples, band grid expects {expected_len}"
-            )
-        wl_arr = np.asarray(wavelengths, dtype=np.float64) if all(has_wl) else None
-        targets.append(
-            TargetSpectrum(label=label, values=values, source=str(csv_path), wavelengths_nm=wl_arr)
-        )
+        target = TargetSpectrum(label, [v for _, v in samples], str(csv_path), wavelengths if all(has_wl) else None)
+        targets.append(target.on_bands(band_wavelengths, band_count))
     return targets

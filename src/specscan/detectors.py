@@ -137,23 +137,11 @@ def scene_stats_from_moments(
     return SceneStats(mean=mean, covariance=cov, factor_lower=factor, ridge=ridge, pixel_count=pixel_count)
 
 
-def compute_scene_stats(
-    cube: RasterCube,
-    validity: NDArray[np.bool_] | None = None,
-) -> SceneStats:
-    """Mean and population (1/N) covariance over a cube's valid pixels.
-
-    `validity` further restricts the cube's own validity mask when given.
-    """
-    mask = cube.validity
-    if validity is not None:
-        extra = np.asarray(validity, dtype=bool)
-        if extra.shape != (cube.height, cube.width):
-            raise DataError(f"validity shape {extra.shape} does not match cube plane")
-        mask = extra if mask is None else (mask & extra)
+def compute_scene_stats(cube: RasterCube) -> SceneStats:
+    """Mean and population (1/N) covariance over a cube's valid pixels."""
     pixels = cube.pixels().astype(np.float64)
-    if mask is not None:
-        pixels = pixels[mask.ravel()]
+    if cube.validity is not None:
+        pixels = pixels[cube.validity.ravel()]
     n_pixels = pixels.shape[0]
     if n_pixels < 2:
         raise ComputeError(f"scene statistics need >= 2 valid pixels, have {n_pixels}")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .cube import BinaryMask, RasterCube, ScoreMap
 from .errors import ComputeError, ConfigError, DataError
@@ -146,7 +145,7 @@ def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written") -> Score
     return ScoreMap(data=scores, score_kind="HOT")
 
 
-def otsu_threshold(scores: ScoreMap | NDArray[np.floating], bins: int = 256) -> OtsuResult:
+def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
     """Histogram threshold maximizing inter-class variance.
 
     Builds `bins` equal-width bins over the observed score range and returns
@@ -157,12 +156,7 @@ def otsu_threshold(scores: ScoreMap | NDArray[np.floating], bins: int = 256) -> 
     """
     if bins < 2:
         raise DataError(f"otsu needs at least 2 bins, got {bins}")
-    values = scores.data if isinstance(scores, ScoreMap) else np.asarray(scores)
-    values = values.astype(np.float64).ravel()
-    if values.size == 0:
-        raise ComputeError("otsu needs at least one score")
-    if not np.isfinite(values).all():
-        raise DataError("otsu input contains non-finite scores")
+    values = scores.data.ravel()
     lo = float(values.min())
     hi = float(values.max())
     if lo == hi:
@@ -194,11 +188,7 @@ def otsu_threshold(scores: ScoreMap | NDArray[np.floating], bins: int = 256) -> 
     )
 
 
-def binarize(
-    scores: ScoreMap | NDArray[np.floating],
-    threshold: float,
-    polarity: str = "above",
-) -> BinaryMask:
+def binarize(scores: ScoreMap, threshold: float, polarity: str = "above") -> BinaryMask:
     """Label pixels strictly beyond `threshold` as 1.
 
     ``above`` labels scores > threshold; ``below`` labels scores < threshold.
@@ -207,19 +197,14 @@ def binarize(
     """
     if polarity not in POLARITIES:
         raise ConfigError(f"unknown polarity {polarity!r}; expected one of {POLARITIES}")
-    values = scores.data if isinstance(scores, ScoreMap) else np.asarray(scores)
     if polarity == "above":
-        labels = values > threshold
+        labels = scores.data > threshold
     else:
-        labels = values < threshold
+        labels = scores.data < threshold
     return BinaryMask(data=labels.astype(np.uint8))
 
 
-def band_threshold_label(
-    scores: ScoreMap | NDArray[np.floating],
-    low: float | None = None,
-    high: float | None = None,
-) -> BinaryMask:
+def band_threshold_label(scores: ScoreMap, low: float | None = None, high: float | None = None) -> BinaryMask:
     """Label pixels whose score lies within [low, high], bounds inclusive.
 
     A missing bound leaves that side unbounded; at least one bound is
@@ -229,10 +214,9 @@ def band_threshold_label(
         raise ConfigError("band threshold needs at least one of low/high")
     if low is not None and high is not None and low > high:
         raise ConfigError(f"low ({low}) exceeds high ({high})")
-    values = np.asarray(scores.data if isinstance(scores, ScoreMap) else scores, dtype=np.float64)
-    labels = np.ones(values.shape, dtype=bool)
+    labels = np.ones(scores.data.shape, dtype=bool)
     if low is not None:
-        labels &= values >= low
+        labels &= scores.data >= low
     if high is not None:
-        labels &= values <= high
+        labels &= scores.data <= high
     return BinaryMask(data=labels.astype(np.uint8))

@@ -57,6 +57,11 @@ SUMMARY_MAX_BYTES = 2048
 MAX_DETECTION_BOXES = 16
 
 
+def _check_max_boxes(max_boxes: int) -> None:
+    if not 1 <= max_boxes <= MAX_DETECTION_BOXES:
+        raise ConfigError(f"max_boxes must be in [1, {MAX_DETECTION_BOXES}], got {max_boxes}")
+
+
 @dataclass(frozen=True)
 class Application:
     """How one application turns a scene into a mask.
@@ -179,8 +184,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown precision {self.precision!r}")
         if self.otsu_bins < 2:
             raise ConfigError("otsu_bins must be >= 2")
-        if not 1 <= self.max_boxes <= MAX_DETECTION_BOXES:
-            raise ConfigError(f"max_boxes must be in [1, {MAX_DETECTION_BOXES}]")
+        _check_max_boxes(self.max_boxes)
         if app.needs_target and self.target is None:
             raise ConfigError(
                 f"application {self.application!r} requires a target spectrum (--library and --target)"
@@ -256,6 +260,8 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     are merged by min-label hooking and pointer jumping (Shiloach & Vishkin
     1982), so each component ends up named by its first run.
     """
+    if max_boxes < 1:
+        raise ConfigError(f"max_boxes must be at least 1, got {max_boxes}")
     height, width = mask.data.shape
     stride = width + 1
     # Runs as row-major keys row * stride + column: along each zero-padded
@@ -301,7 +307,7 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     np.minimum.at(lefts, component, run_lefts)
     # Only components at least as large as the max_boxes-th largest can rank.
     ranked = np.arange(count)
-    if 0 < max_boxes < count:
+    if max_boxes < count:
         ranked = np.flatnonzero(sizes >= np.partition(sizes, count - max_boxes)[count - max_boxes])
     ranked = ranked[np.lexsort((lefts[ranked], tops[ranked], -sizes[ranked]))][:max_boxes]
     # Right and bottom edges only for the boxes kept.
@@ -328,6 +334,7 @@ def build_summary(
     max_boxes: int = MAX_DETECTION_BOXES,
 ) -> SummaryMessage:
     """Summarize a mask: counts, threshold, and largest detection boxes."""
+    _check_max_boxes(max_boxes)
     pixel_count = mask.height * mask.width
     positive = mask.positive_count()
     return SummaryMessage(

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cube import RasterCube
-from .errors import ComputeError, DataError
+from .errors import ComputeError, ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class StretchParams:
 
     def __post_init__(self):
         if not self.v_min < self.v_max:
-            raise DataError(f"v_min ({self.v_min}) must be < v_max ({self.v_max})")
+            raise ConfigError(f"v_min ({self.v_min}) must be < v_max ({self.v_max})")
         if not 0.0 <= self.q_low_fraction < self.q_high_fraction <= 1.0:
-            raise DataError(
+            raise ConfigError(
                 "quantile fractions must satisfy 0 <= low < high <= 1, got "
                 f"({self.q_low_fraction}, {self.q_high_fraction})"
             )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specscan import BandMeta, RasterCube
+from specscan import BandMeta, RasterCube, ScoreMap
 
 RGBN = ("blue", "green", "red", "nir")
 
@@ -19,6 +19,12 @@ def cube_from_planes(planes, nodata=None, wavelengths=None):
         for i, role in enumerate(roles)
     ]
     return RasterCube(data=data, band_meta=meta, nodata=nodata)
+
+
+def score_map(values):
+    """A ``BandValue`` score map of `values`; a 1-D array becomes one row."""
+    values = np.asarray(values, dtype=np.float64)
+    return ScoreMap(data=values.reshape(1, -1) if values.ndim == 1 else values, score_kind="BandValue")
 
 
 def random_cube(rng, bands=4, height=8, width=8, roles=True):

@@ -36,7 +36,7 @@ from specscan import (
 )
 from specscan.evaluation import render_error_report
 from specscan.pipeline import SUMMARY_MAX_BYTES, summary_to_bytes
-from conftest import random_cube
+from conftest import random_cube, score_map
 from oracles import (
     clear_sky_fit,
     confusion_loop,
@@ -157,7 +157,7 @@ def test_criterion_04_otsu_optimality():
             values = rng.integers(0, 40, n).astype(np.float64)
         if values.min() == values.max():
             continue
-        result = otsu_threshold(values, bins=256)
+        result = otsu_threshold(score_map(values), bins=256)
         _, threshold, variance = otsu_exhaustive(values, 256)
         assert result.threshold == threshold
         assert result.inter_class_variance >= variance - 1e-12 * max(1.0, variance)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specscan import BandMeta, BinaryMask, RasterCube, load_cube, save_cube, save_mask
+from specscan import BandMeta, BinaryMask, RasterCube, load_cube, load_spectral_library, save_cube, save_mask
 from specscan.cli import main
 from specscan.detectors import DETECTORS
 from specscan.pipeline import APPLICATIONS
@@ -96,6 +96,14 @@ class TestStretch:
         assert out.exists() and out.with_suffix(".raw").exists()
         payload = json.loads(capsys.readouterr().out)
         assert payload["out"] == str(out)
+
+    def test_bad_range_is_usage_error_before_the_payload_is_read(self, capsys, scene_path, tmp_path):
+        scene_path.with_suffix(".raw").unlink()
+        out = tmp_path / "stretched.json"
+        code = main(["stretch", "--cube", str(scene_path), "--out", str(out), "--v-min", "1", "--v-max", "0"])
+        assert code == 1
+        assert "specscan: error: v_min" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reload_keeps_validity_where_v_min_is_beyond_float32_integers(self, tmp_path):
         # float32(2**25 - 1) == float32(2**25): a v_min - 1 sentinel would
@@ -394,8 +402,13 @@ class TestPipelineCli:
         [
             ("thermal", ["--low", "0.6", "--threshold", "0.1"], "fixed_threshold"),
             ("vegetation_mf", [], "requires a target spectrum"),
+            ("surface_water", ["--v-min", "1", "--v-max", "0"], "v_min"),
+            ("surface_water", ["--q-low", "0.9", "--q-high", "0.1"], "quantile fractions"),
+            ("surface_water", ["--max-boxes", "0"], "max_boxes"),
+            ("surface_water", ["--jobs", "0"], "--jobs"),
+            ("surface_water", ["--jobs", "-3"], "--jobs"),
         ],
-        ids=["thermal-threshold", "mf-without-target"],
+        ids=["thermal-threshold", "mf-without-target", "v-range", "quantiles", "no-boxes", "jobs-0", "jobs-negative"],
     )
     def test_config_errors_come_before_the_payload_is_read(self, capsys, tmp_path, application, flags, message):
         scene = tmp_path / "w.json"
@@ -429,6 +442,51 @@ class TestPipelineCli:
         expected = np.interp(grid, np.array(library_wl)[order], np.array(library_values)[order])
         np.testing.assert_array_equal(target["values"], expected)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [*(f"veg,{wl},{0.1 + wl / 2000}" for wl in (400.0, 600.0, 900.0)), "short,500.0,0.2", "short,600.0,0.3"],
+            [*(f"veg,,{v}" for v in (0.2, 0.3, 0.4, 0.5)), "other,,0.2", "other,,0.3"],
+        ],
+        ids=["wavelengths", "positional"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["pipeline", "run", "--application", "vegetation_mf"], ["detect", "sam"]],
+        ids=["pipeline-run", "detect-sam"],
+    )
+    def test_only_the_chosen_target_must_fit_the_cube(self, capsys, tmp_path, rows, argv):
+        cube = water_scene()
+        meta = [
+            BandMeta(name=m.name, role=m.role, wavelength_nm=wl)
+            for m, wl in zip(cube.band_meta, [480.0, 560.0, 660.0, 860.0])
+        ]
+        scene = tmp_path / "w.json"
+        save_cube(RasterCube(data=cube.data, band_meta=meta), scene)
+        library = tmp_path / "lib.csv"
+        library.write_text("\n".join(["label,wavelength_nm,value", *rows]) + "\n")
+        out = tmp_path / "run"
+        code = main(argv + ["--cube", str(scene), "--library", str(library), "--target", "veg", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+
+    def test_library_is_read_once_per_command(self, monkeypatch, tmp_path):
+        import specscan.cli as cli_module
+
+        reads = []
+
+        def counting(*args, **kwargs):
+            reads.append(args)
+            return load_spectral_library(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "load_spectral_library", counting)
+        argv = ["pipeline", "run", "--application", "vegetation_sam", "--library", str(write_library(tmp_path)),
+                "--target", "veg", "--out", str(tmp_path / "multi")]
+        for i in range(3):
+            save_cube(water_scene(seed=i), tmp_path / f"s{i}.json")
+            argv += ["--cube", str(tmp_path / f"s{i}.json")]
+        assert main(argv) == 0
+        assert len(reads) == 1
+
     def test_thermal_run_with_band_flags(self, tmp_path):
         scene = tmp_path / "t.json"
         save_cube(water_scene(), scene)
@@ -460,6 +518,20 @@ class TestSummaryCli:
         assert summary["detection_boxes"] == [[1, 1, 4, 2]]
         payload = json.loads(capsys.readouterr().out)
         assert payload["bytes"] == out.stat().st_size
+
+    @pytest.mark.parametrize("max_boxes", ["0", "-1", "17"])
+    def test_max_boxes_out_of_range_is_usage_error(self, capsys, tmp_path, max_boxes):
+        data = np.zeros((8, 8), dtype=np.uint8)
+        data[1:3, 1:5] = data[5, 5] = data[7, 0] = 1
+        save_mask(BinaryMask(data=data), tmp_path / "m.pgm")
+        out = tmp_path / "sum.json"
+        code = main(
+            ["summary", "--mask", str(tmp_path / "m.pgm"), "--scene-id", "s9",
+             "--application", "clouds", "--out", str(out), "--max-boxes", max_boxes]
+        )
+        assert code == 1
+        assert "max_boxes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("application", list(APPLICATIONS))

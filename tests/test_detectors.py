@@ -17,14 +17,14 @@ from conftest import random_cube
 from oracles import covariance_bruteforce, gauss_jordan_inverse, mf_bruteforce, rx_bruteforce, sam_arccos
 
 
-def cube_from_pixels(pixels, width=None):
+def cube_from_pixels(pixels, width=None, nodata=None):
     """Cube whose pixel spectra (N, B) are laid out row-major."""
     pixels = np.asarray(pixels, dtype=np.float32)
     n, bands = pixels.shape
     width = width or n
     height = n // width
     data = pixels.T.reshape(bands, height, width)
-    return RasterCube(data=data)
+    return RasterCube(data=data, nodata=nodata)
 
 
 class TestSceneStats:
@@ -55,9 +55,9 @@ class TestSceneStats:
 
     def test_validity_mask_excludes_pixels(self):
         pixels = np.array([[0.0, 0.0], [2.0, 2.0], [100.0, -100.0]])
-        cube = cube_from_pixels(pixels, width=3)
-        keep = np.array([[True, True, False]])
-        stats = compute_scene_stats(cube, validity=keep)
+        cube = cube_from_pixels(pixels, width=3, nodata=-100.0)
+        assert cube.validity.tolist() == [[True, True, False]]
+        stats = compute_scene_stats(cube)
         np.testing.assert_array_equal(stats.mean, [1.0, 1.0])
         assert stats.pixel_count == 2
 

@@ -17,6 +17,7 @@ from specscan import (
     otsu_threshold,
     run_pipeline,
 )
+from conftest import score_map
 from oracles import clear_sky_fit, otsu_exhaustive
 
 
@@ -202,22 +203,22 @@ class TestHot:
 class TestOtsu:
     def test_bimodal_matches_exhaustive_oracle(self):
         values = np.concatenate([np.full(500, 10.0), np.full(500, 200.0)])
-        result = otsu_threshold(values, bins=256)
+        result = otsu_threshold(score_map(values), bins=256)
         assert 10.0 < result.threshold < 200.0
         _, threshold, variance = otsu_exhaustive(values, 256)
         assert result.threshold == threshold
         assert result.inter_class_variance == pytest.approx(variance, rel=1e-9)
 
     def test_constant_input_degenerate(self):
-        result = otsu_threshold(np.full(100, 3.5))
+        result = otsu_threshold(score_map(np.full(100, 3.5)))
         assert result.degenerate
         assert result.threshold == 3.5
         assert result.inter_class_variance == 0.0
 
     def test_two_values_two_bins(self):
         values = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-        result = otsu_threshold(values, bins=2)
-        mask = binarize(values.reshape(1, -1), result.threshold)
+        result = otsu_threshold(score_map(values), bins=2)
+        mask = binarize(score_map(values), result.threshold)
         assert mask.data.ravel().tolist() == [0, 1, 0, 1, 1]
         _, threshold, _ = otsu_exhaustive(values, 2)
         assert result.threshold == threshold
@@ -237,7 +238,7 @@ class TestOtsu:
                 values = rng.integers(0, 12, size=n).astype(float)
             if values.min() == values.max():
                 continue
-            result = otsu_threshold(values, bins=256)
+            result = otsu_threshold(score_map(values), bins=256)
             edge_index, threshold, variance = otsu_exhaustive(values, 256)
             assert result.threshold == threshold, f"edge {edge_index} expected"
             assert result.inter_class_variance >= variance - 1e-12 * max(1.0, variance)
@@ -249,59 +250,59 @@ class TestOtsu:
             [rng.integers(0, 10, 300), rng.integers(40, 50, 200)]
         ).astype(np.float64)
         shifted = values + 64.0
-        base = otsu_threshold(values, bins=256)
-        moved = otsu_threshold(shifted, bins=256)
+        base = otsu_threshold(score_map(values), bins=256)
+        moved = otsu_threshold(score_map(shifted), bins=256)
         assert moved.threshold == base.threshold + 64.0
         np.testing.assert_array_equal(
-            binarize(values.reshape(1, -1), base.threshold).data,
-            binarize(shifted.reshape(1, -1), moved.threshold).data,
+            binarize(score_map(values), base.threshold).data,
+            binarize(score_map(shifted), moved.threshold).data,
         )
 
     def test_bins_validation(self):
         with pytest.raises(DataError):
-            otsu_threshold(np.array([1.0, 2.0]), bins=1)
+            otsu_threshold(score_map([1.0, 2.0]), bins=1)
 
 
 class TestBinarize:
     def test_above_is_strict(self):
-        mask = binarize(np.array([[-1.0, 0.0, 1.0]]), 0.0, polarity="above")
+        mask = binarize(score_map([[-1.0, 0.0, 1.0]]), 0.0, polarity="above")
         assert mask.data.ravel().tolist() == [0, 0, 1]
 
     def test_below_is_strict(self):
-        mask = binarize(np.array([[-1.0, 0.0, 1.0]]), 0.0, polarity="below")
+        mask = binarize(score_map([[-1.0, 0.0, 1.0]]), 0.0, polarity="below")
         assert mask.data.ravel().tolist() == [1, 0, 0]
 
     def test_idempotent_on_binary_map(self):
         rng = np.random.default_rng(2)
         binary = (rng.random((4, 4)) > 0.5).astype(np.float64)
-        mask = binarize(binary, 0.5)
+        mask = binarize(score_map(binary), 0.5)
         np.testing.assert_array_equal(mask.data, binary.astype(np.uint8))
 
     def test_unknown_polarity(self):
         with pytest.raises(ConfigError):
-            binarize(np.array([[0.0]]), 0.0, polarity="sideways")
+            binarize(score_map([[0.0]]), 0.0, polarity="sideways")
 
 
 class TestBandThreshold:
     def test_low_only(self, make_cube):
         cube = make_cube({"nir": [[0.1, 0.5, 0.9]]})
-        mask = band_threshold_label(cube.plane("nir"), low=0.6)
+        mask = band_threshold_label(score_map(cube.plane("nir")), low=0.6)
         assert mask.data.ravel().tolist() == [0, 0, 1]
 
     def test_window(self, make_cube):
         cube = make_cube({"nir": [[0.1, 0.5, 0.9]]})
-        mask = band_threshold_label(cube.plane("nir"), low=0.2, high=0.6)
+        mask = band_threshold_label(score_map(cube.plane("nir")), low=0.2, high=0.6)
         assert mask.data.ravel().tolist() == [0, 1, 0]
 
     def test_low_above_high(self, make_cube):
         cube = make_cube({"nir": [[0.1]]})
         with pytest.raises(ConfigError, match="exceeds"):
-            band_threshold_label(cube.plane("nir"), low=0.6, high=0.2)
+            band_threshold_label(score_map(cube.plane("nir")), low=0.6, high=0.2)
 
     def test_no_bounds(self, make_cube):
         cube = make_cube({"nir": [[0.1]]})
         with pytest.raises(ConfigError, match="at least one"):
-            band_threshold_label(cube.plane("nir"))
+            band_threshold_label(score_map(cube.plane("nir")))
 
     def test_by_index(self, make_cube):
         cube = make_cube({"nir": [[0.1, 0.9]]})

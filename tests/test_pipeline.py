@@ -143,6 +143,13 @@ class TestConnectedBoxes:
         data[1, 1] = 1
         assert len(connected_boxes(BinaryMask(data=data))) == 2
 
+    @pytest.mark.parametrize("max_boxes", [0, -1])
+    def test_max_boxes_below_one_is_rejected(self, max_boxes):
+        data = np.zeros((5, 5), dtype=np.uint8)
+        data[0, 0] = data[2, 2] = data[4, 4] = 1
+        with pytest.raises(ConfigError, match="max_boxes"):
+            connected_boxes(BinaryMask(data=data), max_boxes)
+
 
 class TestSummaryMessage:
     def make_message(self, boxes=(), scene_id="s1", pixel_count=100, positive=25):

@@ -3,7 +3,7 @@ import pytest
 
 from specscan import (
     ComputeError,
-    DataError,
+    ConfigError,
     RasterCube,
     StretchParams,
     band_quantiles,
@@ -20,11 +20,11 @@ class TestStretchParams:
         assert (params.q_low_fraction, params.q_high_fraction) == (0.01, 0.99)
 
     def test_bad_range(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             StretchParams(v_min=1.0, v_max=1.0)
 
     def test_bad_fractions(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             StretchParams(q_low_fraction=0.9, q_high_fraction=0.1)
 
 
