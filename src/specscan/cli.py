@@ -47,6 +47,7 @@ from .pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
     PipelineConfig,
+    _check_max_boxes,
     build_summary,
     emit_summary,
     run_pipeline,
@@ -336,6 +337,7 @@ def _cmd_pipeline_run(args) -> int:
 
 
 def _cmd_summary(args) -> int:
+    _check_max_boxes(args.max_boxes)
     mask = load_mask(args.mask)
     message = build_summary(
         mask,

@@ -366,15 +366,16 @@ def load_cube(header_path: str | Path) -> RasterCube:
 
     payload_path = header_path.parent / str(header["payload"])
     try:
-        raw = payload_path.read_bytes()
+        raw = np.fromfile(payload_path, dtype=np.uint8)
     except OSError as exc:
         raise FormatError(f"cannot read cube payload {payload_path}: {exc}") from exc
     expected = width * height * bands * 4
-    if len(raw) != expected:
+    if raw.size != expected:
         raise FormatError(
-            f"payload {payload_path} holds {len(raw)} bytes, header implies {expected}"
+            f"payload {payload_path} holds {raw.size} bytes, header implies {expected}"
         )
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(bands, height, width)
+    # The one copy is the read: on a little-endian host the view needs none.
+    data = raw.view("<f4").astype(np.float32, copy=False).reshape(bands, height, width)
     try:
         return RasterCube(data=data, band_meta=band_meta, nodata=header.get("nodata"))
     except DataError as exc:

@@ -24,6 +24,8 @@ CLEAR_SKY_SUBSET_FRACTION = 0.0015
 CLEAR_SKY_BIN_COUNT = 20
 CLEAR_SKY_POINTS_PER_BIN = 20
 
+_OTSU_CHUNK = 1 << 16  # values binned per step of otsu_threshold
+
 
 @dataclass(frozen=True)
 class ClearSkyLine:
@@ -57,11 +59,13 @@ def ndwi(cube: RasterCube) -> ScoreMap:
     Pixels with green + nir == 0 score 0 by convention and are flagged.
     Scores are clipped into [-1, 1].
     """
-    green = cube.plane("green").astype(np.float64)
-    nir = cube.plane("nir").astype(np.float64)
-    total = green + nir
+    scores = cube.plane("green").astype(np.float64)
+    nir = cube.plane("nir")
+    total = scores + nir
     zero = total == 0.0
-    scores = np.where(zero, 0.0, (green - nir) / np.where(zero, 1.0, total))
+    scores -= nir
+    np.divide(scores, total, out=scores, where=~zero)
+    scores[zero] = 0.0
     np.clip(scores, -1.0, 1.0, out=scores)
     return ScoreMap(data=scores, score_kind="NDWI", flags=zero if zero.any() else None)
 
@@ -76,20 +80,27 @@ def fit_clear_sky_line(cube: RasterCube) -> ClearSkyLine:
     are broken by lower linear pixel index, so identical scenes yield
     bit-identical fits.
     """
-    blue = cube.plane("blue").astype(np.float64).ravel()
-    red = cube.plane("red").astype(np.float64).ravel()
-    if cube.validity is not None:
-        valid_idx = np.flatnonzero(cube.validity.ravel())
-    else:
-        valid_idx = np.arange(blue.size)
-    n_valid = valid_idx.size
+    blue = cube.plane("blue").ravel()
+    red = cube.plane("red").ravel()
+    valid = cube.validity.ravel() if cube.validity is not None else None
+    n_valid = blue.size if valid is None else int(np.count_nonzero(valid))
     if n_valid < 2:
         raise ComputeError(f"clear-sky fit needs at least 2 valid pixels, have {n_valid}")
 
+    # The subset is the subset_count smallest valid blue values, ties at the
+    # cut taken in pixel-index order: every valid pixel below the cut value,
+    # then the first pixels equal to it. The float32 cut compares with the
+    # float32 plane, so no value is rounded.
     subset_count = max(2, int(CLEAR_SKY_SUBSET_FRACTION * n_valid))
-    order = np.argsort(blue[valid_idx], kind="stable")
-    subset = valid_idx[order[:subset_count]]
-    blue_sub = blue[subset]
+    cut = np.partition(blue if valid is None else blue[valid], subset_count - 1)[subset_count - 1]
+    below = blue < cut
+    at_cut = blue == cut
+    if valid is not None:
+        below &= valid
+        at_cut &= valid
+    below = np.flatnonzero(below)
+    subset = np.concatenate([below, np.flatnonzero(at_cut)[: subset_count - below.size]])
+    blue_sub = blue[subset].astype(np.float64)
 
     lo = float(blue_sub.min())
     hi = float(blue_sub.max())
@@ -111,8 +122,8 @@ def fit_clear_sky_line(cube: RasterCube) -> ClearSkyLine:
     if points.size < 2:
         raise ComputeError("fewer than 2 points retained for the clear-sky fit")
 
-    x = blue[points]
-    y = red[points]
+    x = blue[points].astype(np.float64)
+    y = red[points].astype(np.float64)
     x_mean = x.mean()
     y_mean = y.mean()
     xc = x - x_mean
@@ -163,8 +174,7 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
         return OtsuResult(threshold=lo, inter_class_variance=0.0, histogram_bins=bins, degenerate=True)
 
     edges = np.linspace(lo, hi, bins + 1)
-    idx = np.searchsorted(edges, values, side="right") - 1
-    np.clip(idx, 0, bins - 1, out=idx)
+    idx = _otsu_bins(values, edges, lo, hi)
     counts = np.bincount(idx, minlength=bins).astype(np.float64)
     sums = np.bincount(idx, weights=values, minlength=bins)
 
@@ -186,6 +196,35 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
         histogram_bins=bins,
         degenerate=False,
     )
+
+
+def _otsu_bins(values: np.ndarray, edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Bin of each value: the last edge at or below it, the top bin closed.
+
+    Equal to ``searchsorted(edges, values, side="right") - 1`` clipped to
+    ``[0, bins - 1]``. ``edges[j]`` is ``j * width + lo`` rounded twice, as
+    ``np.linspace`` builds it, so ``floor((v - lo) / width)`` is off by at
+    most one bin while the width is above 2**-48 of the largest magnitude:
+    rounding ``v - lo``, the division and each edge moves a value by less
+    than 3 * 2**-53 of that magnitude, under a tenth of a bin. One step
+    against the stored edges then corrects it. A narrower range falls back to
+    the binary search. Chunks keep the temporaries small.
+    """
+    bins = edges.size - 1
+    width = (hi - lo) / bins
+    if not width > 2.0**-48 * max(abs(lo), abs(hi), np.finfo(np.float64).tiny):
+        idx = np.searchsorted(edges, values, side="right")
+        idx -= 1
+        return np.clip(idx, 0, bins - 1, out=idx)
+    idx = np.empty(values.size, dtype=np.intp)
+    for start in range(0, values.size, _OTSU_CHUNK):
+        v = values[start : start + _OTSU_CHUNK]
+        chunk = idx[start : start + _OTSU_CHUNK]
+        np.copyto(chunk, (v - lo) / width, casting="unsafe")
+        np.clip(chunk, 0, bins - 1, out=chunk)
+        chunk -= edges[chunk] > v
+        chunk += (edges[chunk + 1] <= v) & (chunk < bins - 1)
+    return idx
 
 
 def binarize(scores: ScoreMap, threshold: float, polarity: str = "above") -> BinaryMask:

@@ -8,6 +8,7 @@ closest order statistics over valid pixels only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,18 +44,57 @@ def band_quantiles(
 ) -> tuple[float, float]:
     """Low/high quantiles of a band plane over its valid pixels.
 
-    Linear interpolation between closest order statistics (the common
-    "type 7" convention).
+    Linear interpolation between the two closest order statistics, Hyndman &
+    Fan (1996) type 7, equal to ``np.quantile(values.astype(np.float64),
+    fractions, method="linear")``. The valid values are copied once, in their
+    own dtype, and partitioned in place at the order statistics that method
+    reads; the interpolation is numpy's, in float64.
     """
     low_f, high_f = fractions
     if not 0.0 <= low_f <= high_f <= 1.0:
         raise DataError(f"fractions must satisfy 0 <= low <= high <= 1, got {fractions}")
     plane = np.asarray(plane)
-    values = plane[validity] if validity is not None else plane.ravel()
-    if values.size == 0:
+    values = plane[validity] if validity is not None else plane.ravel().copy()
+    n = values.size
+    if n == 0:
         raise ComputeError("no valid pixels to take quantiles over")
-    q_low, q_high = np.quantile(values.astype(np.float64), [low_f, high_f], method="linear")
-    return float(q_low), float(q_high)
+    # numpy's linear method: the virtual index (n - 1) * q lies between the
+    # order statistics at its floor and floor + 1; at or beyond n - 1 it reads
+    # the last one, index -1, with weight (n - 1) * q - (-1).
+    spans = []
+    for fraction in (low_f, high_f):
+        position = (n - 1) * fraction
+        if position >= n - 1:
+            spans.append((n - 1, n - 1, position + 1))
+        else:
+            below = math.floor(position)
+            spans.append((below, below + 1, position - below))
+    (low_below, _, _), (high_below, _, _) = spans
+    # Two single-index partitions put both floors in sorted place, so
+    # values[:low_below] <= values[low_below] <= values[low_below + 1:high_below]
+    # <= values[high_below] <= values[high_below + 1:]. The statistic one past
+    # a floor is then the least value up to the next floor placed.
+    values.partition(high_below)
+    if low_below < high_below:
+        values[:high_below].partition(low_below)
+
+    def statistic(k):
+        if k in (low_below, high_below):
+            return float(values[k])
+        return float(values[k : high_below + 1 if k <= high_below else n].min())
+
+    q_low, q_high = (_lerp(statistic(below), statistic(above), t) for below, above, t in spans)
+    # A NaN sorts last, so it reaches the high statistics; np.quantile then
+    # gives NaN for both.
+    if math.isnan(q_high):
+        return math.nan, math.nan
+    return q_low, q_high
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's quantile interpolation, evaluated in the same order."""
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
 def stretch_band(
@@ -71,14 +111,24 @@ def stretch_band(
     """
     if q_high < q_low:
         raise ComputeError(f"q_high ({q_high}) below q_low ({q_low})")
-    p = np.asarray(plane, dtype=np.float64)
     if q_high == q_low:
-        return np.full(p.shape, params.v_min, dtype=np.float64)
+        return np.full(np.shape(plane), params.v_min, dtype=np.float64)
+    out = np.array(plane, dtype=np.float64)
     scale = (params.v_max - params.v_min) / (q_high - q_low)
-    out = params.v_min + scale * (p - q_low)
+    high = out >= q_high
+    # With a finite scale every pixel at or below q_low lands at or below
+    # v_min, and the clip pins it there. Only an infinite scale, which turns
+    # p == q_low into NaN, or a v_min of -0.0, which -0.0 + 0.0 turns into
+    # +0.0, needs the mask.
+    pin_low = not math.isfinite(scale) or (params.v_min == 0.0 and math.copysign(1.0, params.v_min) < 0)
+    low = out <= q_low if pin_low else None
+    out -= q_low
+    out *= scale
+    out += params.v_min
     np.clip(out, params.v_min, params.v_max, out=out)
-    out[p <= q_low] = params.v_min
-    out[p >= q_high] = params.v_max
+    if low is not None:
+        out[low] = params.v_min
+    out[high] = params.v_max
     return out
 
 

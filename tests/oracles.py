@@ -188,3 +188,73 @@ def confusion_loop(pred, truth):
         else:
             tn += 1
     return tp, fp, fn, tn
+
+
+# ---------------------------------------------------------------------------
+# Earlier formulas of the pixel kernels, kept as bit-identity references.
+
+
+def quantiles_numpy(plane, validity=None, fractions=(0.01, 0.99)):
+    """Type-7 quantiles from np.quantile over a float64 copy of the valid values."""
+    plane = np.asarray(plane)
+    values = plane[validity] if validity is not None else plane.ravel()
+    q_low, q_high = np.quantile(values.astype(np.float64), list(fractions), method="linear")
+    return float(q_low), float(q_high)
+
+
+def clear_sky_line_argsort(blue, red, valid=None, subset_fraction=0.0015, bin_count=20, per_bin=20):
+    """(slope, intercept, n_fit_points, rms) with the subset from a stable argsort of valid blue."""
+    blue = np.asarray(blue, dtype=np.float64).ravel()
+    red = np.asarray(red, dtype=np.float64).ravel()
+    valid_idx = np.arange(blue.size) if valid is None else np.flatnonzero(np.asarray(valid).ravel())
+    count = max(2, int(subset_fraction * valid_idx.size))
+    subset = valid_idx[np.argsort(blue[valid_idx], kind="stable")[:count]]
+    blue_sub = blue[subset]
+    lo = float(blue_sub.min())
+    hi = float(blue_sub.max())
+    width = (hi - lo) / bin_count
+    bins = np.clip(np.floor((blue_sub - lo) / width).astype(np.int64), 0, bin_count - 1)
+    retained = []
+    for b in range(bin_count):
+        members = subset[bins == b]
+        if members.size:
+            retained.append(members[np.lexsort((members, -red[members]))[:per_bin]])
+    points = np.concatenate(retained)
+    x = blue[points]
+    y = red[points]
+    x_mean = x.mean()
+    y_mean = y.mean()
+    xc = x - x_mean
+    slope = float(np.dot(xc, y - y_mean) / float(np.dot(xc, xc)))
+    intercept = float(y_mean - slope * x_mean)
+    residuals = y - (slope * x + intercept)
+    return slope, intercept, int(points.size), float(np.sqrt(np.mean(residuals * residuals)))
+
+
+def otsu_bins_searchsorted(values, edges):
+    """Histogram bin of each value by binary search over the edges, top bin closed."""
+    bins = len(edges) - 1
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
+
+
+def stretch_band_masks(plane, v_min, v_max, q_low, q_high):
+    """Stretch with both endpoint masks applied after the clip."""
+    p = np.asarray(plane, dtype=np.float64)
+    if q_high == q_low:
+        return np.full(p.shape, v_min, dtype=np.float64)
+    scale = (v_max - v_min) / (q_high - q_low)
+    out = v_min + scale * (p - q_low)
+    np.clip(out, v_min, v_max, out=out)
+    out[p <= q_low] = v_min
+    out[p >= q_high] = v_max
+    return out
+
+
+def ndwi_where(green, nir):
+    """(green - nir) / (green + nir) in float64; zero totals score 0."""
+    green = np.asarray(green, dtype=np.float64)
+    nir = np.asarray(nir, dtype=np.float64)
+    total = green + nir
+    zero = total == 0.0
+    scores = np.where(zero, 0.0, (green - nir) / np.where(zero, 1.0, total))
+    return np.clip(scores, -1.0, 1.0), zero

@@ -533,6 +533,18 @@ class TestSummaryCli:
         assert "max_boxes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_max_boxes_is_checked_before_the_mask_is_read(self, capsys, tmp_path):
+        out = tmp_path / "sum.json"
+        code = main(
+            ["summary", "--mask", str(tmp_path / "missing.pgm"), "--scene-id", "s9",
+             "--application", "clouds", "--out", str(out), "--max-boxes", "0"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "specscan: error:" in err and "max_boxes" in err
+        assert "cannot read mask" not in err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("application", list(APPLICATIONS))
 def test_cli_scores_agree_with_the_application_table(application, tmp_path):

@@ -82,6 +82,13 @@ class TestCubeRoundTrip:
         with pytest.raises(FormatError, match="bytes"):
             load_cube(tmp_path / "short.json")
 
+    @pytest.mark.parametrize("extra", [-15, -3, -1, 1, 2, 16])
+    def test_payload_length_reported_in_bytes(self, tmp_path, extra):
+        (tmp_path / "m.json").write_text(json.dumps(HEADER))
+        (tmp_path / "m.raw").write_bytes(bytes(16 + extra))
+        with pytest.raises(FormatError, match=f"holds {16 + extra} bytes, header implies 16"):
+            load_cube(tmp_path / "m.json")
+
     def test_unwritable_destination(self):
         cube = RasterCube(data=np.zeros((1, 1, 1), dtype=np.float32))
         with pytest.raises(FormatError):

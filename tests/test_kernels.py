@@ -1,0 +1,258 @@
+"""Bit-identity of the pixel kernels against their earlier formulas.
+
+Each reference in ``oracles.py`` is the formula the kernel used before it
+was rewritten to partition instead of sort, bin by floor instead of binary
+search, or work in place. The rewrites promise the same bits, so every
+comparison here is exact.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from specscan import StretchParams, band_quantiles, fit_clear_sky_line, ndwi, stretch_band
+from specscan.labeling import _OTSU_CHUNK, _otsu_bins
+from conftest import cube_from_planes
+from oracles import (
+    clear_sky_line_argsort,
+    ndwi_where,
+    otsu_bins_searchsorted,
+    quantiles_numpy,
+    stretch_band_masks,
+)
+
+FRACTIONS = [(0.01, 0.99), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.013, 0.9871)]
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def float32_neighbours(values):
+    """Each value and the float32 values one ulp either side of it."""
+    values = np.asarray(values, dtype=np.float32)
+    return np.concatenate(
+        [values, np.nextafter(values, np.float32(-np.inf)), np.nextafter(values, np.float32(np.inf))]
+    )
+
+
+class TestBandQuantiles:
+    @pytest.mark.parametrize("fractions", FRACTIONS)
+    def test_random_planes(self, fractions):
+        rng = np.random.default_rng(11)
+        # the largest size takes numpy's vectorised single-index selection
+        for shape in [(1, 1), (1, 2), (1, 3), (7, 9), (64, 64), (300, 401)]:
+            for plane in (rng.normal(size=shape).astype(np.float32), rng.normal(size=shape)):
+                assert band_quantiles(plane, fractions=fractions) == quantiles_numpy(plane, fractions=fractions)
+
+    @pytest.mark.parametrize("fractions", FRACTIONS)
+    def test_tie_heavy_planes(self, fractions):
+        rng = np.random.default_rng(12)
+        for size, levels in [(2, 1), (2, 2), (50, 2), (999, 3), (20_000, 4), (120_000, 5)]:
+            plane = (rng.integers(0, levels, size=(1, size)) * 0.37).astype(np.float32)
+            assert band_quantiles(plane, fractions=fractions) == quantiles_numpy(plane, fractions=fractions)
+
+    def test_random_fractions_and_sizes(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            size = int(rng.integers(1, 400))
+            if rng.random() < 0.5:
+                plane = rng.random((1, size), dtype=np.float32)
+            else:
+                plane = rng.integers(0, 3, size=(1, size)).astype(np.float32)
+            fractions = tuple(sorted(rng.random(2)))
+            assert band_quantiles(plane, fractions=fractions) == quantiles_numpy(plane, fractions=fractions)
+
+    @pytest.mark.parametrize("fractions", FRACTIONS)
+    def test_nodata_mask(self, fractions):
+        rng = np.random.default_rng(14)
+        plane = rng.normal(size=(128, 96)).astype(np.float32)
+        validity = rng.random(plane.shape) < 0.7
+        plane[~validity] = -9999.0
+        got = band_quantiles(plane, validity, fractions)
+        assert got == quantiles_numpy(plane, validity, fractions)
+        assert got == quantiles_numpy(plane[validity], fractions=fractions)
+
+    def test_every_order_of_small_planes(self):
+        """Wherever the first selection leaves the values, the second finds its statistics."""
+        fractions = [(a, b) for a in (0.0, 0.2, 0.45, 0.5, 0.7, 1.0) for b in (0.0, 0.3, 0.5, 0.8, 0.95, 1.0) if a <= b]
+        for size in range(1, 7):
+            for order in itertools.permutations(range(size)):
+                plane = np.array([order], dtype=np.float32) * np.float32(0.7)
+                for pair in fractions:
+                    assert band_quantiles(plane, fractions=pair) == quantiles_numpy(plane, fractions=pair)
+
+    def test_negative_zero_keeps_its_sign(self):
+        for size in (1, 2, 3, 4):
+            plane = np.full((1, size), -0.0, dtype=np.float32)
+            for fractions in FRACTIONS:
+                assert_same_bits(band_quantiles(plane, fractions=fractions), quantiles_numpy(plane, fractions=fractions))
+
+    def test_plane_is_not_modified(self):
+        plane = np.random.default_rng(15).random((32, 32), dtype=np.float32)
+        before = plane.copy()
+        band_quantiles(plane)
+        assert_same_bits(plane, before)
+
+    def test_nan_gives_nan_as_np_quantile_does(self):
+        plane = np.random.default_rng(16).random((1, 5000), dtype=np.float32)
+        plane[0, 17] = np.nan
+        assert np.isnan(quantiles_numpy(plane)).all()
+        assert np.isnan(band_quantiles(plane)).all()
+
+
+class TestClearSkyLine:
+    @staticmethod
+    def tied_scene(rng, nodata):
+        """Blue on a few levels, so that the subset's cut falls inside a tie."""
+        height, width = 200, 200          # 40,000 pixels: a subset of 60, or fewer with nodata
+        blue = rng.uniform(0.5, 1.0, size=height * width)
+        levels = [(0.10, 15), (0.12, 10), (0.15, 20), (0.20, 400)]
+        spots = rng.permutation(blue.size)
+        start = 0
+        for value, count in levels:
+            blue[spots[start : start + count]] = value
+            start += count
+        red = np.round(rng.uniform(0.0, 0.3, size=blue.size), 2)   # ties in red too
+        planes = {"blue": blue.reshape(height, width), "red": red.reshape(height, width)}
+        planes["nir"] = np.ones((height, width))
+        if nodata is not None:
+            # declare nodata on pixels of every low level, including the cut
+            planes["nir"].ravel()[spots[: start : 7]] = nodata
+        return cube_from_planes(planes, nodata=nodata)
+
+    @pytest.mark.parametrize("nodata", [None, -1.0], ids=["all-valid", "nodata"])
+    def test_ties_straddling_the_cut(self, nodata):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            cube = self.tied_scene(rng, nodata)
+            line = fit_clear_sky_line(cube)
+            expected = clear_sky_line_argsort(cube.plane("blue"), cube.plane("red"), cube.validity)
+            assert (line.slope, line.intercept, line.n_fit_points, line.fit_residual_rms) == expected
+
+    def test_random_scenes(self):
+        rng = np.random.default_rng(22)
+        for size in [(1, 2), (2, 1), (4, 4), (30, 70), (256, 256)]:
+            planes = {role: rng.random(size, dtype=np.float32) for role in ("blue", "red")}
+            cube = cube_from_planes(planes)
+            line = fit_clear_sky_line(cube)
+            expected = clear_sky_line_argsort(planes["blue"], planes["red"])
+            assert (line.slope, line.intercept, line.n_fit_points, line.fit_residual_rms) == expected
+
+
+class TestOtsuBins:
+    @staticmethod
+    def edge_values(lo, hi, bins):
+        """Every edge, one ulp either side of it, and random values, inside [lo, hi]."""
+        edges = np.linspace(lo, hi, bins + 1)
+        values = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                np.random.default_rng(bins).uniform(lo, hi, size=1000),
+                [lo, hi],
+            ]
+        )
+        return np.clip(values, lo, hi), edges
+
+    @pytest.mark.parametrize("bins", [2, 3, 7, 256, 1000])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 1.0), (-1.0, 1.0), (-3.7, 12.1), (1e6, 1e6 + 3.0), (-2.5e-3, -1e-3), (0.1, 0.3), (-1e300, 1e300)],
+    )
+    def test_edges_and_their_neighbours(self, lo, hi, bins):
+        values, edges = self.edge_values(lo, hi, bins)
+        assert_same_bits(_otsu_bins(values, edges, lo, hi), otsu_bins_searchsorted(values, edges))
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 5, 40, 1000, 2**12, 2**13, 2**14])
+    @pytest.mark.parametrize("lo", [1.0, 0.3, -7.0, 1e-310])
+    def test_range_a_few_ulps_wide(self, lo, ulps):
+        values = [lo]
+        for _ in range(ulps):
+            values.append(np.nextafter(values[-1], np.inf))
+        values = np.array(values)
+        hi = float(values[-1])
+        for bins in (2, 256):
+            edges = np.linspace(lo, hi, bins + 1)
+            assert_same_bits(_otsu_bins(values, edges, lo, hi), otsu_bins_searchsorted(values, edges))
+
+    def test_chunks_cover_every_value(self):
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=3 * _OTSU_CHUNK + 123)
+        lo, hi = float(values.min()), float(values.max())
+        edges = np.linspace(lo, hi, 257)
+        values[[0, _OTSU_CHUNK - 1, _OTSU_CHUNK, 2 * _OTSU_CHUNK, values.size - 1]] = edges[[5, 100, 101, 200, 256]]
+        assert_same_bits(_otsu_bins(values, edges, lo, hi), otsu_bins_searchsorted(values, edges))
+
+
+class TestStretchBand:
+    @pytest.mark.parametrize(
+        "v_min, v_max",
+        [(0.0, 1.0), (-1000.0, 3.5e6), (1e7, 1e7 + 255.0), (-2.0**25, -2.0**24), (-0.0, 1.0), (-1e308, 1e308)],
+    )
+    def test_at_and_around_the_quantiles(self, v_min, v_max):
+        rng = np.random.default_rng(41)
+        plane = rng.uniform(-2.0, 5.0, size=(1, 4000)).astype(np.float32)
+        q_low, q_high = (float(q) for q in np.float32([0.25, 3.5]))
+        plane[0, :2000] = rng.choice(float32_neighbours([q_low, q_high, 0.0]), size=2000)
+        params = StretchParams(v_min=v_min, v_max=v_max)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for quantiles in [(q_low, q_high), (q_low + 1e-9, q_high - 1e-9), (0.0, q_high), (q_low, q_low)]:
+                expected = stretch_band_masks(plane, v_min, v_max, *quantiles)
+                assert_same_bits(stretch_band(plane, params, *quantiles), expected)
+
+    def test_random_ranges(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            v_min = float(rng.choice([0.0, rng.uniform(-1e6, 1e6), rng.normal()]))
+            v_max = v_min + float(rng.choice([1.0, rng.uniform(1e-3, 1e4)]))
+            q_low, q_high = (float(q) for q in np.sort(rng.normal(scale=10.0, size=2)).astype(np.float32))
+            if q_low == q_high:
+                continue
+            plane = np.concatenate([float32_neighbours([q_low, q_high]), rng.normal(scale=10.0, size=20)])
+            plane = plane.astype(np.float32).reshape(2, -1)
+            expected = stretch_band_masks(plane, v_min, v_max, q_low, q_high)
+            assert_same_bits(stretch_band(plane, StretchParams(v_min=v_min, v_max=v_max), q_low, q_high), expected)
+
+    def test_float64_plane_one_ulp_around(self):
+        q_low, q_high = 0.1, 0.9
+        plane = np.array([[q_low, q_high, *np.nextafter([q_low, q_high], -np.inf), *np.nextafter([q_low, q_high], np.inf)]])
+        params = StretchParams(v_min=-40.0, v_max=40.0)
+        before = plane.copy()
+        assert_same_bits(stretch_band(plane, params, q_low, q_high), stretch_band_masks(plane, -40.0, 40.0, q_low, q_high))
+        assert_same_bits(plane, before)
+
+    def test_band_quantiles_of_scenes(self):
+        rng = np.random.default_rng(42)
+        for params in [StretchParams(), StretchParams(v_min=-5.0, v_max=2.0**24, q_low_fraction=0.1, q_high_fraction=0.6)]:
+            plane = rng.gamma(2.0, size=(90, 110)).astype(np.float32)
+            quantiles = band_quantiles(plane, fractions=(params.q_low_fraction, params.q_high_fraction))
+            expected = stretch_band_masks(plane, params.v_min, params.v_max, *quantiles)
+            assert_same_bits(stretch_band(plane, params, *quantiles), expected)
+
+
+class TestNdwi:
+    def test_zero_totals(self):
+        rng = np.random.default_rng(51)
+        green = rng.uniform(-1.0, 1.0, size=(64, 64)).astype(np.float32)
+        nir = rng.uniform(-1.0, 1.0, size=(64, 64)).astype(np.float32)
+        nir[::3] = -green[::3]                     # green + nir == 0
+        green[5, :] = nir[5, :] = 0.0
+        green[6, :8], nir[6, :8] = 0.0, -0.0
+        nir[7, ::2] = green[7, ::2] * -1.0000001   # totals near zero, scores beyond [-1, 1]
+        scores = ndwi(cube_from_planes({"green": green, "nir": nir}))
+        expected, zero = ndwi_where(green, nir)
+        assert zero.sum() > 64 * 21
+        assert_same_bits(scores.data, expected)
+        assert_same_bits(scores.flags, zero)
+
+    def test_no_zero_total_sets_no_flags(self):
+        rng = np.random.default_rng(52)
+        green, nir = rng.uniform(0.1, 1.0, size=(2, 33, 17)).astype(np.float32)
+        scores = ndwi(cube_from_planes({"green": green, "nir": nir}))
+        assert scores.flags is None
+        assert_same_bits(scores.data, ndwi_where(green, nir)[0])
