@@ -12,7 +12,7 @@ import json
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,8 @@ from .cube import (
 from .detectors import DETECTORS, PRECISIONS, compute_scene_stats
 from .errors import ConfigError, SpecScanError
 from .evaluation import (
+    _check_histogram_bins,
+    _check_repetitions,
     bench_detector,
     compare_paths,
     error_report_to_dict,
@@ -47,6 +49,7 @@ from .pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
     PipelineConfig,
+    _check_finite,
     _check_max_boxes,
     build_summary,
     emit_summary,
@@ -56,6 +59,12 @@ from .pipeline import (
 from .preprocess import StretchParams, stretch_cube
 
 _HOT_MODE_FLAGS = {"as-written": "as_written", "point-line": "point_line_distance"}
+_HOT_MODE_DEFAULT = next(flag for flag, mode in _HOT_MODE_FLAGS.items() if mode == PipelineConfig.hot_mode)
+# Flags of the commands that build a config and set a field of another name.
+_FIELD_OF_FLAG = {
+    "band": "thermal_band", "low": "thermal_low", "high": "thermal_high", "threshold": "fixed_threshold",
+    "bins": "otsu_bins", "mode": "hot_mode", "q_low": "q_low_fraction", "q_high": "q_high_fraction",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,26 +85,38 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload))
 
 
-def _stretch_params(args) -> StretchParams:
-    return StretchParams(
-        v_min=args.v_min,
-        v_max=args.v_max,
-        q_low_fraction=args.q_low,
-        q_high_fraction=args.q_high,
-    )
+def _write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _from_flags(cls, args, **given):
+    """A `cls` dataclass from the flags that set its fields, HOT modes translated, and `given` on top."""
+    flags = {_FIELD_OF_FLAG.get(name, name): value for name, value in vars(args).items()}
+    values = {f.name: flags[f.name] for f in fields(cls) if f.name in flags}
+    if "hot_mode" in values:
+        values["hot_mode"] = _HOT_MODE_FLAGS[values["hot_mode"]]
+    return cls(**{**values, **given})
+
+
+def _config(args, application: str, **given) -> PipelineConfig:
+    """The flags' config for `application` with its target resolved, validated before any payload is read."""
+    target = _target(args, APPLICATIONS[application])
+    config = _from_flags(PipelineConfig, args, application=application, target=target, **given)
+    config.validate()
+    return config
 
 
 def _add_stretch_flags(parser) -> None:
-    parser.add_argument("--v-min", type=float, default=0.0, help="stretched range lower bound")
-    parser.add_argument("--v-max", type=float, default=1.0, help="stretched range upper bound")
-    parser.add_argument("--q-low", type=float, default=0.01, help="low quantile fraction")
-    parser.add_argument("--q-high", type=float, default=0.99, help="high quantile fraction")
+    parser.add_argument("--v-min", type=float, default=StretchParams.v_min, help="stretched range lower bound")
+    parser.add_argument("--v-max", type=float, default=StretchParams.v_max, help="stretched range upper bound")
+    parser.add_argument("--q-low", type=float, default=StretchParams.q_low_fraction, help="low quantile fraction")
+    parser.add_argument("--q-high", type=float, default=StretchParams.q_high_fraction, help="high quantile fraction")
 
 
 def _add_score_flags(parser) -> None:
     parser.add_argument("--out", required=True, help="output prefix (<out>.json/.raw, <out>_mask.pgm)")
     parser.add_argument("--otsu", action="store_true", help="also write an Otsu-thresholded mask")
-    parser.add_argument("--bins", type=int, default=256, help="Otsu histogram bins")
+    parser.add_argument("--bins", type=int, default=PipelineConfig.otsu_bins, help="Otsu histogram bins")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +124,8 @@ def _add_score_flags(parser) -> None:
 
 
 def _cmd_stretch(args) -> int:
-    params = _stretch_params(args)
+    params = _from_flags(StretchParams, args)
+    params.check_float32()
     cube = load_cube(args.cube)
     stretched = stretch_cube(cube, params)
     save_cube(stretched, args.out)
@@ -121,10 +143,7 @@ def _parse_band(value: str):
 def _cmd_label_threshold(args) -> int:
     """``label threshold``: the score and label steps of the ``thermal`` application."""
     app = APPLICATIONS["thermal"]
-    config = PipelineConfig(
-        application="thermal", thermal_band=_parse_band(args.band), thermal_low=args.low, thermal_high=args.high
-    )
-    config.validate()
+    config = _config(args, "thermal")
     cube = load_cube(args.cube)
     mask, _, _ = app.label(app.score(cube, config, {})[0], config, {})
     mask_path = Path(str(args.out) + ".pgm") if not str(args.out).endswith(".pgm") else Path(args.out)
@@ -137,7 +156,7 @@ def _cmd_stats(args) -> int:
     cube = load_cube(args.cube)
     payload = compute_scene_stats(cube).describe(bands=True, covariance=args.full)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_json(args.out, payload)
         _emit(args, {"out": str(args.out)})
     else:
         print(json.dumps(payload))
@@ -169,14 +188,9 @@ def _cmd_score(args) -> int:
     """``label ndwi|hot`` and ``detect sam|mf|rx``: the score and label steps of the matching application."""
     name = next(name for name, entry in APPLICATIONS.items() if entry.command == args.score)
     app = APPLICATIONS[name]
-    config = PipelineConfig(application=name, stretch=None, target=_target(args, app), otsu_bins=args.bins)
-    if "mode" in args:  # label hot
-        config.hot_mode = _HOT_MODE_FLAGS[args.mode]
-    if "precision" in args:  # detect
-        config.precision = args.precision
-    config.validate()
+    config = _config(args, name)
     cube = load_cube(args.cube)
-    config.target = _on_bands(config.target, cube)
+    config = replace(config, target=_on_bands(config.target, cube))
     diagnostics: dict = {}
     scores, _ = app.score(cube, config, diagnostics)
     score_header = Path(f"{args.out}.json")
@@ -189,7 +203,7 @@ def _cmd_score(args) -> int:
         outputs.update(mask=str(mask_path), threshold=threshold, positive_count=mask.positive_count())
     if "clear_sky_line" in diagnostics:
         outputs["clear_sky_line"] = diagnostics["clear_sky_line"]
-    if args.score in DETECTORS and scores.flags is not None:
+    if scores.flags is not None:
         outputs["flagged_pixels"] = int(scores.flags.sum())
     _emit(args, outputs)
     return 0
@@ -217,12 +231,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare_paths(args) -> int:
+    _check_histogram_bins(args.bins)
     map_a = load_score_map(args.a)
     map_b = load_score_map(args.b)
     report = compare_paths(map_a, map_b, bins=args.bins)
     payload = error_report_to_dict(report)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_json(args.out, payload)
     if args.json:
         print(json.dumps(payload))
     else:
@@ -246,6 +261,9 @@ def _synthetic_bench_cube(width: int, height: int, bands: int, seed: int) -> Ras
 
 
 def _cmd_bench(args) -> int:
+    if min(args.width, args.height, args.bands) < 1:
+        args.parser.error(f"--width, --height and --bands must be >= 1, got {args.width}x{args.height}x{args.bands}")
+    _check_repetitions(args.repetitions)
     cube = _synthetic_bench_cube(args.width, args.height, args.bands, args.seed)
     rng = np.random.default_rng(args.seed + 1)
     target = rng.random(args.bands)
@@ -264,7 +282,7 @@ def _cmd_bench(args) -> int:
     ]
     payload = [asdict(r) for r in records]
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_json(args.out, payload)
     if args.json:
         print(json.dumps(payload))
     else:
@@ -283,21 +301,8 @@ def _cmd_pipeline_run(args) -> int:
             args.parser.error(
                 f"--cube files share the stem {', '.join(shared)}: each scene needs its own output directory"
             )
-    app = APPLICATIONS[args.application]
-    config = PipelineConfig(
-        application=args.application,
-        stretch=None if args.no_stretch else _stretch_params(args),
-        otsu_bins=args.otsu_bins,
-        hot_mode=_HOT_MODE_FLAGS[args.hot_mode],
-        fixed_threshold=args.threshold,
-        target=_target(args, app),
-        thermal_band=_parse_band(args.band),
-        thermal_low=args.low,
-        thermal_high=args.high,
-        precision=args.precision,
-        max_boxes=args.max_boxes,
-    )
-    config.validate()
+    stretch = None if args.no_stretch else _from_flags(StretchParams, args)
+    config = _config(args, args.application, stretch=stretch)
     out_root = Path(args.out)
 
     def run_one(cube_path: str) -> dict:
@@ -338,6 +343,7 @@ def _cmd_pipeline_run(args) -> int:
 
 def _cmd_summary(args) -> int:
     _check_max_boxes(args.max_boxes)
+    _check_finite("threshold", args.threshold)
     mask = load_mask(args.mask)
     message = build_summary(
         mask,
@@ -386,13 +392,13 @@ def build_parser() -> _Parser:
     _add_score_flags(p)
 
     p = add(label_sub, "hot", "haze transform against a fitted clear-sky line", _cmd_score, cube=True)
-    p.add_argument("--mode", choices=sorted(_HOT_MODE_FLAGS), default="as-written", help="HOT formula variant")
+    p.add_argument("--mode", choices=sorted(_HOT_MODE_FLAGS), default=_HOT_MODE_DEFAULT, help="HOT formula variant")
     _add_score_flags(p)
 
     p = add(label_sub, "threshold", "label pixels inside a band-value window", _cmd_label_threshold, cube=True)
-    p.add_argument("--band", required=True, help="band role (blue/green/red/nir) or index")
-    p.add_argument("--low", type=float, default=None, help="lower bound (inclusive)")
-    p.add_argument("--high", type=float, default=None, help="upper bound (inclusive)")
+    p.add_argument("--band", type=_parse_band, required=True, help="band role (blue/green/red/nir) or index")
+    p.add_argument("--low", type=float, help="lower bound (inclusive)")
+    p.add_argument("--high", type=float, help="upper bound (inclusive)")
     p.add_argument("--out", required=True, help="output mask path (.pgm)")
 
     p = add(sub, "stats", "scene mean/covariance statistics", _cmd_stats, cube=True)
@@ -410,7 +416,7 @@ def build_parser() -> _Parser:
         p = add(detect_sub, name, help_text, _cmd_score, cube=True)
         p.add_argument("--library", default=None, help="spectral library CSV")
         p.add_argument("--target", default=None, help="target label within the library")
-        p.add_argument("--precision", choices=PRECISIONS, default="single", help="kernel precision")
+        p.add_argument("--precision", choices=PRECISIONS, default=PipelineConfig.precision, help="kernel precision")
         _add_score_flags(p)
 
     p = add(sub, "binarize", "threshold a score map into a mask", _cmd_binarize)
@@ -453,13 +459,17 @@ def build_parser() -> _Parser:
     p.add_argument("--target", default=None, help="target label within the library")
     p.add_argument("--no-stretch", action="store_true", help="skip the quantile stretch")
     _add_stretch_flags(p)
-    p.add_argument("--otsu-bins", type=int, default=256, help="Otsu histogram bins")
-    p.add_argument("--hot-mode", choices=sorted(_HOT_MODE_FLAGS), default="as-written", help="HOT formula variant")
-    p.add_argument("--threshold", type=float, default=None, help="fixed threshold instead of Otsu")
-    p.add_argument("--band", default="nir", help="band for the thermal application")
-    p.add_argument("--low", type=float, default=None, help="thermal lower bound (inclusive)")
-    p.add_argument("--high", type=float, default=None, help="thermal upper bound (inclusive)")
-    p.add_argument("--precision", choices=PRECISIONS, default="single", help="detector kernel precision")
+    p.add_argument("--otsu-bins", type=int, default=PipelineConfig.otsu_bins, help="Otsu histogram bins")
+    p.add_argument("--hot-mode", choices=sorted(_HOT_MODE_FLAGS), default=_HOT_MODE_DEFAULT, help="HOT formula variant")
+    p.add_argument("--threshold", type=float, help="fixed threshold instead of Otsu")
+    p.add_argument(
+        "--band", type=_parse_band, default=PipelineConfig.thermal_band, help="band for the thermal application"
+    )
+    p.add_argument("--low", type=float, help="thermal lower bound (inclusive)")
+    p.add_argument("--high", type=float, help="thermal upper bound (inclusive)")
+    p.add_argument(
+        "--precision", choices=PRECISIONS, default=PipelineConfig.precision, help="detector kernel precision"
+    )
     p.add_argument("--max-boxes", type=int, default=MAX_DETECTION_BOXES, help="detection boxes kept in the summary")
     p.add_argument("--jobs", type=int, default=1, help="concurrent scenes")
 

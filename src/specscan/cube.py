@@ -37,6 +37,8 @@ Spectrum = NDArray[np.floating]
 
 BAND_ROLES = ("blue", "green", "red", "nir", "other")
 SCORE_KINDS = ("NDWI", "HOT", "SAM", "MF", "RX", "BandValue")
+# Bounded score kinds: their range and how error messages print it.
+_SCORE_RANGES = {"NDWI": (-1.0, 1.0, "[-1, 1]"), "SAM": (0.0, math.pi, "[0, pi]")}
 
 _WAVELENGTH_MIN_NM = 300.0
 _WAVELENGTH_MAX_NM = 3000.0
@@ -210,10 +212,10 @@ class ScoreMap:
             raise DataError("score map contains non-finite values")
         if self.score_kind not in SCORE_KINDS:
             raise DataError(f"unknown score kind {self.score_kind!r}; expected one of {SCORE_KINDS}")
-        if self.score_kind == "NDWI" and (data.min() < -1.0 or data.max() > 1.0):
-            raise DataError("NDWI scores must lie in [-1, 1]")
-        if self.score_kind == "SAM" and (data.min() < 0.0 or data.max() > math.pi):
-            raise DataError("SAM scores must lie in [0, pi]")
+        if self.score_kind in _SCORE_RANGES:
+            low, high, printed = _SCORE_RANGES[self.score_kind]
+            if data.min() < low or data.max() > high:
+                raise DataError(f"{self.score_kind} scores must lie in {printed}")
         self.data = data
         if self.flags is not None:
             flags = np.asarray(self.flags, dtype=bool)
@@ -277,6 +279,9 @@ class TargetSpectrum:
 # ---------------------------------------------------------------------------
 # Cube header + payload I/O
 
+# The one payload layout written and read.
+_LAYOUT = {"dtype": "f32", "interleave": "bsq", "byte_order": "little"}
+
 
 def save_cube(cube: RasterCube, header_path: str | Path) -> None:
     """Write `cube` as a JSON header plus raw BSQ float32 payload.
@@ -290,9 +295,7 @@ def save_cube(cube: RasterCube, header_path: str | Path) -> None:
         "width": cube.width,
         "height": cube.height,
         "bands": cube.bands,
-        "dtype": "f32",
-        "interleave": "bsq",
-        "byte_order": "little",
+        **_LAYOUT,
         "payload": payload_name,
         "nodata": cube.nodata,
         "bands_meta": [asdict(m) for m in cube.band_meta],
@@ -327,12 +330,9 @@ def load_cube(header_path: str | Path) -> RasterCube:
     for key in ("width", "height", "bands", "payload"):
         if key not in header:
             raise FormatError(f"cube header {header_path} missing field {key!r}")
-    if header.get("dtype", "f32") != "f32":
-        raise FormatError(f"unsupported dtype {header.get('dtype')!r} (only 'f32')")
-    if header.get("interleave", "bsq") != "bsq":
-        raise FormatError(f"unsupported interleave {header.get('interleave')!r} (only 'bsq')")
-    if header.get("byte_order", "little") != "little":
-        raise FormatError(f"unsupported byte order {header.get('byte_order')!r} (only 'little')")
+    for key, only in _LAYOUT.items():
+        if header.get(key, only) != only:
+            raise FormatError(f"unsupported {key.replace('_', ' ')} {header[key]!r} (only {only!r})")
 
     try:
         width = int(header["width"])
@@ -471,10 +471,9 @@ def load_score_map(header_path: str | Path) -> ScoreMap:
     name = cube.band_meta[0].name
     kind = name if name in SCORE_KINDS else "BandValue"
     data = cube.data[0].astype(np.float64)
-    if kind == "NDWI":
-        data = np.clip(data, -1.0, 1.0)
-    elif kind == "SAM":
-        data = np.clip(data, 0.0, math.pi)
+    if kind in _SCORE_RANGES:
+        low, high, _ = _SCORE_RANGES[kind]
+        data = np.clip(data, low, high)
     return ScoreMap(data=data, score_kind=kind)
 
 

@@ -20,7 +20,7 @@ from .detectors import (
     compute_scene_stats,
     detect_map,
 )
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,11 @@ def render_metrics_table(metrics_by_application: dict[str, SegMetrics]) -> str:
     table = [["Application", *applications]]
     for label, getter in rows:
         table.append([label, *(f"{getter(metrics_by_application[a]):.4f}" for a in applications)])
+    return _render_columns(table)
+
+
+def _render_columns(table: list[list[str]]) -> str:
+    """Rows of cells, each column left-aligned to its widest cell, two spaces apart."""
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table)
 
@@ -118,6 +123,11 @@ class ErrorReport:
             raise DataError("histogram counts must sum to the sample count")
 
 
+def _check_histogram_bins(bins: int) -> None:
+    if bins < 1:
+        raise ConfigError(f"histogram needs at least 1 bin, got {bins}")
+
+
 def compare_paths(scores_a: ScoreMap, scores_b: ScoreMap, bins: int = 32) -> ErrorReport:
     """Absolute-difference statistics between two score maps of the same kind."""
     if scores_a.score_kind != scores_b.score_kind:
@@ -126,8 +136,7 @@ def compare_paths(scores_a: ScoreMap, scores_b: ScoreMap, bins: int = 32) -> Err
         )
     if scores_a.data.shape != scores_b.data.shape:
         raise DataError(f"score shapes disagree: {scores_a.data.shape} vs {scores_b.data.shape}")
-    if bins < 1:
-        raise DataError(f"histogram needs at least 1 bin, got {bins}")
+    _check_histogram_bins(bins)
     diff = np.abs(scores_a.data - scores_b.data).ravel()
     max_err = float(diff.max())
     if max_err == 0.0:
@@ -239,6 +248,11 @@ def _timed_median(fn: Callable[[], object], repetitions: int) -> float:
     return float(statistics.median(samples))
 
 
+def _check_repetitions(repetitions: int) -> None:
+    if repetitions < 3:
+        raise ConfigError(f"benchmarks need >= 3 repetitions, got {repetitions}")
+
+
 def bench_detector(
     cube: RasterCube,
     detector: str,
@@ -255,8 +269,7 @@ def bench_detector(
     region covers exactly one full-scene detection. Wall time is the median
     over `repetitions` runs after one warm-up.
     """
-    if repetitions < 3:
-        raise DataError(f"benchmarks need >= 3 repetitions, got {repetitions}")
+    _check_repetitions(repetitions)
     detector = str(detector).lower()
     if detector in STATS_DETECTORS and stats is None:
         stats = compute_scene_stats(cube)
@@ -294,5 +307,4 @@ def render_bench_table(records: list[BenchRecord]) -> str:
         table.append(
             [app, record.model, _format_bytes(record.artifact_bytes), f"{record.single_input_seconds:.4f}"]
         )
-    widths = [max(len(row[i]) for row in table) for i in range(4)]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table)
+    return _render_columns(table)

@@ -62,6 +62,11 @@ def _check_max_boxes(max_boxes: int) -> None:
         raise ConfigError(f"max_boxes must be in [1, {MAX_DETECTION_BOXES}], got {max_boxes}")
 
 
+def _check_finite(name: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Application:
     """How one application turns a scene into a mask.
@@ -185,6 +190,10 @@ class PipelineConfig:
         if self.otsu_bins < 2:
             raise ConfigError("otsu_bins must be >= 2")
         _check_max_boxes(self.max_boxes)
+        if self.stretch is not None:
+            self.stretch.check_float32()
+        for name in ("fixed_threshold", "thermal_low", "thermal_high"):
+            _check_finite(name, getattr(self, name))
         if app.needs_target and self.target is None:
             raise ConfigError(
                 f"application {self.application!r} requires a target spectrum (--library and --target)"
@@ -231,6 +240,8 @@ class SummaryMessage:
         expected = self.positive_count / self.pixel_count if self.pixel_count else 0.0
         if not math.isclose(self.positive_fraction, expected, rel_tol=0.0, abs_tol=1e-12):
             raise DataError("positive_fraction must equal positive_count / pixel_count")
+        if not math.isfinite(self.threshold):
+            raise DataError(f"threshold must be finite, got {self.threshold}")
         if len(self.detection_boxes) > MAX_DETECTION_BOXES:
             raise DataError(f"at most {MAX_DETECTION_BOXES} detection boxes allowed")
         self.detection_boxes = [tuple(int(v) for v in box) for box in self.detection_boxes]
@@ -375,12 +386,12 @@ def parse_summary(path: str | Path) -> SummaryMessage:
     """Read back a summary written by :func:`emit_summary`.
 
     Raises:
-        FormatError: the file is not JSON, or its keys are not exactly the
-            summary's fields.
+        FormatError: the file is not JSON, its keys are not exactly the
+            summary's fields, or its values break a summary invariant.
     """
     try:
         return SummaryMessage(**json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, DataError) as exc:
         raise FormatError(f"malformed summary {path}: {exc}") from exc
 
 

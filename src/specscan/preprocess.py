@@ -36,6 +36,33 @@ class StretchParams:
                 f"({self.q_low_fraction}, {self.q_high_fraction})"
             )
 
+    def check_float32(self) -> None:
+        """Raise ConfigError unless float32 holds the stretched range and the nodata value.
+
+        :func:`stretch_band` works in float64 and takes any range;
+        :func:`stretch_cube` stores bands within ``[v_min, v_max]``, and
+        nodata below ``v_min``, as float32.
+        """
+        with np.errstate(over="ignore"):
+            nodata = self.nodata
+            stored = np.float32([nodata, self.v_max])
+        if not np.isfinite(stored).all():
+            raise ConfigError(
+                f"v_min ({self.v_min}) and v_max ({self.v_max}) must stretch to finite float32 values, "
+                f"nodata ({nodata}) included"
+            )
+
+    @property
+    def nodata(self) -> float:
+        """The value :func:`stretch_cube` writes for nodata pixels.
+
+        It is ``v_min - 1``, or the next float32 below ``v_min`` where that
+        is lower: above ``|v_min| = 2**24``, float32 can round ``v_min - 1``
+        onto ``v_min``, and a reload of the written cube would take valid
+        pixels stretched to ``v_min`` for nodata.
+        """
+        return min(self.v_min - 1.0, float(np.nextafter(np.float32(self.v_min), np.float32(-np.inf))))
+
 
 def band_quantiles(
     plane: NDArray[np.floating],
@@ -136,10 +163,14 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
     """Stretch every band independently with its own quantiles.
 
     Band metadata and validity are preserved. If the input declares nodata,
-    invalid pixels are written as ``v_min - 1``, or as the next float32 below
-    ``v_min`` where that is lower, and the output declares that value as its
-    nodata.
+    invalid pixels are written as ``params.nodata`` and the output declares
+    that value as its nodata.
+
+    Raises:
+        ConfigError: float32 cannot hold the stretched range or the nodata
+            value (:meth:`StretchParams.check_float32`).
     """
+    params.check_float32()
     fractions = (params.q_low_fraction, params.q_high_fraction)
     out = np.empty_like(cube.data)
     for i in range(cube.bands):
@@ -153,10 +184,7 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
         out[i] = stretched
     nodata = None
     if cube.nodata is not None:
-        # Above |v_min| = 2**24, float32 can round v_min - 1 onto v_min, and a
-        # reload of the written cube would take valid pixels stretched to
-        # v_min for nodata; the next float32 below v_min stays apart.
-        nodata = min(params.v_min - 1.0, float(np.nextafter(np.float32(params.v_min), np.float32(-np.inf))))
+        nodata = params.nodata
         out[:, ~cube.validity] = np.float32(nodata)
     # Passing the input's validity spares RasterCube a rescan for the sentinel.
     return RasterCube(data=out, band_meta=list(cube.band_meta), nodata=nodata, validity=cube.validity)

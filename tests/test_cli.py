@@ -105,6 +105,14 @@ class TestStretch:
         assert "specscan: error: v_min" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--v-max", "inf"], ["--v-min=-inf"], ["--v-max", "1e39"]], ids=" ".join)
+    def test_range_beyond_float32_is_usage_error_before_the_payload_is_read(self, capsys, scene_path, tmp_path, flags):
+        scene_path.with_suffix(".raw").unlink()
+        out = tmp_path / "stretched.json"
+        assert main(["stretch", "--cube", str(scene_path), "--out", str(out)] + flags) == 1
+        assert "finite float32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reload_keeps_validity_where_v_min_is_beyond_float32_integers(self, tmp_path):
         # float32(2**25 - 1) == float32(2**25): a v_min - 1 sentinel would
         # reload valid pixels stretched to v_min as nodata.
@@ -129,6 +137,15 @@ class TestLabel:
         assert (tmp_path / "ndwi_mask.pgm").exists()
         payload = json.loads(capsys.readouterr().out)
         assert payload["positive_count"] == 16 * 32
+
+    def test_ndwi_reports_zero_sum_pixels(self, capsys, tmp_path):
+        cube = water_scene()
+        data = cube.data.copy()
+        data[[1, 3], 4, 7] = 0.0  # green and nir
+        scene = tmp_path / "zero.json"
+        save_cube(RasterCube(data=data, band_meta=cube.band_meta), scene)
+        assert main(["label", "ndwi", "--cube", str(scene), "--out", str(tmp_path / "ndwi"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["flagged_pixels"] == 1
 
     def test_ndwi_without_otsu_writes_no_mask(self, scene_path, tmp_path):
         prefix = tmp_path / "plain"
@@ -276,6 +293,18 @@ class TestBinarizeEvalCompare:
         assert payload["max_abs_error"] == 0.0
 
 
+    def test_compare_paths_bins_below_one_is_usage_error_before_any_read(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(
+            ["compare-paths", "--a", str(tmp_path / "missing.json"), "--b", str(tmp_path / "missing.json"),
+             "--bins", "0", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "at least 1 bin" in err and "missing" not in err
+        assert not out.exists()
+
+
 class TestBenchCli:
     def test_small_bench_table(self, capsys, tmp_path):
         out = tmp_path / "bench.json"
@@ -288,6 +317,23 @@ class TestBenchCli:
         assert table.splitlines()[0].startswith("Application")
         records = json.loads(out.read_text())
         assert [r["model"] for r in records] == ["SAM", "MF", "RX"]
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--repetitions", "2"], "3 repetitions"),
+            (["--width", "0"], "--width"),
+            (["--height", "0"], "--height"),
+            (["--bands", "0"], "--bands"),
+        ],
+        ids=["repetitions", "width", "height", "bands"],
+    )
+    def test_usage_errors_exit_one(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--width", "8", "--height", "8", "--bands", "4", "--out", str(out)] + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineCli:
@@ -407,8 +453,17 @@ class TestPipelineCli:
             ("surface_water", ["--max-boxes", "0"], "max_boxes"),
             ("surface_water", ["--jobs", "0"], "--jobs"),
             ("surface_water", ["--jobs", "-3"], "--jobs"),
+            ("surface_water", ["--threshold", "nan"], "fixed_threshold must be finite"),
+            ("surface_water", ["--threshold=-inf"], "fixed_threshold must be finite"),
+            ("thermal", ["--low", "nan"], "thermal_low must be finite"),
+            ("surface_water", ["--v-max", "inf"], "finite float32"),
+            ("surface_water", ["--v-min=-inf"], "finite float32"),
+            ("surface_water", ["--v-max", "1e39"], "finite float32"),
         ],
-        ids=["thermal-threshold", "mf-without-target", "v-range", "quantiles", "no-boxes", "jobs-0", "jobs-negative"],
+        ids=[
+            "thermal-threshold", "mf-without-target", "v-range", "quantiles", "no-boxes", "jobs-0", "jobs-negative",
+            "nan-threshold", "infinite-threshold", "nan-low", "infinite-v-max", "infinite-v-min", "v-max-beyond-float32",
+        ],
     )
     def test_config_errors_come_before_the_payload_is_read(self, capsys, tmp_path, application, flags, message):
         scene = tmp_path / "w.json"
@@ -543,6 +598,19 @@ class TestSummaryCli:
         err = capsys.readouterr().err
         assert "specscan: error:" in err and "max_boxes" in err
         assert "cannot read mask" not in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error_before_the_mask_is_read(self, capsys, tmp_path, threshold):
+        out = tmp_path / "sum.json"
+        code = main(
+            ["summary", "--mask", str(tmp_path / "missing.pgm"), "--scene-id", "s9",
+             "--application", "clouds", "--out", str(out), f"--threshold={threshold}"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "threshold must be finite" in err and "cannot read mask" not in err
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from specscan import (
     BinaryMask,
+    ConfigError,
     DataError,
     ScoreMap,
     TargetSpectrum,
@@ -105,6 +106,11 @@ class TestComparePaths:
         with pytest.raises(DataError, match="kinds"):
             compare_paths(a, b)
 
+    def test_bins_below_one_is_a_config_error(self):
+        scores = ScoreMap(data=np.zeros((2, 2)), score_kind="RX")
+        with pytest.raises(ConfigError, match="at least 1 bin"):
+            compare_paths(scores, scores, bins=0)
+
     def test_histogram_covers_all_samples(self):
         rng = np.random.default_rng(3)
         a = ScoreMap(data=rng.random((10, 10)), score_kind="HOT")
@@ -182,7 +188,7 @@ class TestBench:
     def test_repetition_floor(self):
         rng = np.random.default_rng(14)
         cube = random_cube(rng, bands=3, height=4, width=4, roles=False)
-        with pytest.raises(DataError, match="3"):
+        with pytest.raises(ConfigError, match="3"):
             bench_detector(cube, "rx", repetitions=2)
 
     def test_bench_table_schema(self):

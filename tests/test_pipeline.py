@@ -13,6 +13,7 @@ from specscan import (
     PipelineConfig,
     RasterCube,
     StageError,
+    StretchParams,
     SummaryMessage,
     TargetSpectrum,
     build_summary,
@@ -237,6 +238,16 @@ class TestSummaryMessage:
                 version="v",
             )
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_threshold_must_be_finite(self, tmp_path, threshold):
+        with pytest.raises(DataError, match="threshold must be finite"):
+            SummaryMessage(**{**vars(self.make_message()), "threshold": threshold})
+        payload = json.loads(summary_to_bytes(self.make_message()))
+        payload["threshold"] = threshold
+        (tmp_path / "sum.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match="threshold must be finite"):
+            parse_summary(tmp_path / "sum.json")
+
     def test_build_summary_counts(self):
         data = np.zeros((10, 10), dtype=np.uint8)
         data[2:4, 2:4] = 1
@@ -445,8 +456,18 @@ class TestRunPipeline:
             ({"max_boxes": 0}, "max_boxes"),
             ({"max_boxes": MAX_DETECTION_BOXES + 1}, "max_boxes"),
             ({"application": "thermal", "thermal_low": 0.7, "thermal_high": 0.2}, "exceeds"),
+            ({"fixed_threshold": float("nan")}, "fixed_threshold must be finite"),
+            ({"fixed_threshold": float("-inf")}, "fixed_threshold must be finite"),
+            ({"application": "thermal", "thermal_low": float("nan")}, "thermal_low must be finite"),
+            ({"application": "thermal", "thermal_high": float("inf")}, "thermal_high must be finite"),
+            ({"stretch": StretchParams(v_max=1e39)}, "finite float32"),
+            ({"stretch": StretchParams(v_min=float(np.finfo(np.float32).min))}, "finite float32"),
         ],
-        ids=["application", "hot-mode", "precision", "otsu-bins", "no-boxes", "too-many-boxes", "inverted-window"],
+        ids=[
+            "application", "hot-mode", "precision", "otsu-bins", "no-boxes", "too-many-boxes", "inverted-window",
+            "nan-threshold", "infinite-threshold", "nan-low", "infinite-high", "v-max-beyond-float32",
+            "nodata-beyond-float32",
+        ],
     )
     def test_invalid_config(self, fields, message):
         config = PipelineConfig(**{"application": "surface_water", **fields})

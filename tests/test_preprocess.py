@@ -27,6 +27,16 @@ class TestStretchParams:
         with pytest.raises(ConfigError):
             StretchParams(q_low_fraction=0.9, q_high_fraction=0.1)
 
+    @pytest.mark.parametrize(
+        "v_min, v_max",
+        [(0.0, np.inf), (-np.inf, 1.0), (0.0, 1e39), (-1e39, 0.0), (float(np.finfo(np.float32).min), 0.0)],
+    )
+    def test_stretch_cube_needs_a_float32_range_and_nodata(self, v_min, v_max):
+        # float32's lowest value has no float32 below it for the nodata value.
+        cube = RasterCube(data=np.arange(8, dtype=np.float32).reshape(2, 2, 2), nodata=7.0)
+        with pytest.raises(ConfigError, match="finite float32"):
+            stretch_cube(cube, StretchParams(v_min=v_min, v_max=v_max))
+
 
 class TestBandQuantiles:
     def test_hundred_values(self):
