@@ -175,7 +175,13 @@ class BinaryMask:
         data = np.asarray(self.data)
         if data.ndim != 2 or min(data.shape) < 1:
             raise DataError(f"mask data must be 2-D and non-empty, got shape {data.shape}")
-        if not np.isin(data, (0, 1)).all():
+        # A bool array holds only 0 and 1 by type and an integer one when its
+        # range does; only other types are checked value by value.
+        if np.issubdtype(data.dtype, np.integer):
+            binary = (data.dtype.kind == "u" or data.min() >= 0) and data.max() <= 1
+        else:
+            binary = data.dtype == bool or np.isin(data, (0, 1)).all()
+        if not binary:
             raise DataError("mask values must be 0 or 1")
         self.data = data.astype(np.uint8)
 
@@ -435,15 +441,18 @@ def load_mask(path: str | Path) -> BinaryMask:
         raise FormatError(f"malformed PGM header in {path}") from exc
     if maxval != 255:
         raise FormatError(f"mask PGM must use maxval 255, got {maxval}")
+    if min(width, height) < 1:
+        raise FormatError(f"mask dimensions must be >= 1, got {width}x{height}")
     payload = buf[end + 1 :]
     if len(payload) != width * height:
         raise FormatError(
             f"mask payload holds {len(payload)} bytes, header implies {width * height}"
         )
-    values = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    if not np.isin(values, (0, 255)).all():
+    # Read as int8, 255 is -1: the payload is binary when its range is [-1, 0].
+    values = np.frombuffer(payload, dtype=np.int8).reshape(height, width)
+    if values.min() < -1 or values.max() > 0:
         raise FormatError(f"mask {path} contains values other than 0 and 255")
-    return BinaryMask(data=(values == 255).astype(np.uint8))
+    return BinaryMask(data=values < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,30 @@ Three per-pixel detectors over band space:
   ``(x - mean)' C^-1 (x - mean)``.
 
 The covariance inverse is never formed explicitly: a lower-triangular
-Cholesky factor of the (ridge-regularized when needed) covariance is stored
-in :class:`SceneStats` and every quadratic form goes through triangular
-solves. Statistics accumulate in double precision in a fixed order; per-pixel
-map kernels run in a configurable working precision, single by default, to
-mirror accelerator arithmetic against a double-precision reference path.
-Scalar ``mf`` and ``rx`` are one-pixel float64 calls of the map kernel.
-Scalar ``sam`` is the reference the SAM map is tested against: the map's row
-norms can differ from ``np.linalg.norm`` in the last bit, so it does not
-return exactly 0 for identical spectra.
+Cholesky factor L of the (ridge-regularized when needed) covariance is stored
+in :class:`SceneStats`, and the detectors whiten with the inverse of that
+factor, formed once per map by forward substitution. ``rx`` is the column sum
+of squares of ``L^-1 (x - mean)``; ``mf`` folds both whitening steps into one
+weight vector ``L^-T L^-1 (t - mean) / |L^-1 (t - mean)|^2`` and needs no
+per-pixel whitening. Statistics accumulate in double precision in a fixed
+order; per-pixel map kernels run in a configurable working precision, single
+by default, to mirror accelerator arithmetic against a double-precision
+reference path.
+
+The cube is band-sequential, so its data reshaped to (bands, pixels) is
+already the band matrix the kernels read. Statistics and maps walk it in
+fixed-order column tiles of ``_TILE_PIXELS`` pixels, so their working memory
+is bounded by the tile, not the scene, and the bits do not depend on the
+BLAS thread count. Scalar ``mf`` and ``rx`` are one-pixel float64 calls of
+the tile kernel. Scalar ``sam`` is the reference the SAM map is tested
+against: the map's pixel norms can differ from ``np.linalg.norm`` in the last
+bit, so it does not return exactly 0 for identical spectra.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +53,9 @@ PRECISIONS = ("single", "double")
 _RIDGE_BASE_FRACTION = 1e-6
 _RIDGE_MAX_FRACTION = 1e-2
 _RIDGE_ABS_FLOOR = 1e-12  # engaged only when trace(cov) == 0 (constant scene)
+# Pixels per column tile of the (bands, pixels) matrix. Detector times are
+# flat from 8k to 64k pixels; the working memory grows with the tile.
+_TILE_PIXELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -137,17 +150,45 @@ def scene_stats_from_moments(
     return SceneStats(mean=mean, covariance=cov, factor_lower=factor, ridge=ridge, pixel_count=pixel_count)
 
 
+def _centered_tiles(
+    matrix: NDArray[np.float32],
+    offset: NDArray[np.floating],
+    dtype: type,
+    valid: NDArray[np.bool_] | None = None,
+):
+    """Yield (columns, tile) over the column tiles of a (B, N) matrix, in order.
+
+    Each tile is its columns minus `offset`, in `dtype`, with the columns
+    that `valid` marks False set to zero. The tiles share one buffer, so each
+    is overwritten by the next.
+    """
+    n_pixels = matrix.shape[1]
+    buffer = np.empty((matrix.shape[0], min(n_pixels, _TILE_PIXELS)), dtype=dtype)
+    for start in range(0, n_pixels, _TILE_PIXELS):
+        cols = slice(start, min(start + _TILE_PIXELS, n_pixels))
+        tile = buffer[:, : cols.stop - start]
+        np.subtract(matrix[:, cols], offset[:, np.newaxis], out=tile)
+        if valid is not None:
+            np.copyto(tile, 0.0, where=~valid[cols])
+        yield cols, tile
+
+
 def compute_scene_stats(cube: RasterCube) -> SceneStats:
-    """Mean and population (1/N) covariance over a cube's valid pixels."""
-    pixels = cube.pixels().astype(np.float64)
-    if cube.validity is not None:
-        pixels = pixels[cube.validity.ravel()]
-    n_pixels = pixels.shape[0]
+    """Mean and population (1/N) covariance over a cube's valid pixels.
+
+    Two passes over float64 column tiles: the first sums them for the mean,
+    the second sums the centred cross-products. Invalid columns are set to
+    zero, not gathered out, so they add nothing to either sum.
+    """
+    matrix = cube.data.reshape(cube.bands, -1)
+    valid = None if cube.validity is None else cube.validity.ravel()
+    n_pixels = matrix.shape[1] if valid is None else int(np.count_nonzero(valid))
     if n_pixels < 2:
         raise ComputeError(f"scene statistics need >= 2 valid pixels, have {n_pixels}")
-    mean = pixels.mean(axis=0)
-    centered = pixels - mean
-    return scene_stats_from_moments(mean, centered.T @ centered / n_pixels, n_pixels)
+    tiles = _centered_tiles(matrix, np.zeros(cube.bands), np.float64, valid)
+    mean = sum(tile.sum(axis=1) for _, tile in tiles) / n_pixels
+    cross = sum(tile @ tile.T for _, tile in _centered_tiles(matrix, mean, np.float64, valid))
+    return scene_stats_from_moments(mean, cross / n_pixels, n_pixels)
 
 
 def _target_values(target: TargetSpectrum | Spectrum) -> NDArray[np.float64]:
@@ -176,27 +217,40 @@ def sam(x: Spectrum, y: Spectrum | TargetSpectrum) -> float:
     return 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
-def _whitened_scores(
-    pixels: NDArray[np.floating],
+def _inverse_factor(stats: SceneStats) -> NDArray[np.float64]:
+    """``L^-1`` of the stored Cholesky factor, lower triangular, by forward substitution."""
+    factor = stats.factor_lower
+    inverse = np.zeros_like(factor)
+    for i in range(factor.shape[0]):
+        inverse[i, : i + 1] = -(factor[i, :i] @ inverse[:i, : i + 1])
+        inverse[i, i] += 1.0
+        inverse[i, : i + 1] /= factor[i, i]
+    return inverse
+
+
+def _whitening_kernel(
     detector: str,
     target: TargetSpectrum | Spectrum | None,
     stats: SceneStats,
-) -> NDArray[np.float64]:
-    """``mf`` or ``rx`` scores of (N, B) spectra, computed in their dtype."""
-    # Imported here, not at module level, so that the applications that never
-    # whiten (clouds, surface_water, thermal, *_sam) never load scipy.
-    from scipy.linalg import solve_triangular
-
-    dtype = pixels.dtype
-    factor = stats.factor_lower.astype(dtype)
-    whitened = solve_triangular(factor, (pixels - stats.mean.astype(dtype)).T, lower=True)
+    dtype: type,
+) -> Callable[[NDArray[np.floating]], NDArray[np.floating]]:
+    """The ``mf`` or ``rx`` scores of a (B, T) tile of spectra minus the scene mean, in `dtype`."""
+    inverse = _inverse_factor(stats)
     if detector == "rx":
-        return np.einsum("ij,ij->j", whitened, whitened).astype(np.float64)
-    t_dev = (_target_values(target) - stats.mean).astype(dtype)
-    if not t_dev.any():
+        inverse = inverse.astype(dtype)
+
+        def rx_scores(centered):
+            whitened = inverse @ centered
+            return np.einsum("ij,ij->j", whitened, whitened)
+
+        return rx_scores
+    whitened_t = inverse @ (_target_values(target) - stats.mean)
+    energy = float(whitened_t @ whitened_t)
+    if energy == 0.0:
         raise ComputeError("matched filter is undefined when the target equals the scene mean")
-    whitened_t = solve_triangular(factor, t_dev, lower=True)
-    return ((whitened_t @ whitened) / np.dot(whitened_t, whitened_t)).astype(np.float64)
+    weights = (inverse.T @ whitened_t / energy).astype(dtype)
+    # einsum, not a BLAS matrix-vector product: its bits do not change with the thread count.
+    return lambda centered: np.einsum("i,ij->j", weights, centered)
 
 
 def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> float:
@@ -208,7 +262,7 @@ def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> flo
     t = _target_values(target)
     if x.shape != (stats.n_bands,) or t.shape != (stats.n_bands,):
         raise DataError(f"spectrum lengths must match the {stats.n_bands}-band statistics")
-    return float(_whitened_scores(x[np.newaxis], "mf", t, stats)[0])
+    return float(_whitening_kernel("mf", t, stats, np.float64)((x - stats.mean)[:, np.newaxis])[0])
 
 
 def rx(x: Spectrum, stats: SceneStats) -> float:
@@ -216,7 +270,7 @@ def rx(x: Spectrum, stats: SceneStats) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (stats.n_bands,):
         raise DataError(f"spectrum length {x.shape} must match the {stats.n_bands}-band statistics")
-    return float(_whitened_scores(x[np.newaxis], "rx", None, stats)[0])
+    return float(_whitening_kernel("rx", None, stats, np.float64)((x - stats.mean)[:, np.newaxis])[0])
 
 
 def detect_map(
@@ -245,7 +299,8 @@ def detect_map(
     if detector in STATS_DETECTORS and stats is None:
         stats = compute_scene_stats(cube)
 
-    pixels = cube.pixels().astype(dtype)
+    matrix = cube.data.reshape(cube.bands, -1)
+    scores = np.empty(matrix.shape[1])
     flags = None
 
     if detector == "sam":
@@ -256,25 +311,41 @@ def detect_map(
         norm_t = np.linalg.norm(t)
         if norm_t == 0.0:
             raise ComputeError("spectral angle is undefined for a zero target")
-        norms = np.sqrt(np.einsum("ij,ij->i", pixels, pixels))
-        zero = norms == 0.0
-        unit = pixels / np.where(zero, dtype(1.0), norms)[:, np.newaxis]
-        v = t / norm_t
-        diff = unit - v
-        total = unit + v
-        away = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        toward = np.sqrt(np.einsum("ij,ij->i", total, total))
-        scores = 2.0 * np.arctan2(away, toward)
-        scores[zero] = np.pi
-        scores = np.clip(scores.astype(np.float64), 0.0, math.pi)
+        unit_target = t / norm_t
+        zero = np.empty(matrix.shape[1], dtype=bool)
+        for cols, tile in _centered_tiles(matrix, np.zeros(cube.bands, dtype=dtype), dtype):
+            scores[cols], zero[cols] = _sam_tile(tile, unit_target)
         flags = zero.reshape(cube.height, cube.width) if zero.any() else None
     else:
         if stats.n_bands != cube.bands:
             raise DataError(f"statistics cover {stats.n_bands} bands, cube has {cube.bands}")
-        scores = _whitened_scores(pixels, detector, target, stats)
+        kernel = _whitening_kernel(detector, target, stats, dtype)
+        for cols, tile in _centered_tiles(matrix, stats.mean.astype(dtype), dtype):
+            scores[cols] = kernel(tile)
 
     return ScoreMap(
         data=scores.reshape(cube.height, cube.width),
         score_kind=detector.upper(),
         flags=flags,
     )
+
+
+def _sam_tile(
+    unit: NDArray[np.floating], unit_target: NDArray[np.floating]
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """Spectral angles of a (B, T) tile of spectra to a unit target, and its zero-norm pixels.
+
+    The same two-argument arctangent as :func:`sam`, in the tile's dtype,
+    with each pixel's sums taken over the bands in order; zero-norm pixels
+    score pi. The tile is overwritten.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", unit, unit))
+    zero = norms == 0.0
+    unit /= np.where(zero, unit.dtype.type(1.0), norms)
+    diff = unit - unit_target[:, np.newaxis]
+    unit += unit_target[:, np.newaxis]
+    away = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+    toward = np.sqrt(np.einsum("ij,ij->j", unit, unit))
+    scores = 2.0 * np.arctan2(away, toward)
+    scores[zero] = np.pi
+    return np.clip(scores.astype(np.float64), 0.0, math.pi), zero

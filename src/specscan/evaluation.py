@@ -200,8 +200,7 @@ class BenchRecord:
     repetitions: int
 
     def __post_init__(self):
-        if self.repetitions < 3:
-            raise DataError(f"benchmarks need >= 3 repetitions, got {self.repetitions}")
+        _check_repetitions(self.repetitions)
 
 
 def serialize_detector_params(

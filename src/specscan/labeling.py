@@ -146,13 +146,16 @@ def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written") -> Score
     """
     if mode not in HOT_MODES:
         raise ConfigError(f"unknown HOT mode {mode!r}; expected one of {HOT_MODES}")
-    blue = cube.plane("blue").astype(np.float64)
-    red = cube.plane("red").astype(np.float64)
     norm = math.sqrt(1.0 + line.slope * line.slope)
+    scores = np.multiply(cube.plane("blue"), line.slope, dtype=np.float64)
+    scores -= cube.plane("red")
     if mode == "as_written":
-        scores = np.abs(line.slope * blue - red) + line.intercept / norm
+        np.abs(scores, out=scores)
+        scores += line.intercept / norm
     else:
-        scores = np.abs(line.slope * blue - red + line.intercept) / norm
+        scores += line.intercept
+        np.abs(scores, out=scores)
+        scores /= norm
     return ScoreMap(data=scores, score_kind="HOT")
 
 
@@ -240,7 +243,7 @@ def binarize(scores: ScoreMap, threshold: float, polarity: str = "above") -> Bin
         labels = scores.data > threshold
     else:
         labels = scores.data < threshold
-    return BinaryMask(data=labels.astype(np.uint8))
+    return BinaryMask(data=labels)
 
 
 def band_threshold_label(scores: ScoreMap, low: float | None = None, high: float | None = None) -> BinaryMask:
@@ -258,4 +261,4 @@ def band_threshold_label(scores: ScoreMap, low: float | None = None, high: float
         labels &= scores.data >= low
     if high is not None:
         labels &= scores.data <= high
-    return BinaryMask(data=labels.astype(np.uint8))
+    return BinaryMask(data=labels)

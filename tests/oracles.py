@@ -258,3 +258,35 @@ def ndwi_where(green, nir):
     zero = total == 0.0
     scores = np.where(zero, 0.0, (green - nir) / np.where(zero, 1.0, total))
     return np.clip(scores, -1.0, 1.0), zero
+
+
+def hot_float64(blue, red, slope, intercept, mode):
+    """HOT from float64 copies of the planes, one full-size temporary per operation."""
+    blue = np.asarray(blue).astype(np.float64)
+    red = np.asarray(red).astype(np.float64)
+    norm = math.sqrt(1.0 + slope * slope)
+    if mode == "as_written":
+        return np.abs(slope * blue - red) + intercept / norm
+    return np.abs(slope * blue - red + intercept) / norm
+
+
+def sam_map_whole(cube, target, dtype):
+    """SAM map of a cube from one (N, B) copy of all its spectra in `dtype`.
+
+    Zero-norm pixels score pi. Returns the float64 angles clipped into
+    [0, pi] and the zero-norm flags, both flat.
+    """
+    pixels = cube.pixels().astype(dtype)
+    t = np.asarray(target, dtype=np.float64).astype(dtype)
+    norm_t = np.linalg.norm(t)
+    norms = np.sqrt(np.einsum("ij,ij->i", pixels, pixels))
+    zero = norms == 0.0
+    unit = pixels / np.where(zero, dtype(1.0), norms)[:, np.newaxis]
+    v = t / norm_t
+    diff = unit - v
+    total = unit + v
+    away = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    toward = np.sqrt(np.einsum("ij,ij->i", total, total))
+    scores = 2.0 * np.arctan2(away, toward)
+    scores[zero] = np.pi
+    return np.clip(scores.astype(np.float64), 0.0, math.pi), zero

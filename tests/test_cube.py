@@ -244,6 +244,50 @@ class TestInvariants:
         with pytest.raises(DataError, match="0 or 1"):
             BinaryMask(data=np.array([[0, 2]], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[0, 1, 255]], dtype=np.uint8),
+            np.array([[1, 0, 2]], dtype=np.uint16),
+            np.array([[0, -1]], dtype=np.int8),
+            np.array([[1, -128]], dtype=np.int8),
+            np.array([[0, 1], [1, 2]], dtype=np.int64),
+            np.array([[0, -(2**40)]], dtype=np.int64),
+            np.array([[0.0, 0.5]]),
+            np.array([[1.0, np.nan]]),
+            np.array([[0.0, -1.0]], dtype=np.float32),
+            np.array([["0", "1"]]),
+        ],
+        ids=["uint8-255", "uint16-2", "int8-minus-1", "int8-minimum", "int64-2", "int64-large-negative",
+             "float-half", "float-nan", "float32-minus-1", "strings"],
+    )
+    def test_mask_rejects_every_value_but_0_and_1(self, values):
+        with pytest.raises(DataError, match="0 or 1"):
+            BinaryMask(data=values)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 2), (0, 3), (3, 0)])
+    def test_mask_must_be_2d_and_non_empty(self, shape):
+        with pytest.raises(DataError, match="2-D and non-empty"):
+            BinaryMask(data=np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[True, False]]),
+            np.array([[0, 1]], dtype=np.uint8),
+            np.array([[1, 0]], dtype=np.int8),
+            np.array([[0, 1]], dtype=np.int64),
+            np.array([[1, 0]], dtype=np.uint64),
+            np.array([[1.0, -0.0]]),
+            [[0, 1]],
+        ],
+        ids=["bool", "uint8", "int8", "int64", "uint64", "float", "list"],
+    )
+    def test_mask_accepts_0_and_1_of_any_type_as_uint8(self, values):
+        mask = BinaryMask(data=values)
+        assert mask.data.dtype == np.uint8
+        assert mask.data.tolist() == (np.asarray(values) != 0).astype(np.uint8).tolist()
+
     def test_score_map_ranges(self):
         with pytest.raises(DataError, match="NDWI"):
             ScoreMap(data=np.array([[1.5]]), score_kind="NDWI")
@@ -284,6 +328,36 @@ class TestMaskPgm:
         (tmp_path / "gray.pgm").write_bytes(b"P5\n2 1\n255\n" + bytes([0, 7]))
         with pytest.raises(FormatError, match="other than"):
             load_mask(tmp_path / "gray.pgm")
+
+    def test_every_byte_but_0_and_255_rejected(self, tmp_path):
+        for value in range(256):
+            (tmp_path / "one.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([255, 0, value, 0]))
+            if value in (0, 255):
+                assert load_mask(tmp_path / "one.pgm").data.tolist() == [[1, 0], [value // 255, 0]]
+            else:
+                with pytest.raises(FormatError, match="other than"):
+                    load_mask(tmp_path / "one.pgm")
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (b"P5\n2 1\n15\n", "maxval 255"),
+            (b"P5\n2 1\n", "malformed PGM header"),
+            (b"P5\n2 x\n255\n", "malformed PGM header"),
+            (b"P5\n0 1\n255\n", "dimensions must be >= 1"),
+            (b"P5\n3 0\n255\n", "dimensions must be >= 1"),
+            (b"P5\n3 1\n255\n", "header implies 3"),
+        ],
+        ids=["maxval", "truncated-header", "non-integer-height", "zero-width", "zero-height", "short-payload"],
+    )
+    def test_malformed_files_rejected(self, tmp_path, header, match):
+        (tmp_path / "bad.pgm").write_bytes(header + bytes([0, 255]))
+        with pytest.raises(FormatError, match=match):
+            load_mask(tmp_path / "bad.pgm")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read mask"):
+            load_mask(tmp_path / "absent.pgm")
 
 
 class TestScoreMapIO:

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -317,3 +323,134 @@ class TestDetectMap:
             assert mf_map[i] == pytest.approx(mf(spectra[i], target, stats), rel=1e-12, abs=1e-12)
             assert rx_map[i] == pytest.approx(rx(spectra[i], stats), rel=1e-12, abs=1e-12)
             assert sam_map[i] == pytest.approx(sam(spectra[i], target), rel=1e-12, abs=1e-12)
+
+
+def nodata_scene(rng, bands, height, width, invalid=()):
+    """Random cube whose pixels at the flat indices `invalid` hold the nodata value."""
+    pixels = rng.random((height * width, bands))
+    pixels[list(invalid), 0] = -1.0
+    return cube_from_pixels(pixels, width=width, nodata=-1.0 if len(invalid) else None)
+
+
+class TestTiles:
+    """Statistics and maps over pixel tiles, with the tile made small."""
+
+    @pytest.mark.parametrize("tile", [2, 7, 64, 10_000])
+    @pytest.mark.parametrize("nodata", [False, True], ids=["validity-none", "nodata"])
+    def test_stats_match_bruteforce(self, monkeypatch, tile, nodata):
+        monkeypatch.setattr("specscan.detectors._TILE_PIXELS", tile)
+        rng = np.random.default_rng(91)
+        # 150 pixels: not a multiple of 7 or 64, and fewer than one tile of 10,000
+        invalid = rng.choice(150, size=40, replace=False) if nodata else ()
+        cube = nodata_scene(rng, 5, 10, 15, invalid)
+        stats = compute_scene_stats(cube)
+        valid_pixels = np.delete(cube.pixels().astype(np.float64), np.asarray(invalid, dtype=int), axis=0)
+        mean, cov = covariance_bruteforce(valid_pixels)
+        assert stats.pixel_count == 150 - len(invalid)
+        np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(stats.covariance, cov, rtol=1e-12, atol=1e-15)
+
+    def test_tile_with_no_valid_pixel(self, monkeypatch):
+        monkeypatch.setattr("specscan.detectors._TILE_PIXELS", 10)
+        rng = np.random.default_rng(92)
+        invalid = list(range(10, 30)) + [55]   # the second and third tiles are all nodata
+        cube = nodata_scene(rng, 4, 6, 10, invalid)
+        stats = compute_scene_stats(cube)
+        valid_pixels = np.delete(cube.pixels().astype(np.float64), invalid, axis=0)
+        mean, cov = covariance_bruteforce(valid_pixels)
+        assert stats.pixel_count == 39
+        np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(stats.covariance, cov, rtol=1e-12, atol=1e-15)
+        inverse = gauss_jordan_inverse(stats.covariance)
+        rx_map = detect_map(cube, "rx", stats=stats, precision="double").data.ravel()
+        for i in (0, 10, 29, 55, 59):
+            assert rx_map[i] == pytest.approx(rx_bruteforce(cube.pixels()[i], stats.mean, inverse), rel=1e-9)
+
+    def test_one_valid_pixel_is_too_few(self, monkeypatch):
+        monkeypatch.setattr("specscan.detectors._TILE_PIXELS", 4)
+        cube = nodata_scene(np.random.default_rng(93), 3, 3, 5, invalid=[i for i in range(15) if i != 6])
+        with pytest.raises(ComputeError, match="have 1"):
+            compute_scene_stats(cube)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("tile", [2, 7, 64, 10_000])
+    def test_maps_do_not_depend_on_the_tile(self, monkeypatch, precision, tile):
+        rng = np.random.default_rng(94)
+        cube = nodata_scene(rng, 6, 20, 9, invalid=range(0, 180, 11))
+        target = rng.random(6) + 0.1
+        stats = compute_scene_stats(cube)
+        maps = {}
+        for patched in (None, tile):
+            if patched is not None:
+                monkeypatch.setattr("specscan.detectors._TILE_PIXELS", patched)
+            maps[patched] = {
+                "sam": detect_map(cube, "sam", target=target, precision=precision),
+                "mf": detect_map(cube, "mf", target=target, stats=stats, precision=precision),
+                "rx": detect_map(cube, "rx", stats=stats, precision=precision),
+            }
+        whole, tiled = maps[None], maps[tile]
+        # sam and mf sum each pixel over the bands alone; rx goes through a matrix product
+        assert whole["sam"].data.tobytes() == tiled["sam"].data.tobytes()
+        assert whole["mf"].data.tobytes() == tiled["mf"].data.tobytes()
+        rtol = 1e-5 if precision == "single" else 1e-12
+        np.testing.assert_allclose(tiled["rx"].data, whole["rx"].data, rtol=rtol)
+
+    @pytest.mark.parametrize("tile", [3, 64])
+    def test_maps_match_the_explicit_inverse_oracle(self, monkeypatch, tile):
+        monkeypatch.setattr("specscan.detectors._TILE_PIXELS", tile)
+        rng = np.random.default_rng(95)
+        cube = nodata_scene(rng, 5, 13, 11, invalid=range(5, 143, 4))
+        stats = compute_scene_stats(cube)
+        inverse = gauss_jordan_inverse(stats.covariance + stats.ridge * np.eye(5))
+        target = rng.random(5) + 0.2
+        mf_map = detect_map(cube, "mf", target=target, stats=stats, precision="double").data.ravel()
+        rx_map = detect_map(cube, "rx", stats=stats, precision="double").data.ravel()
+        for spectrum, mf_score, rx_score in zip(cube.pixels(), mf_map, rx_map):
+            assert mf_score == pytest.approx(mf_bruteforce(spectrum, target, stats.mean, inverse), rel=1e-9, abs=1e-12)
+            assert rx_score == pytest.approx(rx_bruteforce(spectrum, stats.mean, inverse), rel=1e-9, abs=1e-12)
+
+
+# Prints one digest of the scene statistics and of every detector map in both
+# precisions, on a 256 x 256 x 32 scene with a nodata border.
+_DIGEST_PROBE = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from specscan import RasterCube, compute_scene_stats, detect_map
+rng = np.random.default_rng(2024)
+data = rng.random((32, 256, 256), dtype=np.float32)
+data[:, :, :8] = -1.0
+cube = RasterCube(data=data, nodata=-1.0)
+target = rng.random(32) + 0.1
+stats = compute_scene_stats(cube)
+digest = hashlib.sha256()
+for part in (stats.mean, stats.covariance, stats.factor_lower, np.float64(stats.ridge)):
+    digest.update(part.tobytes())
+for precision in ("single", "double"):
+    for detector, kwargs in (("rx", {}), ("mf", {"target": target}), ("sam", {"target": target})):
+        digest.update(detect_map(cube, detector, stats=stats, precision=precision, **kwargs).data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_PROBE, src], env=env, check=True, capture_output=True, text=True
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_rx_map_peaks_below_the_cube_size():
+    cube = random_cube(np.random.default_rng(96), bands=32, height=256, width=256, roles=False)
+    tracemalloc.start()
+    try:
+        detect_map(cube, "rx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.data.nbytes

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specscan import (
+    BenchRecord,
     BinaryMask,
     ConfigError,
     DataError,
@@ -190,6 +191,12 @@ class TestBench:
         cube = random_cube(rng, bands=3, height=4, width=4, roles=False)
         with pytest.raises(ConfigError, match="3"):
             bench_detector(cube, "rx", repetitions=2)
+
+    @pytest.mark.parametrize("repetitions", [2, 0, -1])
+    def test_record_has_the_same_repetition_floor(self, repetitions):
+        with pytest.raises(ConfigError, match="3"):
+            BenchRecord("a/rx", "a", "RX", 10, 0.1, "4x4x3", repetitions)
+        assert BenchRecord("a/rx", "a", "RX", 10, 0.1, "4x4x3", 3).repetitions == 3
 
     def test_bench_table_schema(self):
         rng = np.random.default_rng(15)

@@ -2,7 +2,7 @@
 
 Each reference in ``oracles.py`` is the formula the kernel used before it
 was rewritten to partition instead of sort, bin by floor instead of binary
-search, or work in place. The rewrites promise the same bits, so every
+search, work in place, or walk the cube in pixel tiles. The rewrites promise the same bits, so every
 comparison here is exact.
 """
 
@@ -11,14 +11,26 @@ import itertools
 import numpy as np
 import pytest
 
-from specscan import StretchParams, band_quantiles, fit_clear_sky_line, ndwi, stretch_band
+from specscan import (
+    ClearSkyLine,
+    RasterCube,
+    StretchParams,
+    band_quantiles,
+    detect_map,
+    fit_clear_sky_line,
+    hot,
+    ndwi,
+    stretch_band,
+)
 from specscan.labeling import _OTSU_CHUNK, _otsu_bins
 from conftest import cube_from_planes
 from oracles import (
     clear_sky_line_argsort,
+    hot_float64,
     ndwi_where,
     otsu_bins_searchsorted,
     quantiles_numpy,
+    sam_map_whole,
     stretch_band_masks,
 )
 
@@ -256,3 +268,94 @@ class TestNdwi:
         scores = ndwi(cube_from_planes({"green": green, "nir": nir}))
         assert scores.flags is None
         assert_same_bits(scores.data, ndwi_where(green, nir)[0])
+
+
+class TestHot:
+    @pytest.mark.parametrize("mode", ["as_written", "point_line_distance"])
+    def test_random_planes_and_lines(self, mode):
+        rng = np.random.default_rng(61)
+        for shape in [(1, 1), (3, 5), (64, 64), (257, 129)]:
+            blue = rng.uniform(-0.5, 2.0, size=shape).astype(np.float32)
+            red = rng.normal(size=shape).astype(np.float32)
+            red[0, 0] = blue[0, 0] = 0.0
+            cube = cube_from_planes({"blue": blue, "red": red})
+            for slope, intercept in [(0.0, 0.0), (1.0, -0.25), (-3.7, 1e-3), (1e-9, 5.0), (2.5e4, -1e6)]:
+                line = ClearSkyLine(slope=slope, intercept=intercept, n_fit_points=2, fit_residual_rms=0.0)
+                expected = hot_float64(blue, red, slope, intercept, mode)
+                assert_same_bits(hot(cube, line, mode).data, expected)
+
+    @pytest.mark.parametrize("mode", ["as_written", "point_line_distance"])
+    def test_fitted_line_on_a_scene(self, mode):
+        rng = np.random.default_rng(62)
+        blue = rng.gamma(2.0, 0.1, size=(120, 90)).astype(np.float32)
+        red = (0.8 * blue + rng.normal(scale=0.05, size=blue.shape)).astype(np.float32)
+        cube = cube_from_planes({"blue": blue, "red": red})
+        line = fit_clear_sky_line(cube)
+        expected = hot_float64(blue, red, line.slope, line.intercept, mode)
+        assert_same_bits(hot(cube, line, mode).data, expected)
+
+    def test_planes_are_not_modified(self):
+        rng = np.random.default_rng(63)
+        cube = cube_from_planes({"blue": rng.random((9, 9)), "red": rng.random((9, 9))})
+        before = cube.data.copy()
+        hot(cube, ClearSkyLine(slope=1.5, intercept=0.1, n_fit_points=2, fit_residual_rms=0.0))
+        assert_same_bits(cube.data, before)
+
+
+class TestSamMap:
+    @staticmethod
+    def scene(rng, bands, height, width):
+        """Normal spectra with zero, tiny and huge pixels, so that both precisions flag some."""
+        data = rng.normal(size=(bands, height, width)).astype(np.float32)
+        data[:, 0, :3] = 0.0
+        data[:, -1, -1] = -0.0
+        data[:, 1, 1] = 1e-25     # squares underflow in float32, not in float64
+        data[:, 1, 2] = 3e37
+        data[0, 2, 0] = 0.0
+        return RasterCube(data=data)
+
+    @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
+    @pytest.mark.parametrize("tile", [None, 2, 5, 64, 1 << 20])
+    def test_tiled_map_equals_the_whole_scene_formula(self, monkeypatch, precision, dtype, tile):
+        if tile is not None:
+            monkeypatch.setattr("specscan.detectors._TILE_PIXELS", tile)
+        rng = np.random.default_rng(71)
+        # 321 pixels leave one column after the last whole tile of 2, 5 and 64
+        for bands, height, width in [(2, 3, 4), (5, 3, 107), (48, 40, 41)]:
+            cube = self.scene(rng, bands, height, width)
+            target = rng.normal(size=bands)
+            expected, zero = sam_map_whole(cube, target, dtype)
+            got = detect_map(cube, "sam", target=target, precision=precision)
+            assert_same_bits(got.data.ravel(), expected)
+            assert zero.sum() >= 4
+            assert_same_bits(got.flags.ravel(), zero)
+
+    @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
+    def test_one_pixel_scenes(self, precision, dtype):
+        rng = np.random.default_rng(74)
+        for bands in (1, 2, 7, 48):
+            for spectrum in (rng.normal(size=bands), np.zeros(bands)):
+                cube = RasterCube(data=spectrum.astype(np.float32).reshape(bands, 1, 1))
+                target = rng.normal(size=bands)
+                expected, zero = sam_map_whole(cube, target, dtype)
+                got = detect_map(cube, "sam", target=target, precision=precision)
+                assert_same_bits(got.data.ravel(), expected)
+                assert (got.flags is not None) == bool(zero[0])
+
+    def test_default_tile_on_a_scene_of_several_tiles(self):
+        rng = np.random.default_rng(72)
+        cube = self.scene(rng, 6, 3, 10923)     # 32,769 pixels: two whole tiles and one column
+        target = rng.uniform(0.1, 1.0, size=6)
+        for precision, dtype in [("single", np.float32), ("double", np.float64)]:
+            expected, zero = sam_map_whole(cube, target, dtype)
+            got = detect_map(cube, "sam", target=target, precision=precision)
+            assert_same_bits(got.data.ravel(), expected)
+            assert_same_bits(got.flags.ravel(), zero)
+
+    def test_no_zero_norm_pixel_sets_no_flags(self):
+        rng = np.random.default_rng(73)
+        cube = RasterCube(data=rng.uniform(0.1, 1.0, size=(4, 10, 10)).astype(np.float32))
+        target = rng.random(4)
+        got = detect_map(cube, "sam", target=target)
+        assert got.flags is None
+        assert_same_bits(got.data.ravel(), sam_map_whole(cube, target, np.float32)[0])
