@@ -11,24 +11,22 @@ Three per-pixel detectors over band space:
   ``(x - mean)' C^-1 (x - mean)``.
 
 The covariance inverse is never formed explicitly: a lower-triangular
-Cholesky factor L of the (ridge-regularized when needed) covariance is stored
-in :class:`SceneStats`, and the detectors whiten with the inverse of that
-factor, formed once per map by forward substitution. ``rx`` is the column sum
-of squares of ``L^-1 (x - mean)``; ``mf`` folds both whitening steps into one
-weight vector ``L^-T L^-1 (t - mean) / |L^-1 (t - mean)|^2`` and needs no
-per-pixel whitening. Statistics accumulate in double precision in a fixed
-order; per-pixel map kernels run in a configurable working precision, single
-by default, to mirror accelerator arithmetic against a double-precision
-reference path.
+Cholesky factor of the (ridge-regularized when needed) covariance is stored
+in :class:`SceneStats` and every quadratic form goes through triangular
+solves. Statistics accumulate in double precision in a fixed order; per-pixel
+map kernels run in a configurable working precision, single by default, to
+mirror accelerator arithmetic against a double-precision reference path.
 
 The cube is band-sequential, so its data reshaped to (bands, pixels) is
 already the band matrix the kernels read. Statistics and maps walk it in
 fixed-order column tiles of ``_TILE_PIXELS`` pixels, so their working memory
-is bounded by the tile, not the scene, and the bits do not depend on the
-BLAS thread count. Scalar ``mf`` and ``rx`` are one-pixel float64 calls of
-the tile kernel. Scalar ``sam`` is the reference the SAM map is tested
-against: the map's pixel norms can differ from ``np.linalg.norm`` in the last
-bit, so it does not return exactly 0 for identical spectra.
+is bounded by the tile, not the scene. A tile's ``mf`` and ``rx`` scores are
+the triangular solve, sum of squares and matrix-vector product that scored a
+whole scene before the maps were tiled, applied to the tile's columns.
+Scalar ``mf`` and ``rx`` are one-pixel float64 calls of the tile kernel.
+Scalar ``sam`` is the reference the SAM map is tested against: the map's
+pixel norms can differ from ``np.linalg.norm`` in the last bit, so it does
+not return exactly 0 for identical spectra.
 """
 
 from __future__ import annotations
@@ -217,17 +215,6 @@ def sam(x: Spectrum, y: Spectrum | TargetSpectrum) -> float:
     return 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
-def _inverse_factor(stats: SceneStats) -> NDArray[np.float64]:
-    """``L^-1`` of the stored Cholesky factor, lower triangular, by forward substitution."""
-    factor = stats.factor_lower
-    inverse = np.zeros_like(factor)
-    for i in range(factor.shape[0]):
-        inverse[i, : i + 1] = -(factor[i, :i] @ inverse[:i, : i + 1])
-        inverse[i, i] += 1.0
-        inverse[i, : i + 1] /= factor[i, i]
-    return inverse
-
-
 def _whitening_kernel(
     detector: str,
     target: TargetSpectrum | Spectrum | None,
@@ -235,22 +222,24 @@ def _whitening_kernel(
     dtype: type,
 ) -> Callable[[NDArray[np.floating]], NDArray[np.floating]]:
     """The ``mf`` or ``rx`` scores of a (B, T) tile of spectra minus the scene mean, in `dtype`."""
-    inverse = _inverse_factor(stats)
+    # Imported here, not at module level, so that the applications that never
+    # whiten (clouds, surface_water, thermal, *_sam) never load scipy.
+    from scipy.linalg import solve_triangular
+
+    factor = stats.factor_lower.astype(dtype)
     if detector == "rx":
-        inverse = inverse.astype(dtype)
 
         def rx_scores(centered):
-            whitened = inverse @ centered
+            whitened = solve_triangular(factor, centered, lower=True)
             return np.einsum("ij,ij->j", whitened, whitened)
 
         return rx_scores
-    whitened_t = inverse @ (_target_values(target) - stats.mean)
-    energy = float(whitened_t @ whitened_t)
-    if energy == 0.0:
+    t_dev = (_target_values(target) - stats.mean).astype(dtype)
+    if not t_dev.any():
         raise ComputeError("matched filter is undefined when the target equals the scene mean")
-    weights = (inverse.T @ whitened_t / energy).astype(dtype)
-    # einsum, not a BLAS matrix-vector product: its bits do not change with the thread count.
-    return lambda centered: np.einsum("i,ij->j", weights, centered)
+    whitened_t = solve_triangular(factor, t_dev, lower=True)
+    energy = np.dot(whitened_t, whitened_t)
+    return lambda centered: (whitened_t @ solve_triangular(factor, centered, lower=True)) / energy
 
 
 def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> float:

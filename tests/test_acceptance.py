@@ -81,7 +81,7 @@ def test_criterion_01_reporting_schemas_not_published_values():
 
 
 def test_criterion_02_detector_oracle_equivalence():
-    """MF and RX through the inverse Cholesky factor match an explicit-inverse oracle, 100+ scenes, < 10 s."""
+    """MF and RX via triangular solves match an explicit-inverse oracle, 100+ scenes, < 10 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
     scenes = 0

@@ -389,10 +389,11 @@ class TestTiles:
                 "rx": detect_map(cube, "rx", stats=stats, precision=precision),
             }
         whole, tiled = maps[None], maps[tile]
-        # sam and mf sum each pixel over the bands alone; rx goes through a matrix product
+        # sam sums each pixel over the bands alone; mf and rx go through a triangular
+        # solve and, for mf, a matrix-vector product, whose bits can vary with the tile's width
         assert whole["sam"].data.tobytes() == tiled["sam"].data.tobytes()
-        assert whole["mf"].data.tobytes() == tiled["mf"].data.tobytes()
         rtol = 1e-5 if precision == "single" else 1e-12
+        np.testing.assert_allclose(tiled["mf"].data, whole["mf"].data, rtol=rtol)
         np.testing.assert_allclose(tiled["rx"].data, whole["rx"].data, rtol=rtol)
 
     @pytest.mark.parametrize("tile", [3, 64])
