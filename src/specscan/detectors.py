@@ -19,11 +19,13 @@ mirror accelerator arithmetic against a double-precision reference path.
 
 The cube is band-sequential, so its data reshaped to (bands, pixels) is
 already the band matrix the kernels read. Statistics and maps walk it in
-fixed-order column tiles of ``_TILE_PIXELS`` pixels, so their working memory
-is bounded by the tile, not the scene. A tile's ``mf`` and ``rx`` scores are
-the triangular solve, sum of squares and matrix-vector product that scored a
-whole scene before the maps were tiled, applied to the tile's columns.
-Scalar ``mf`` and ``rx`` are one-pixel float64 calls of the tile kernel.
+fixed-order column tiles of ``_TILE_PIXELS`` pixels. The statistics,
+``sam`` and ``rx`` work in memory bounded by the tile; ``mf`` keeps the
+whitened scene for one matrix-vector product. The triangular solves, sums
+of squares and matrix-vector product are the calls that scored a whole
+scene before the maps were tiled, so tiling can change a score only in the
+last bits of a BLAS call. Scalar ``mf`` and ``rx`` are one-pixel float64
+calls of the map kernel.
 Scalar ``sam`` is the reference the SAM map is tested against: the map's
 pixel norms can differ from ``np.linalg.norm`` in the last bit, so it does
 not return exactly 0 for identical spectra.
@@ -32,7 +34,6 @@ not return exactly 0 for identical spectra.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ PRECISIONS = ("single", "double")
 _RIDGE_BASE_FRACTION = 1e-6
 _RIDGE_MAX_FRACTION = 1e-2
 _RIDGE_ABS_FLOOR = 1e-12  # engaged only when trace(cov) == 0 (constant scene)
-# Pixels per column tile of the (bands, pixels) matrix. Detector times are
-# flat from 8k to 64k pixels; the working memory grows with the tile.
+# Pixels per column tile of the (bands, pixels) matrix; the working memory
+# of the statistics, sam and rx grows with it.
 _TILE_PIXELS = 1 << 14
 
 
@@ -215,31 +216,40 @@ def sam(x: Spectrum, y: Spectrum | TargetSpectrum) -> float:
     return 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
-def _whitening_kernel(
+def _whitened_scores(
+    matrix: NDArray[np.floating],
     detector: str,
     target: TargetSpectrum | Spectrum | None,
     stats: SceneStats,
     dtype: type,
-) -> Callable[[NDArray[np.floating]], NDArray[np.floating]]:
-    """The ``mf`` or ``rx`` scores of a (B, T) tile of spectra minus the scene mean, in `dtype`."""
+) -> NDArray[np.float64]:
+    """``mf`` or ``rx`` scores of the columns of a (B, N) matrix of spectra, computed in `dtype`."""
     # Imported here, not at module level, so that the applications that never
     # whiten (clouds, surface_water, thermal, *_sam) never load scipy.
     from scipy.linalg import solve_triangular
 
     factor = stats.factor_lower.astype(dtype)
+    tiles = (
+        (cols, solve_triangular(factor, centered, lower=True))
+        for cols, centered in _centered_tiles(matrix, stats.mean.astype(dtype), dtype)
+    )
+    scores = np.empty(matrix.shape[1])
     if detector == "rx":
-
-        def rx_scores(centered):
-            whitened = solve_triangular(factor, centered, lower=True)
-            return np.einsum("ij,ij->j", whitened, whitened)
-
-        return rx_scores
+        for cols, whitened in tiles:
+            scores[cols] = np.einsum("ij,ij->j", whitened, whitened)
+        return scores
     t_dev = (_target_values(target) - stats.mean).astype(dtype)
     if not t_dev.any():
         raise ComputeError("matched filter is undefined when the target equals the scene mean")
     whitened_t = solve_triangular(factor, t_dev, lower=True)
-    energy = np.dot(whitened_t, whitened_t)
-    return lambda centered: (whitened_t @ solve_triangular(factor, centered, lower=True)) / energy
+    whitened = np.empty(matrix.shape, dtype=dtype, order="F")
+    for cols, tile in tiles:
+        whitened[:, cols] = tile
+    # One matrix-vector product after all the solves: numpy's BLAS and
+    # scipy's keep separate thread pools, and alternating the two tile by
+    # tile made mf slower than the whole-scene kernel.
+    scores[:] = (whitened_t @ whitened) / np.dot(whitened_t, whitened_t)
+    return scores
 
 
 def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> float:
@@ -251,7 +261,7 @@ def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> flo
     t = _target_values(target)
     if x.shape != (stats.n_bands,) or t.shape != (stats.n_bands,):
         raise DataError(f"spectrum lengths must match the {stats.n_bands}-band statistics")
-    return float(_whitening_kernel("mf", t, stats, np.float64)((x - stats.mean)[:, np.newaxis])[0])
+    return float(_whitened_scores(x[:, np.newaxis], "mf", t, stats, np.float64)[0])
 
 
 def rx(x: Spectrum, stats: SceneStats) -> float:
@@ -259,7 +269,7 @@ def rx(x: Spectrum, stats: SceneStats) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (stats.n_bands,):
         raise DataError(f"spectrum length {x.shape} must match the {stats.n_bands}-band statistics")
-    return float(_whitening_kernel("rx", None, stats, np.float64)((x - stats.mean)[:, np.newaxis])[0])
+    return float(_whitened_scores(x[:, np.newaxis], "rx", None, stats, np.float64)[0])
 
 
 def detect_map(
@@ -289,7 +299,6 @@ def detect_map(
         stats = compute_scene_stats(cube)
 
     matrix = cube.data.reshape(cube.bands, -1)
-    scores = np.empty(matrix.shape[1])
     flags = None
 
     if detector == "sam":
@@ -301,6 +310,7 @@ def detect_map(
         if norm_t == 0.0:
             raise ComputeError("spectral angle is undefined for a zero target")
         unit_target = t / norm_t
+        scores = np.empty(matrix.shape[1])
         zero = np.empty(matrix.shape[1], dtype=bool)
         for cols, tile in _centered_tiles(matrix, np.zeros(cube.bands, dtype=dtype), dtype):
             scores[cols], zero[cols] = _sam_tile(tile, unit_target)
@@ -308,9 +318,7 @@ def detect_map(
     else:
         if stats.n_bands != cube.bands:
             raise DataError(f"statistics cover {stats.n_bands} bands, cube has {cube.bands}")
-        kernel = _whitening_kernel(detector, target, stats, dtype)
-        for cols, tile in _centered_tiles(matrix, stats.mean.astype(dtype), dtype):
-            scores[cols] = kernel(tile)
+        scores = _whitened_scores(matrix, detector, target, stats, dtype)
 
     return ScoreMap(
         data=scores.reshape(cube.height, cube.width),

@@ -390,7 +390,7 @@ class TestTiles:
             }
         whole, tiled = maps[None], maps[tile]
         # sam sums each pixel over the bands alone; mf and rx go through a triangular
-        # solve and, for mf, a matrix-vector product, whose bits can vary with the tile's width
+        # solve per tile, whose bits can vary with the tile's width
         assert whole["sam"].data.tobytes() == tiled["sam"].data.tobytes()
         rtol = 1e-5 if precision == "single" else 1e-12
         np.testing.assert_allclose(tiled["mf"].data, whole["mf"].data, rtol=rtol)
