@@ -145,7 +145,7 @@ def _cmd_label_threshold(args) -> int:
     app = APPLICATIONS["thermal"]
     config = _config(args, "thermal")
     cube = load_cube(args.cube)
-    mask, _, _ = app.label(app.score(cube, config, {})[0], config, {})
+    mask, _, _ = app.label(app.score(app.select(cube, config), config, {})[0], config, {})
     mask_path = Path(str(args.out) + ".pgm") if not str(args.out).endswith(".pgm") else Path(args.out)
     save_mask(mask, mask_path)
     _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})
@@ -192,7 +192,7 @@ def _cmd_score(args) -> int:
     cube = load_cube(args.cube)
     config = replace(config, target=_on_bands(config.target, cube))
     diagnostics: dict = {}
-    scores, _ = app.score(cube, config, diagnostics)
+    scores, _ = app.score(app.select(cube, config), config, diagnostics)
     score_header = Path(f"{args.out}.json")
     save_score_map(scores, score_header)
     outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}

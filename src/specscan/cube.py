@@ -21,9 +21,11 @@ a new object, so cubes are safe to share across threads for reading.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -87,7 +89,8 @@ class RasterCube:
             raise DataError(f"cube data must be 3-D (bands, height, width), got shape {data.shape}")
         if min(data.shape) < 1:
             raise DataError(f"cube dimensions must all be >= 1, got {data.shape}")
-        if not np.isfinite(data).all():
+        # Band by band, so the check holds one band's flags at a time.
+        if not all(np.isfinite(band).all() for band in data):
             raise DataError("cube contains non-finite samples")
         self.data = data
         if not self.band_meta:
@@ -133,9 +136,13 @@ class RasterCube:
     def width(self) -> int:
         return self.data.shape[2]
 
-    def band_index(self, role: str) -> int:
-        """Index of the single band holding `role`; raises if absent."""
-        role = str(role).strip().lower()
+    def band_index(self, band: int | str) -> int:
+        """Index of a band given by index or by role; raises DataError if absent."""
+        if isinstance(band, int):
+            if not 0 <= band < self.bands:
+                raise DataError(f"band index {band} out of range for {self.bands} bands")
+            return band
+        role = str(band).strip().lower()
         matches = [i for i, m in enumerate(self.band_meta) if m.role == role]
         if not matches:
             raise DataError(f"cube has no band with role {role!r}")
@@ -143,10 +150,30 @@ class RasterCube:
 
     def plane(self, band: int | str) -> NDArray[np.float32]:
         """The (height, width) plane of one band, as a view (no copy)."""
-        index = band if isinstance(band, int) else self.band_index(band)
-        if not 0 <= index < self.bands:
-            raise DataError(f"band index {index} out of range for {self.bands} bands")
-        return self.data[index]
+        return self.data[self.band_index(band)]
+
+    def select(self, bands: Sequence[int | str]) -> RasterCube:
+        """The given bands (by index or role, see :meth:`band_index`), in that order.
+
+        The result keeps this cube's nodata and validity. Evenly spaced
+        bands, which one or two bands always are, are a view of this cube's
+        data; other selections are a copy.
+        """
+        indices = [self.band_index(band) for band in bands]
+        if not indices or len(set(indices)) < len(indices):
+            raise DataError(f"select needs distinct bands, at least one, got {list(bands)}")
+        steps = {b - a for a, b in zip(indices, indices[1:])}
+        if len(steps) <= 1:
+            step = steps.pop() if steps else 1
+            stop = indices[-1] + step
+            data = self.data[indices[0] : stop if stop >= 0 else None : step]
+        else:
+            data = self.data[indices]
+        # Bands of a checked cube need no new check: a shallow copy skips
+        # __post_init__ and its scan of every sample.
+        selected = copy.copy(self)
+        selected.data, selected.band_meta = data, [self.band_meta[i] for i in indices]
+        return selected
 
     def pixels(self) -> NDArray[np.float32]:
         """All pixel spectra as an (N, bands) array, row-major pixel order."""

@@ -76,14 +76,33 @@ class Application:
     report's diagnostics. :meth:`label` thresholds that map. ``command``
     names the ``specscan label`` or ``specscan detect`` subcommand that
     computes the same score.
+
+    ``bands(config)`` names the bands the score step reads, as
+    :meth:`RasterCube.band_index` keys, or is None for every band. The
+    score step's scene holds just these bands, in this order (see
+    :meth:`select`), and a run stretches only them.
     """
 
     score: Callable[[RasterCube, PipelineConfig, dict], tuple[ScoreMap, str]]
     command: str
+    bands: Callable[[PipelineConfig], tuple[int | str, ...]] | None = None
     polarity: str = "above"
     band_window: bool = False
     stretch: bool = True
     needs_target: bool = False
+
+    def band_indices(self, cube: RasterCube, config: PipelineConfig) -> list[int] | None:
+        """Indices in `cube` of the bands the score step reads; None for every band.
+
+        Raises:
+            DataError: `cube` lacks one of them.
+        """
+        return None if self.bands is None else [cube.band_index(band) for band in self.bands(config)]
+
+    def select(self, cube: RasterCube, config: PipelineConfig) -> RasterCube:
+        """The unstretched scene of the score step: `cube` cut down to the bands it reads."""
+        bands = self.band_indices(cube, config)
+        return cube if bands is None else cube.select(bands)
 
     def label(self, scores: ScoreMap, config: PipelineConfig, diagnostics: dict) -> tuple[BinaryMask, float, str]:
         """The mask, its threshold and the suffix of the algorithm name.
@@ -118,7 +137,8 @@ def _score_water(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -
 
 
 def _score_band(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
-    plane = scene.plane(config.thermal_band).astype(np.float64)
+    # The scene holds the one band the entry reads, config.thermal_band.
+    plane = scene.plane(0).astype(np.float64)
     return ScoreMap(data=plane, score_kind="BandValue"), "band_threshold"
 
 
@@ -147,9 +167,11 @@ APPLICATIONS: dict[str, Application] = {
     # quantile clamp collapses the darkest 1% to v_min, which would make that
     # fit vertical on every scene. Cloud labeling therefore sees the original
     # bands.
-    "clouds": Application(_score_haze, command="hot", stretch=False),
-    "surface_water": Application(_score_water, command="ndwi"),
-    "thermal": Application(_score_band, command="threshold", band_window=True),
+    "clouds": Application(_score_haze, command="hot", bands=lambda config: ("blue", "red"), stretch=False),
+    "surface_water": Application(_score_water, command="ndwi", bands=lambda config: ("green", "nir")),
+    "thermal": Application(
+        _score_band, command="threshold", bands=lambda config: (config.thermal_band,), band_window=True
+    ),
     "vegetation_sam": _detector("sam"),
     "vegetation_mf": _detector("mf"),
     "vegetation_rx": _detector("rx"),
@@ -449,10 +471,20 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
         "stages": stages,
     }
 
+    # Finding its bands is part of the score step, so a missing band fails there.
+    try:
+        bands = app.band_indices(cube, config)
+    except DataError as exc:
+        raise StageError("score", str(exc)) from exc
+
     with stage("stretch"):
         use_stretch = config.stretch is not None and app.stretch
-        scene = stretch_cube(cube, config.stretch) if use_stretch else cube
+        if use_stretch:
+            scene = stretch_cube(cube, config.stretch, bands=bands)
+        else:
+            scene = cube if bands is None else cube.select(bands)
         diagnostics["stretch_applied"] = use_stretch
+        diagnostics["stretched_bands"] = [meta.name for meta in scene.band_meta] if use_stretch else []
 
     with stage("score"):
         scores, algorithm = app.score(scene, config, diagnostics)

@@ -8,7 +8,8 @@ from specscan import BandMeta, BinaryMask, RasterCube, load_cube, load_spectral_
 from specscan.cli import main
 from specscan.detectors import DETECTORS
 from specscan.pipeline import APPLICATIONS
-from test_pipeline import hazy_scene, water_scene
+from oracles import quantiles_numpy, stretch_band_masks
+from test_pipeline import bordered_scene, hazy_scene, water_scene, written_outputs
 
 
 @pytest.fixture
@@ -96,6 +97,24 @@ class TestStretch:
         assert out.exists() and out.with_suffix(".raw").exists()
         payload = json.loads(capsys.readouterr().out)
         assert payload["out"] == str(out)
+
+    def test_every_band_matches_the_quantile_oracle(self, tmp_path):
+        # `stretch` writes every band, each rounded from the float64 stretch
+        # between its own quantiles over the valid pixels.
+        source = tmp_path / "scene.json"
+        cube = bordered_scene()
+        save_cube(cube, source)
+        out = tmp_path / "stretched.json"
+        assert main(["stretch", "--cube", str(source), "--out", str(out), "--v-min", "-2", "--v-max", "5"]) == 0
+        expected = np.empty_like(cube.data)
+        for band, plane in enumerate(cube.data):
+            quantiles = quantiles_numpy(plane, cube.validity)
+            expected[band] = stretch_band_masks(plane, -2.0, 5.0, *quantiles)
+        expected[:, ~cube.validity] = -3.0
+        assert out.with_suffix(".raw").read_bytes() == expected.astype("<f4").tobytes()
+        header = json.loads(out.read_text())
+        assert header["nodata"] == -3.0
+        assert [band["name"] for band in header["bands_meta"]] == ["b", "g", "r", "n", "x"]
 
     def test_bad_range_is_usage_error_before_the_payload_is_read(self, capsys, scene_path, tmp_path):
         scene_path.with_suffix(".raw").unlink()
@@ -350,6 +369,16 @@ class TestPipelineCli:
             assert (out / name).exists(), name
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenes"][0]["positive_count"] == 16 * 32
+
+    @pytest.mark.parametrize("stretch", [[], ["--no-stretch"]], ids=["stretched", "unstretched"])
+    def test_integer_band_matches_its_role(self, tmp_path, stretch):
+        scene = tmp_path / "scene.json"
+        save_cube(bordered_scene(), scene)
+        for band in ("nir", "3"):
+            argv = ["pipeline", "run", "--cube", str(scene), "--application", "thermal", "--band", band,
+                    "--low", "0.5", "--out", str(tmp_path / band)]
+            assert main(argv + stretch) == 0
+        assert written_outputs(tmp_path / "3") == written_outputs(tmp_path / "nir")
 
     def test_run_multiple_scenes_with_jobs(self, tmp_path):
         paths = []

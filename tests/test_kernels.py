@@ -13,6 +13,7 @@ import pytest
 
 from specscan import (
     ClearSkyLine,
+    DataError,
     RasterCube,
     StretchParams,
     band_quantiles,
@@ -22,6 +23,7 @@ from specscan import (
     ndwi,
     stretch_band,
 )
+from specscan import preprocess
 from specscan.labeling import _OTSU_CHUNK, _otsu_bins
 from conftest import cube_from_planes
 from oracles import (
@@ -237,6 +239,32 @@ class TestStretchBand:
         before = plane.copy()
         assert_same_bits(stretch_band(plane, params, q_low, q_high), stretch_band_masks(plane, -40.0, 40.0, q_low, q_high))
         assert_same_bits(plane, before)
+
+    @pytest.mark.parametrize("v_min, v_max", [(0.0, 1.0), (-0.0, 1.0), (-1e308, 1e308), (-1000.0, 3.5e6)])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 10_000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_into_out_by_row_chunks(self, monkeypatch, v_min, v_max, chunk, dtype):
+        # stretch_cube once rounded the whole float64 band into its float32
+        # output; rows written chunk by chunk into `out` must round the same.
+        monkeypatch.setattr(preprocess, "_STRETCH_PIXELS", chunk)
+        rng = np.random.default_rng(44)
+        q_low, q_high = (float(q) for q in np.float32([0.25, 3.5]))
+        params = StretchParams(v_min=v_min, v_max=v_max)
+        for shape in [(13, 11), (1, 300), (300,), (), (5, 1)]:
+            plane = rng.uniform(-2.0, 5.0, size=shape).astype(np.float32)
+            flat = plane.reshape(-1)
+            flat[::2] = rng.choice(float32_neighbours([q_low, q_high]), size=flat[::2].size)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for quantiles in [(q_low, q_high), (q_low, q_low)]:
+                    expected = stretch_band_masks(flat, v_min, v_max, *quantiles).reshape(shape)
+                    out = np.full(shape, np.nan, dtype=dtype)
+                    assert stretch_band(plane, params, *quantiles, out=out) is out
+                    assert_same_bits(out, expected.astype(dtype))
+                    assert_same_bits(stretch_band(plane, params, *quantiles), expected)
+
+    def test_out_must_match_the_plane(self):
+        with pytest.raises(DataError, match="out shape"):
+            stretch_band(np.zeros((2, 3)), StretchParams(), 0.0, 1.0, out=np.empty((3, 2)))
 
     def test_band_quantiles_of_scenes(self):
         rng = np.random.default_rng(42)

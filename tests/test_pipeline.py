@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -21,12 +22,16 @@ from specscan import (
     emit_summary,
     parse_summary,
     run_pipeline,
+    save_mask,
+    save_score_map,
+    stretch_cube,
 )
 from specscan.pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
     SUMMARY_MAX_BYTES,
     Application,
+    emit_summary,
     summary_to_bytes,
 )
 from oracles import flood_fill_boxes
@@ -397,15 +402,26 @@ class TestRunPipeline:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first
 
     def test_stage_attribution(self):
-        # clouds needs blue/red; a cube without them fails in the score stage
+        # A band the score step reads but the cube lacks fails in the score
+        # stage, although a run stretches only the bands the score step reads.
         rng = np.random.default_rng(12)
-        cube = RasterCube(data=rng.random((2, 8, 8), dtype=np.float32))
-        config = PipelineConfig(application="clouds")
-        from specscan import StageError
-
-        with pytest.raises(StageError) as excinfo:
-            run_pipeline(cube, config)
-        assert excinfo.value.stage == "score"
+        no_roles = RasterCube(data=rng.random((2, 8, 8), dtype=np.float32))
+        no_green = RasterCube(
+            data=rng.random((3, 8, 8), dtype=np.float32),
+            band_meta=[RGBN_META[0], RGBN_META[2], RGBN_META[3]],
+        )
+        cases = [
+            (no_roles, {"application": "clouds"}, "cube has no band with role 'blue'"),
+            (no_green, {"application": "surface_water"}, "cube has no band with role 'green'"),
+            (water_scene(), {"application": "thermal", "thermal_band": 7, "thermal_low": 0.5},
+             "band index 7 out of range for 4 bands"),
+        ]
+        for cube, fields, message in cases:
+            for stretch in (StretchParams(), None):
+                with pytest.raises(StageError) as excinfo:
+                    run_pipeline(cube, PipelineConfig(**fields, stretch=stretch))
+                assert excinfo.value.stage == "score"
+                assert str(excinfo.value) == f"stage 'score': {message}"
 
     def test_mf_application_with_target(self):
         rng = np.random.default_rng(21)
@@ -426,7 +442,8 @@ class TestRunPipeline:
 
     def test_threshold_policy_comes_from_the_table(self, monkeypatch):
         # a new band-window entry gets the same checks as the built-in one
-        entry = Application(APPLICATIONS["thermal"].score, command="threshold", band_window=True)
+        thermal = APPLICATIONS["thermal"]
+        entry = Application(thermal.score, command="threshold", bands=thermal.bands, band_window=True)
         monkeypatch.setitem(APPLICATIONS, "snowline", entry)
         with pytest.raises(ConfigError, match="fixed_threshold"):
             PipelineConfig(application="snowline", thermal_low=0.5, fixed_threshold=0.1).validate()
@@ -517,3 +534,109 @@ class TestRunPipeline:
         assert result.summary.algorithm == "ndwi+fixed"
         assert "otsu" not in result.report["diagnostics"]
         np.testing.assert_array_equal(result.mask.data[:, :16], 1)
+
+
+def bordered_scene(height=40, width=48, seed=7):
+    """A hazy scene with a nodata border and a fifth, ``other`` band."""
+    cube = hazy_scene(height, width, seed)
+    rng = np.random.default_rng(seed)
+    extra = (0.3 + 0.4 * rng.random((1, height, width))).astype(np.float32)
+    data = np.concatenate([cube.data, extra])
+    data[:, :3] = data[:, :, -5:] = -9999.0
+    return RasterCube(data=data, band_meta=[*RGBN_META, BandMeta(name="x", role="other")], nodata=-9999.0)
+
+
+def app_config(application, **fields):
+    """A runnable config of `application` for :func:`bordered_scene`."""
+    app = APPLICATIONS[application]
+    if app.needs_target:
+        fields.setdefault("target", TargetSpectrum(label="t", values=np.array([0.2, 0.3, 0.25, 0.6, 0.4])))
+    if app.band_window:
+        fields.setdefault("thermal_low", 0.5)
+    return PipelineConfig(application=application, **fields)
+
+
+def written_outputs(out_dir):
+    """Mask bytes, score payload bytes and the summary without ``produced_at``."""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    summary.pop("produced_at")
+    return (out_dir / "mask.pgm").read_bytes(), (out_dir / "score.raw").read_bytes(), summary
+
+
+def whole_cube_route(cube, config, out_dir):
+    """Stretch every band, then run the entry's score and label steps; write the outputs."""
+    app = APPLICATIONS[config.application]
+    stretched = stretch_cube(cube, config.stretch) if app.stretch and config.stretch is not None else cube
+    diagnostics = {}
+    scores, algorithm = app.score(app.select(stretched, config), config, diagnostics)
+    mask, threshold, suffix = app.label(scores, config, diagnostics)
+    out_dir.mkdir()
+    save_score_map(scores, out_dir / "score.json")
+    save_mask(mask, out_dir / "mask.pgm")
+    summary = build_summary(mask, config.application, config.scene_id, threshold, algorithm + suffix, config.max_boxes)
+    emit_summary(summary, out_dir / "summary.json")
+    return written_outputs(out_dir)
+
+
+class TestBandsRead:
+    @pytest.mark.parametrize("application", list(APPLICATIONS))
+    def test_outputs_match_the_whole_cube_stretch(self, application, tmp_path):
+        cube = bordered_scene()
+        config = app_config(application, output_dir=tmp_path / "run")
+        run_pipeline(cube, config)
+        assert written_outputs(tmp_path / "run") == whole_cube_route(cube, config, tmp_path / "whole")
+
+    @pytest.mark.parametrize("stretch", [StretchParams(), None], ids=["stretched", "unstretched"])
+    def test_integer_band_matches_its_role(self, stretch, tmp_path):
+        cube = bordered_scene()
+        for band in ("nir", 3):
+            run_pipeline(cube, app_config("thermal", thermal_band=band, stretch=stretch, output_dir=tmp_path / str(band)))
+        assert written_outputs(tmp_path / "3") == written_outputs(tmp_path / "nir")
+
+    @pytest.mark.parametrize("stretch", [StretchParams(), None], ids=["stretched", "unstretched"])
+    def test_other_band_by_index(self, stretch):
+        cube = bordered_scene()
+        result = run_pipeline(cube, app_config("thermal", thermal_band=4, stretch=stretch))
+        scene = cube if stretch is None else stretch_cube(cube, stretch)
+        assert result.scores.data.tobytes() == scene.data[4].astype(np.float64).tobytes()
+        assert result.mask.data.tolist() == (scene.data[4] >= 0.5).tolist()
+        assert result.report["diagnostics"]["stretched_bands"] == ([] if stretch is None else ["x"])
+
+    @pytest.mark.parametrize(
+        "application, stretched",
+        [
+            ("clouds", []),
+            ("surface_water", ["g", "n"]),
+            ("thermal", ["n"]),
+            ("vegetation_rx", ["b", "g", "r", "n", "x"]),
+            ("mineral_sam", ["b", "g", "r", "n", "x"]),
+        ],
+    )
+    def test_report_names_the_stretched_bands(self, application, stretched, tmp_path):
+        run_pipeline(bordered_scene(), app_config(application, output_dir=tmp_path))
+        diagnostics = json.loads((tmp_path / "report.json").read_text())["diagnostics"]
+        assert diagnostics["stretched_bands"] == stretched
+        assert diagnostics["stretch_applied"] == (application != "clouds")
+        unstretched = run_pipeline(bordered_scene(), app_config(application, stretch=None))
+        assert unstretched.report["diagnostics"]["stretched_bands"] == []
+
+    def test_thermal_run_stretches_one_band(self, monkeypatch):
+        import specscan.pipeline as pipeline_module
+
+        data = np.random.default_rng(63).random((4, 512, 512), dtype=np.float32)
+        cube = RasterCube(data=data, band_meta=list(RGBN_META))
+        peaks = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                scene = stretch_cube(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return scene
+
+        monkeypatch.setattr(pipeline_module, "stretch_cube", traced)
+        result = run_pipeline(cube, PipelineConfig(application="thermal", thermal_low=0.5))
+        assert result.report["diagnostics"]["stretched_bands"] == ["n"]
+        assert len(peaks) == 1 and peaks[0] < 2 * cube.data[0].nbytes

@@ -1,9 +1,14 @@
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from specscan import (
+    BandMeta,
     ComputeError,
     ConfigError,
+    DataError,
     RasterCube,
     StretchParams,
     band_quantiles,
@@ -170,3 +175,67 @@ class TestStretchCube:
         cube = RasterCube(data=data, nodata=-9999.0)
         with pytest.raises(ComputeError, match="valid"):
             stretch_cube(cube, StretchParams())
+
+    def test_bands_stretch_as_in_the_whole_cube(self):
+        # A band's quantiles come from its own values and the validity alone.
+        rng = np.random.default_rng(8)
+        data = rng.gamma(2.0, size=(5, 30, 40)).astype(np.float32)
+        data[:, :, :4] = -9999.0
+        roles = ("blue", "green", "red", "nir", "other")
+        cube = RasterCube(data=data, band_meta=[BandMeta(f"b{i}", role) for i, role in enumerate(roles)], nodata=-9999.0)
+        params = StretchParams()
+        whole = stretch_cube(cube, params)
+        for bands in [("green", "nir"), (3,), (4,), ("nir", 0), (4, 2, 0), range(5)]:
+            part = stretch_cube(cube, params, bands=bands)
+            indices = [cube.band_index(band) for band in bands]
+            assert part.data.tobytes() == whole.data[indices].tobytes()
+            assert part.band_meta == [cube.band_meta[i] for i in indices]
+            assert part.nodata == whole.nodata and part.validity is cube.validity
+
+    @pytest.mark.parametrize("bands, message", [(("green",), "no band with role 'green'"), ((2,), "out of range")])
+    def test_missing_band_is_a_data_error(self, bands, message):
+        cube = RasterCube(data=np.ones((2, 3, 3), dtype=np.float32))
+        with pytest.raises(DataError, match=message):
+            stretch_cube(cube, StretchParams(), bands=bands)
+
+
+def _cube_512x512x4(nodata):
+    data = np.random.default_rng(61).random((4, 512, 512), dtype=np.float32)
+    if nodata is not None:
+        data[:, :, :8] = nodata
+    return RasterCube(data=data, nodata=nodata)
+
+
+@pytest.mark.parametrize("nodata", [None, -9999.0])
+def test_stretch_cube_peaks_below_the_output_and_one_band(nodata):
+    # Each band is stretched straight into the float32 output, a few rows at
+    # a time: no float64 plane, and no mask of a whole band.
+    cube = _cube_512x512x4(nodata)
+    tracemalloc.start()
+    try:
+        out = stretch_cube(cube, StretchParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + cube.data[0].nbytes
+
+
+def test_stretch_cube_faults_no_more_pages_than_writing_its_output():
+    # Freeing a whole stretched band before the next one let the allocator
+    # trim the heap and fault the pages in again for every band; row chunks
+    # leave nothing of that size to free.
+    cube = RasterCube(data=np.random.default_rng(62).random((8, 1024, 1024), dtype=np.float32))
+    params = StretchParams()
+    stretch_cube(cube, params)
+
+    def minor_faults(work):
+        counts = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            work()
+            counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return min(counts)
+
+    writing = minor_faults(lambda: np.empty_like(cube.data).fill(0.0))
+    band_pages = cube.data[0].nbytes // resource.getpagesize()
+    assert minor_faults(lambda: stretch_cube(cube, params)) < writing + band_pages
