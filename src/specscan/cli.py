@@ -144,8 +144,8 @@ def _cmd_label_threshold(args) -> int:
     """``label threshold``: the score and label steps of the ``thermal`` application."""
     app = APPLICATIONS["thermal"]
     config = _config(args, "thermal")
-    cube = load_cube(args.cube)
-    mask, _, _ = app.label(app.score(app.select(cube, config), config, {})[0], config, {})
+    scene, config = app.select(load_cube(args.cube), config)
+    mask, _, _ = app.label(app.score(scene, config, {})[0], config, {})
     mask_path = Path(str(args.out) + ".pgm") if not str(args.out).endswith(".pgm") else Path(args.out)
     save_mask(mask, mask_path)
     _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})
@@ -167,8 +167,8 @@ def _target(args, app) -> TargetSpectrum | None:
     """The ``--target`` spectrum of ``--library`` when `app` needs one and both flags are set.
 
     The library is read once, on its own grid, which is enough to validate a
-    config before any payload is read; :func:`_on_bands` fits the target onto
-    each cube. Other targets of the library need not fit the cube.
+    config before any payload is read; ``Application.select`` fits the target
+    onto each cube. Other targets of the library need not fit the cube.
     """
     if not (app.needs_target and args.library and args.target):
         return None
@@ -180,19 +180,14 @@ def _target(args, app) -> TargetSpectrum | None:
     return matches[0]
 
 
-def _on_bands(target: TargetSpectrum | None, cube: RasterCube) -> TargetSpectrum | None:
-    return None if target is None else target.on_bands(cube.wavelengths(), cube.bands)
-
-
 def _cmd_score(args) -> int:
     """``label ndwi|hot`` and ``detect sam|mf|rx``: the score and label steps of the matching application."""
     name = next(name for name, entry in APPLICATIONS.items() if entry.command == args.score)
     app = APPLICATIONS[name]
     config = _config(args, name)
-    cube = load_cube(args.cube)
-    config = replace(config, target=_on_bands(config.target, cube))
+    scene, config = app.select(load_cube(args.cube), config)
     diagnostics: dict = {}
-    scores, _ = app.score(app.select(cube, config), config, diagnostics)
+    scores, _ = app.score(scene, config, diagnostics)
     score_header = Path(f"{args.out}.json")
     save_score_map(scores, score_header)
     outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}
@@ -312,9 +307,7 @@ def _cmd_pipeline_run(args) -> int:
         item = {"scene_id": scene_id, "output_dir": str(output_dir)}
         try:
             cube = load_cube(cube_path)
-            target = _on_bands(config.target, cube)
-            scene_config = replace(config, scene_id=scene_id, target=target, output_dir=output_dir)
-            summary = run_pipeline(cube, scene_config).summary
+            summary = run_pipeline(cube, replace(config, scene_id=scene_id, output_dir=output_dir)).summary
         except (SpecScanError, OSError) as exc:
             return {**item, "error": str(exc)}
         return {

@@ -113,7 +113,11 @@ class RasterCube:
                 raise DataError("nodata value must be finite")
             self.nodata = nodata
             if self.validity is None:
-                self.validity = ~np.any(data == np.float32(nodata), axis=0)
+                # Band by band, so the scan holds one band's flags beside the plane.
+                sentinel = np.float32(nodata)
+                self.validity = data[0] != sentinel
+                for band in data[1:]:
+                    self.validity &= band != sentinel
         if self.validity is not None:
             if self.nodata is None:
                 raise DataError("a validity mask requires a declared nodata value")

@@ -293,8 +293,12 @@ def detect_map(
         raise DataError(f"unknown precision {precision!r}; expected one of {PRECISIONS}")
     dtype = np.float32 if precision == "single" else np.float64
 
-    if detector in TARGET_DETECTORS and target is None:
-        raise DataError(f"detector {detector!r} requires a target spectrum")
+    if detector in TARGET_DETECTORS:
+        if target is None:
+            raise DataError(f"detector {detector!r} requires a target spectrum")
+        t = _target_values(target)
+        if t.size != cube.bands:
+            raise DataError(f"target has {t.size} bands, cube has {cube.bands}")
     if detector in STATS_DETECTORS and stats is None:
         stats = compute_scene_stats(cube)
 
@@ -302,9 +306,6 @@ def detect_map(
     flags = None
 
     if detector == "sam":
-        t = _target_values(target)
-        if t.size != cube.bands:
-            raise DataError(f"target has {t.size} bands, cube has {cube.bands}")
         t = t.astype(dtype)
         norm_t = np.linalg.norm(t)
         if norm_t == 0.0:

@@ -159,6 +159,11 @@ def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written") -> Score
     return ScoreMap(data=scores, score_kind="HOT")
 
 
+def _check_otsu_bins(bins: int) -> None:
+    if bins < 2:
+        raise ConfigError("otsu_bins must be >= 2")
+
+
 def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
     """Histogram threshold maximizing inter-class variance.
 
@@ -168,8 +173,7 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
     matches an exhaustive search over all bin edges. A constant input is
     degenerate: the threshold is that value.
     """
-    if bins < 2:
-        raise DataError(f"otsu needs at least 2 bins, got {bins}")
+    _check_otsu_bins(bins)
     values = scores.data.ravel()
     lo = float(values.min())
     hi = float(values.max())

@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -44,6 +44,7 @@ from .detectors import (
 from .errors import ConfigError, DataError, FormatError, SpecScanError, StageError
 from .labeling import (
     HOT_MODES,
+    _check_otsu_bins,
     band_threshold_label,
     binarize,
     fit_clear_sky_line,
@@ -91,18 +92,19 @@ class Application:
     stretch: bool = True
     needs_target: bool = False
 
-    def band_indices(self, cube: RasterCube, config: PipelineConfig) -> list[int] | None:
-        """Indices in `cube` of the bands the score step reads; None for every band.
+    def select(self, cube: RasterCube, config: PipelineConfig) -> tuple[RasterCube, PipelineConfig]:
+        """What the score step reads: `cube` cut down to its bands, and `config`.
+
+        For an entry that needs a target, the config's target is fitted onto
+        those bands (:meth:`TargetSpectrum.on_bands`).
 
         Raises:
-            DataError: `cube` lacks one of them.
+            DataError: `cube` lacks one of the bands, or the target does not fit them.
         """
-        return None if self.bands is None else [cube.band_index(band) for band in self.bands(config)]
-
-    def select(self, cube: RasterCube, config: PipelineConfig) -> RasterCube:
-        """The unstretched scene of the score step: `cube` cut down to the bands it reads."""
-        bands = self.band_indices(cube, config)
-        return cube if bands is None else cube.select(bands)
+        scene = cube if self.bands is None else cube.select(self.bands(config))
+        if self.needs_target and config.target is not None:
+            config = replace(config, target=config.target.on_bands(scene.wavelengths(), scene.bands))
+        return scene, config
 
     def label(self, scores: ScoreMap, config: PipelineConfig, diagnostics: dict) -> tuple[BinaryMask, float, str]:
         """The mask, its threshold and the suffix of the algorithm name.
@@ -209,8 +211,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown HOT mode {self.hot_mode!r}")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}")
-        if self.otsu_bins < 2:
-            raise ConfigError("otsu_bins must be >= 2")
+        _check_otsu_bins(self.otsu_bins)
         _check_max_boxes(self.max_boxes)
         if self.stretch is not None:
             self.stretch.check_float32()
@@ -461,6 +462,13 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
     config.validate()
     app = APPLICATIONS[config.application]
 
+    # Finding its bands and fitting its target are part of the score step,
+    # so a missing band or a target that does not fit fails there.
+    try:
+        scene, config = app.select(cube, config)
+    except DataError as exc:
+        raise StageError("score", str(exc)) from exc
+
     diagnostics: dict = {}
     stages: list[dict] = []
     stage = partial(_stage, stages)
@@ -471,18 +479,10 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
         "stages": stages,
     }
 
-    # Finding its bands is part of the score step, so a missing band fails there.
-    try:
-        bands = app.band_indices(cube, config)
-    except DataError as exc:
-        raise StageError("score", str(exc)) from exc
-
     with stage("stretch"):
         use_stretch = config.stretch is not None and app.stretch
         if use_stretch:
-            scene = stretch_cube(cube, config.stretch, bands=bands)
-        else:
-            scene = cube if bands is None else cube.select(bands)
+            scene = stretch_cube(scene, config.stretch)
         diagnostics["stretch_applied"] = use_stretch
         diagnostics["stretched_bands"] = [meta.name for meta in scene.band_meta] if use_stretch else []
 

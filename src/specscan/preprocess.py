@@ -9,7 +9,6 @@ closest order statistics over valid pixels only.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,45 +186,37 @@ def stretch_band(
     return out
 
 
-def stretch_cube(
-    cube: RasterCube, params: StretchParams, bands: Sequence[int | str] | None = None
-) -> RasterCube:
-    """Stretch bands independently, each with its own quantiles.
+def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
+    """Stretch every band of `cube` independently, each with its own quantiles.
 
-    `bands` names the bands to stretch, by index or role
-    (:meth:`RasterCube.band_index`), in the order the result holds them;
-    None stretches every band. A band's quantiles come from its own values
-    and the cube's validity alone, so a band stretches to the same bits
-    whichever other bands are stretched with it. A pipeline run passes the
-    bands its application's score step reads (``Application.bands``):
-    green and NIR for ``surface_water``, the ``thermal_band`` for
-    ``thermal``, every band for the detectors.
+    A band's quantiles come from its own values and the cube's validity
+    alone, so a band stretches to the same bits whichever other bands are
+    stretched with it. A pipeline run therefore stretches just the scene its
+    score step reads (``Application.select``): green and NIR for
+    ``surface_water``, the ``thermal_band`` for ``thermal``, every band for
+    the detectors.
 
-    The result keeps the stretched bands' metadata and the input's
-    validity. If the input declares nodata, invalid pixels are written as
-    ``params.nodata`` and the output declares that value as its nodata.
+    The result keeps the input's band metadata and validity. If the input
+    declares nodata, invalid pixels are written as ``params.nodata`` and the
+    output declares that value as its nodata.
 
     Raises:
         ConfigError: float32 cannot hold the stretched range or the nodata
             value (:meth:`StretchParams.check_float32`).
-        DataError: `bands` names a band the cube does not have.
     """
     params.check_float32()
-    indices = range(cube.bands) if bands is None else [cube.band_index(band) for band in bands]
     fractions = (params.q_low_fraction, params.q_high_fraction)
     # All quantiles first: each takes a copy of one band's valid values,
     # which is freed before the output is allocated.
-    quantiles = [band_quantiles(cube.plane(i), cube.validity, fractions) for i in indices]
-    out = np.empty((len(indices), cube.height, cube.width), dtype=np.float32)
-    for j, i in enumerate(indices):
+    quantiles = [band_quantiles(cube.plane(i), cube.validity, fractions) for i in range(cube.bands)]
+    out = np.empty(cube.data.shape, dtype=np.float32)
+    for i in range(cube.bands):
         # stretch_band clamps to [v_min, v_max]; rounding to float32 is
         # monotonic, so the stored band stays within the rounded bounds.
-        stretch_band(cube.plane(i), params, *quantiles[j], out=out[j])
+        stretch_band(cube.plane(i), params, *quantiles[i], out=out[i])
     nodata = None
     if cube.nodata is not None:
         nodata = params.nodata
         out[:, ~cube.validity] = np.float32(nodata)
     # Passing the input's validity spares RasterCube a rescan for the sentinel.
-    return RasterCube(
-        data=out, band_meta=[cube.band_meta[i] for i in indices], nodata=nodata, validity=cube.validity
-    )
+    return RasterCube(data=out, band_meta=cube.band_meta, nodata=nodata, validity=cube.validity)

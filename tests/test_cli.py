@@ -7,9 +7,9 @@ import pytest
 from specscan import BandMeta, BinaryMask, RasterCube, load_cube, load_spectral_library, save_cube, save_mask
 from specscan.cli import main
 from specscan.detectors import DETECTORS
-from specscan.pipeline import APPLICATIONS
+from specscan.pipeline import APPLICATIONS, PipelineConfig, run_pipeline
 from oracles import quantiles_numpy, stretch_band_masks
-from test_pipeline import bordered_scene, hazy_scene, water_scene, written_outputs
+from test_pipeline import bordered_scene, hazy_scene, on_grid, water_scene, written_outputs
 
 
 @pytest.fixture
@@ -525,6 +525,33 @@ class TestPipelineCli:
         order = np.argsort(library_wl)
         expected = np.interp(grid, np.array(library_wl)[order], np.array(library_values)[order])
         np.testing.assert_array_equal(target["values"], expected)
+
+    @pytest.mark.parametrize("application", ["vegetation_mf", "mineral_sam"])
+    def test_library_caller_writes_what_the_cli_writes(self, tmp_path, application):
+        # The library target is on its own grid, in another order than the
+        # cube's bands: run_pipeline fits it onto them as pipeline run does.
+        cube = on_grid(water_scene(), [480.0, 560.0, 660.0, 830.0])
+        save_cube(cube, tmp_path / "w.json")
+        library = tmp_path / "lib.csv"
+        rows = [f"veg,{wl},{v}" for wl, v in zip([900.0, 400.0, 550.0, 700.0], [0.5, 0.05, 0.1, 0.3])]
+        library.write_text("\n".join(["label,wavelength_nm,value", *rows]) + "\n")
+        code = main(
+            ["pipeline", "run", "--cube", str(tmp_path / "w.json"), "--application", application,
+             "--library", str(library), "--target", "veg", "--out", str(tmp_path / "cli")]
+        )
+        assert code == 0
+        (target,) = load_spectral_library(library)
+        run_pipeline(cube, PipelineConfig(application, scene_id="w", target=target, output_dir=tmp_path / "lib"))
+
+        def report(out_dir):
+            report = json.loads((out_dir / "report.json").read_text())
+            report["config"].pop("output_dir")
+            for stage in report["stages"]:
+                stage.pop("seconds")
+            return report
+
+        assert written_outputs(tmp_path / "lib") == written_outputs(tmp_path / "cli")
+        assert report(tmp_path / "lib") == report(tmp_path / "cli")
 
     @pytest.mark.parametrize(
         "rows",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ class TestInvariants:
         assert cube.validity is not None
         assert cube.validity.tolist() == [[True, False], [True, True]]
         assert cube.valid_pixel_count() == 3
+
+    def test_nodata_validity_holds_one_band_of_flags(self):
+        # Scanned band by band: the plane and one band's comparison, not a
+        # (bands, height, width) array of them.
+        data = np.random.default_rng(5).random((8, 512, 512), dtype=np.float32)
+        data[:, :, :8] = -9999.0
+        tracemalloc.start()
+        try:
+            cube = RasterCube(data=data, nodata=-9999.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.validity.tolist() == (~np.any(data == np.float32(-9999.0), axis=0)).tolist()
+        assert peak < 3 * cube.validity.nbytes
 
     def test_non_numeric_nodata_is_data_error(self):
         with pytest.raises(DataError, match="nodata 'abc' must be a number"):

@@ -270,6 +270,12 @@ class TestDetectMap:
         with pytest.raises(DataError, match="target"):
             detect_map(cube, "sam")
 
+    @pytest.mark.parametrize("detector", ["sam", "mf"])
+    def test_target_of_another_length_is_a_data_error(self, detector):
+        cube = cube_from_pixels(np.random.default_rng(41).random((16, 3)), width=4)
+        with pytest.raises(DataError, match="^target has 4 bands, cube has 3$"):
+            detect_map(cube, detector, target=np.array([0.1, 0.2, 0.3, 0.4]))
+
     def test_stats_computed_on_demand(self):
         rng = np.random.default_rng(40)
         cube = cube_from_pixels(rng.random((36, 3)), width=6)

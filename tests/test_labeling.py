@@ -259,7 +259,7 @@ class TestOtsu:
         )
 
     def test_bins_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="otsu_bins"):
             otsu_threshold(score_map([1.0, 2.0]), bins=1)
 
 

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,12 @@ RGBN_META = [
     BandMeta(name="r", role="red"),
     BandMeta(name="n", role="nir"),
 ]
+
+
+def on_grid(cube, wavelengths):
+    """`cube` with its bands at `wavelengths` (nm)."""
+    meta = [replace(m, wavelength_nm=wl) for m, wl in zip(cube.band_meta, wavelengths)]
+    return RasterCube(data=cube.data, band_meta=meta, nodata=cube.nodata, validity=cube.validity)
 
 
 def hazy_scene(height=64, width=64, seed=0):
@@ -415,6 +421,13 @@ class TestRunPipeline:
             (no_green, {"application": "surface_water"}, "cube has no band with role 'green'"),
             (water_scene(), {"application": "thermal", "thermal_band": 7, "thermal_low": 0.5},
              "band index 7 out of range for 4 bands"),
+            # The target is fitted onto the scene's bands in the score step too.
+            (on_grid(water_scene(), [480.0, 560.0, 660.0, 830.0]),
+             {"application": "vegetation_mf", "target": TargetSpectrum("t", [0.1, 0.2, 0.3], "", [500.0, 600.0, 900.0])},
+             "band grid [480.0, 830.0] nm extends outside target 't' coverage [500.0, 900.0] nm"),
+            (RasterCube(data=rng.random((6, 8, 8), dtype=np.float32)),
+             {"application": "vegetation_mf", "target": TargetSpectrum("t", [0.1, 0.2, 0.3, 0.4])},
+             "target 't' has 4 samples, band grid expects 6"),
         ]
         for cube, fields, message in cases:
             for stretch in (StretchParams(), None):
@@ -568,7 +581,8 @@ def whole_cube_route(cube, config, out_dir):
     app = APPLICATIONS[config.application]
     stretched = stretch_cube(cube, config.stretch) if app.stretch and config.stretch is not None else cube
     diagnostics = {}
-    scores, algorithm = app.score(app.select(stretched, config), config, diagnostics)
+    scene, config = app.select(stretched, config)
+    scores, algorithm = app.score(scene, config, diagnostics)
     mask, threshold, suffix = app.label(scores, config, diagnostics)
     out_dir.mkdir()
     save_score_map(scores, out_dir / "score.json")

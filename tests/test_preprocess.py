@@ -186,7 +186,7 @@ class TestStretchCube:
         params = StretchParams()
         whole = stretch_cube(cube, params)
         for bands in [("green", "nir"), (3,), (4,), ("nir", 0), (4, 2, 0), range(5)]:
-            part = stretch_cube(cube, params, bands=bands)
+            part = stretch_cube(cube.select(bands), params)
             indices = [cube.band_index(band) for band in bands]
             assert part.data.tobytes() == whole.data[indices].tobytes()
             assert part.band_meta == [cube.band_meta[i] for i in indices]
@@ -196,7 +196,7 @@ class TestStretchCube:
     def test_missing_band_is_a_data_error(self, bands, message):
         cube = RasterCube(data=np.ones((2, 3, 3), dtype=np.float32))
         with pytest.raises(DataError, match=message):
-            stretch_cube(cube, StretchParams(), bands=bands)
+            stretch_cube(cube.select(bands), StretchParams())
 
 
 def _cube_512x512x4(nodata):
