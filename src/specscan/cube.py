@@ -25,6 +25,7 @@ import copy
 import csv
 import json
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -73,15 +74,15 @@ class RasterCube:
     """A width x height x bands reflectance scene, band-sequential in memory.
 
     ``data`` has shape ``(bands, height, width)`` and dtype float32, matching
-    the on-disk layout. ``validity`` is an optional ``(height, width)`` bool
-    plane; False marks pixels with at least one sample equal to the declared
-    nodata value. Invalid pixels are excluded from statistics and quantiles.
+    the on-disk layout. ``validity`` comes from ``nodata`` alone: None without
+    it, else a ``(height, width)`` bool plane, False where any band holds it.
+    Invalid pixels are excluded from statistics and quantiles.
     """
 
     data: NDArray[np.float32]
     band_meta: list[BandMeta] = field(default_factory=list)
     nodata: float | None = None
-    validity: NDArray[np.bool_] | None = None
+    validity: NDArray[np.bool_] | None = field(default=None, init=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float32)
@@ -105,28 +106,28 @@ class RasterCube:
         if dupes:
             raise DataError(f"duplicated band role(s): {dupes}")
         if self.nodata is not None:
-            try:
-                nodata = float(self.nodata)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"nodata {self.nodata!r} must be a number") from exc
-            if not math.isfinite(nodata):
+            if isinstance(self.nodata, bool) or not isinstance(self.nodata, numbers.Real):
+                raise DataError(f"nodata {self.nodata!r} must be a number")
+            self.nodata = float(self.nodata)
+            if not math.isfinite(self.nodata):
                 raise DataError("nodata value must be finite")
-            self.nodata = nodata
-            if self.validity is None:
-                # Band by band, so the scan holds one band's flags beside the plane.
-                sentinel = np.float32(nodata)
-                self.validity = data[0] != sentinel
-                for band in data[1:]:
-                    self.validity &= band != sentinel
-        if self.validity is not None:
-            if self.nodata is None:
-                raise DataError("a validity mask requires a declared nodata value")
-            validity = np.asarray(self.validity, dtype=bool)
-            if validity.shape != (self.height, self.width):
-                raise DataError(
-                    f"validity shape {validity.shape} does not match ({self.height}, {self.width})"
-                )
-            self.validity = validity
+            # Band by band, so the scan holds one band's flags beside the plane.
+            sentinel = np.float32(self.nodata)
+            self.validity = data[0] != sentinel
+            for band in data[1:]:
+                self.validity &= band != sentinel
+
+    def _derived(self, data: NDArray[np.float32], band_meta: list[BandMeta], nodata: float | None) -> RasterCube:
+        """A cube of `data` on this cube's grid that keeps its validity, built without ``__post_init__``.
+
+        The caller vouches for what that would check: `data` is a finite
+        float32 ``(len(band_meta), height, width)`` array, `nodata` is None
+        exactly when this cube's is, and no valid pixel holds `nodata` in any
+        band, so every pixel that does is still marked invalid.
+        """
+        derived = copy.copy(self)
+        derived.data, derived.band_meta, derived.nodata = data, list(band_meta), nodata
+        return derived
 
     @property
     def bands(self) -> int:
@@ -173,11 +174,7 @@ class RasterCube:
             data = self.data[indices[0] : stop if stop >= 0 else None : step]
         else:
             data = self.data[indices]
-        # Bands of a checked cube need no new check: a shallow copy skips
-        # __post_init__ and its scan of every sample.
-        selected = copy.copy(self)
-        selected.data, selected.band_meta = data, [self.band_meta[i] for i in indices]
-        return selected
+        return self._derived(data, [self.band_meta[i] for i in indices], self.nodata)
 
     def pixels(self) -> NDArray[np.float32]:
         """All pixel spectra as an (N, bands) array, row-major pixel order."""
@@ -371,12 +368,10 @@ def load_cube(header_path: str | Path) -> RasterCube:
         if header.get(key, only) != only:
             raise FormatError(f"unsupported {key.replace('_', ' ')} {header[key]!r} (only {only!r})")
 
-    try:
-        width = int(header["width"])
-        height = int(header["height"])
-        bands = int(header["bands"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"cube header {header_path} has non-integer dimensions") from exc
+    width, height, bands = (header[key] for key in ("width", "height", "bands"))
+    # JSON integers only: not floats, strings or booleans.
+    if not all(type(n) is int for n in (width, height, bands)):
+        raise FormatError(f"cube header {header_path} has non-integer dimensions")
     if min(width, height, bands) < 1:
         raise FormatError(f"cube dimensions must be >= 1, got {width}x{height}x{bands}")
 

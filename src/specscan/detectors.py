@@ -21,10 +21,10 @@ The cube is band-sequential, so its data reshaped to (bands, pixels) is
 already the band matrix the kernels read. Statistics and maps walk it in
 fixed-order column tiles of ``_TILE_PIXELS`` pixels. The statistics,
 ``sam`` and ``rx`` work in memory bounded by the tile; ``mf`` keeps the
-whitened scene for one matrix-vector product. The triangular solves, sums
-of squares and matrix-vector product are the calls that scored a whole
-scene before the maps were tiled, so tiling can change a score only in the
-last bits of a BLAS call. Scalar ``mf`` and ``rx`` are one-pixel float64
+whitened scene for one matrix-vector product. Each tile goes through the
+triangular solve, sum of squares and matrix-vector product that a whole
+scene would, so a tile boundary can move a score only in the last bits of
+a BLAS call. Scalar ``mf`` and ``rx`` are one-pixel float64
 calls of the map kernel.
 Scalar ``sam`` is the reference the SAM map is tested against: the map's
 pixel norms can differ from ``np.linalg.norm`` in the last bit, so it does

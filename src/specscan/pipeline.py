@@ -258,8 +258,10 @@ class SummaryMessage:
     version: str
 
     def __post_init__(self):
-        if self.positive_count > self.pixel_count:
-            raise DataError("positive_count cannot exceed pixel_count")
+        if not all(type(n) is int for n in (self.pixel_count, self.positive_count)):
+            raise DataError(f"counts must be integers, got {self.pixel_count!r} and {self.positive_count!r}")
+        if not 0 <= self.positive_count <= self.pixel_count:
+            raise DataError("positive_count must lie in [0, pixel_count]")
         expected = self.positive_count / self.pixel_count if self.pixel_count else 0.0
         if not math.isclose(self.positive_fraction, expected, rel_tol=0.0, abs_tol=1e-12):
             raise DataError("positive_fraction must equal positive_count / pixel_count")

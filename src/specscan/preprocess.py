@@ -218,5 +218,6 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
     if cube.nodata is not None:
         nodata = params.nodata
         out[:, ~cube.validity] = np.float32(nodata)
-    # Passing the input's validity spares RasterCube a rescan for the sentinel.
-    return RasterCube(data=out, band_meta=cube.band_meta, nodata=nodata, validity=cube.validity)
+    # Valid pixels lie in [v_min, v_max] and nodata below v_min, all finite
+    # in float32 (check_float32), so the result needs no new check.
+    return cube._derived(out, cube.band_meta, nodata)

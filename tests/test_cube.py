@@ -161,11 +161,17 @@ class TestCubeRoundTrip:
             ({**HEADER, "nodata": [1]}, "nodata .* must be a number"),
             ({**HEADER, "bands_meta": 3}, "must be a list"),
             ({**HEADER, "bands_meta": [{"name": "a", "wavelength_nm": "abc"}, {"name": "b"}]}, "malformed bands_meta"),
+            ({**HEADER, "width": 3.9}, "non-integer"),
+            ({**HEADER, "bands": True}, "non-integer"),
+            ({**HEADER, "height": "2"}, "non-integer"),
+            ({**HEADER, "nodata": True}, "nodata .* must be a number"),
+            ({**HEADER, "nodata": "0"}, "nodata .* must be a number"),
         ],
         ids=[
             "non-object", "missing-field", "dtype", "interleave", "byte-order", "non-integer-dims",
             "zero-dims", "meta-length", "meta-entry", "missing-payload", "non-finite-nodata",
-            "string-nodata", "list-nodata", "meta-not-list", "string-wavelength",
+            "string-nodata", "list-nodata", "meta-not-list", "string-wavelength", "float-width",
+            "bool-bands", "numeric-string-height", "bool-nodata", "numeric-string-nodata",
         ],
     )
     def test_malformed_header_is_format_error(self, tmp_path, header, message):
@@ -224,11 +230,11 @@ class TestInvariants:
             BandMeta(name="x", role="ultraviolet")
 
     def test_validity_requires_nodata(self):
-        with pytest.raises(DataError, match="nodata"):
-            RasterCube(
-                data=np.zeros((1, 1, 1), dtype=np.float32),
-                validity=np.ones((1, 1), dtype=bool),
-            )
+        # Validity comes from nodata alone: it is not a constructor argument.
+        data = np.zeros((1, 1, 1), dtype=np.float32)
+        with pytest.raises(TypeError, match="validity"):
+            RasterCube(data=data, validity=np.ones((1, 1), dtype=bool))
+        assert RasterCube(data=data).validity is None
 
     def test_nodata_derives_validity(self):
         data = np.array([[[1.0, -9999.0], [0.5, 0.25]]], dtype=np.float32)

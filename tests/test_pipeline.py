@@ -47,7 +47,7 @@ RGBN_META = [
 def on_grid(cube, wavelengths):
     """`cube` with its bands at `wavelengths` (nm)."""
     meta = [replace(m, wavelength_nm=wl) for m, wl in zip(cube.band_meta, wavelengths)]
-    return RasterCube(data=cube.data, band_meta=meta, nodata=cube.nodata, validity=cube.validity)
+    return RasterCube(data=cube.data, band_meta=meta, nodata=cube.nodata)
 
 
 def hazy_scene(height=64, width=64, seed=0):
@@ -248,6 +248,26 @@ class TestSummaryMessage:
                 algorithm="a",
                 version="v",
             )
+
+    @pytest.mark.parametrize(
+        "pixel_count, positive, message",
+        [
+            (-1, -5, "lie in"),
+            (10, -1, "lie in"),
+            (10, 11, "lie in"),
+            (10.5, 5, "integers"),
+            (True, 1, "integers"),
+            (10, 5.0, "integers"),
+        ],
+    )
+    def test_counts_must_be_possible(self, tmp_path, pixel_count, positive, message):
+        fields = {**vars(self.make_message()), "pixel_count": pixel_count, "positive_count": positive}
+        fields["positive_fraction"] = positive / pixel_count
+        with pytest.raises(DataError, match=message):
+            SummaryMessage(**fields)
+        (tmp_path / "sum.json").write_text(json.dumps(fields), encoding="utf-8")
+        with pytest.raises(FormatError, match=message):
+            parse_summary(tmp_path / "sum.json")
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_threshold_must_be_finite(self, tmp_path, threshold):

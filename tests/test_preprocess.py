@@ -170,6 +170,19 @@ class TestStretchCube:
         assert out.validity.tolist() == cube.validity.tolist()
         assert out.valid_pixel_count() == 19
 
+    @pytest.mark.parametrize("nodata", [None, -9999.0])
+    def test_result_is_not_checked_again(self, monkeypatch, nodata):
+        # The stretch keeps the checked input's validity; nothing rescans
+        # the stretched samples.
+        data = np.arange(20, dtype=np.float32).reshape(1, 4, 5)
+        data[0, 0, 0] = -9999.0
+        cube = RasterCube(data=data, nodata=nodata)
+        checked = []
+        monkeypatch.setattr(RasterCube, "__post_init__", lambda self: checked.append(self))
+        out = stretch_cube(cube, StretchParams())
+        assert checked == []
+        assert out.validity is cube.validity
+
     def test_all_invalid_cube_propagates_error(self):
         data = np.full((1, 2, 2), -9999.0, dtype=np.float32)
         cube = RasterCube(data=data, nodata=-9999.0)
