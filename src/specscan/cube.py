@@ -242,13 +242,15 @@ class ScoreMap:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or min(data.shape) < 1:
             raise DataError(f"score data must be 2-D and non-empty, got shape {data.shape}")
-        if not np.isfinite(data).all():
+        # A NaN propagates through both, so the range is finite only when every score is.
+        lowest, highest = float(data.min()), float(data.max())
+        if not (math.isfinite(lowest) and math.isfinite(highest)):
             raise DataError("score map contains non-finite values")
         if self.score_kind not in SCORE_KINDS:
             raise DataError(f"unknown score kind {self.score_kind!r}; expected one of {SCORE_KINDS}")
         if self.score_kind in _SCORE_RANGES:
             low, high, printed = _SCORE_RANGES[self.score_kind]
-            if data.min() < low or data.max() > high:
+            if lowest < low or highest > high:
                 raise DataError(f"{self.score_kind} scores must lie in {printed}")
         self.data = data
         if self.flags is not None:
@@ -334,10 +336,10 @@ def save_cube(cube: RasterCube, header_path: str | Path) -> None:
         "nodata": cube.nodata,
         "bands_meta": [asdict(m) for m in cube.band_meta],
     }
-    raw = np.ascontiguousarray(cube.data).astype("<f4", copy=False).tobytes()
+    payload = np.ascontiguousarray(cube.data, dtype="<f4")
     try:
         header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
-        (header_path.parent / payload_name).write_bytes(raw)
+        payload.tofile(header_path.parent / payload_name)
     except OSError as exc:
         raise FormatError(f"cannot write cube to {header_path}: {exc}") from exc
 
@@ -422,9 +424,11 @@ def save_mask(mask: BinaryMask, path: str | Path) -> None:
     """Write `mask` as binary PGM: 0 for label 0, 255 for label 1."""
     path = Path(path)
     header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    payload = (mask.data * np.uint8(255)).tobytes()
+    payload = mask.data * np.uint8(255)
     try:
-        path.write_bytes(header + payload)
+        with path.open("wb") as file:
+            file.write(header)
+            file.write(payload)
     except OSError as exc:
         raise FormatError(f"cannot write mask to {path}: {exc}") from exc
 

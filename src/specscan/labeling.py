@@ -24,7 +24,7 @@ CLEAR_SKY_SUBSET_FRACTION = 0.0015
 CLEAR_SKY_BIN_COUNT = 20
 CLEAR_SKY_POINTS_PER_BIN = 20
 
-_OTSU_CHUNK = 1 << 16  # values binned per step of otsu_threshold
+_OTSU_CHUNK = 1 << 16  # values ndwi scores and otsu_threshold bins per step
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,27 @@ def ndwi(cube: RasterCube) -> ScoreMap:
     """(green - nir) / (green + nir) per pixel.
 
     Pixels with green + nir == 0 score 0 by convention and are flagged.
-    Scores are clipped into [-1, 1].
+    Scores are clipped into [-1, 1]. The map is computed in float64,
+    65,536 pixels at a time, straight into the score and flag planes.
     """
-    scores = cube.plane("green").astype(np.float64)
+    green = cube.plane("green")
     nir = cube.plane("nir")
-    total = scores + nir
-    zero = total == 0.0
-    scores -= nir
-    np.divide(scores, total, out=scores, where=~zero)
-    scores[zero] = 0.0
-    np.clip(scores, -1.0, 1.0, out=scores)
+    scores = np.empty(green.shape, dtype=np.float64)
+    zero = np.empty(green.shape, dtype=bool)
+    green, nir, flat_scores, flat_zero = (a.reshape(-1) for a in (green, nir, scores, zero))
+    total = np.empty(min(_OTSU_CHUNK, green.size), dtype=np.float64)
+    # A zero total divides to an infinity or NaN that the flag then overwrites.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, green.size, _OTSU_CHUNK):
+            g, n = green[start : start + _OTSU_CHUNK], nir[start : start + _OTSU_CHUNK]
+            out, at_zero = flat_scores[start : start + g.size], flat_zero[start : start + g.size]
+            sums = total[: g.size]
+            np.add(g, n, out=sums, dtype=np.float64)
+            np.equal(sums, 0.0, out=at_zero)
+            np.subtract(g, n, out=out, dtype=np.float64)
+            out /= sums
+            np.copyto(out, 0.0, where=at_zero)
+            np.clip(out, -1.0, 1.0, out=out)
     return ScoreMap(data=scores, score_kind="NDWI", flags=zero if zero.any() else None)
 
 
@@ -181,8 +192,9 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
         return OtsuResult(threshold=lo, inter_class_variance=0.0, histogram_bins=bins, degenerate=True)
 
     edges = np.linspace(lo, hi, bins + 1)
-    idx = _otsu_bins(values, edges, lo, hi)
-    counts = np.bincount(idx, minlength=bins).astype(np.float64)
+    idx, counts = _otsu_bins(values, edges, lo, hi)
+    counts = counts.astype(np.float64)
+    # One pass over the whole map, so each bin's sum adds its values in pixel order.
     sums = np.bincount(idx, weights=values, minlength=bins)
 
     n_total = float(values.size)
@@ -205,33 +217,62 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
     )
 
 
-def _otsu_bins(values: np.ndarray, edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Bin of each value: the last edge at or below it, the top bin closed.
+def _otsu_bins(values: np.ndarray, edges: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bin of each value, the last edge at or below it with the top bin closed, and each bin's count.
 
-    Equal to ``searchsorted(edges, values, side="right") - 1`` clipped to
-    ``[0, bins - 1]``. ``edges[j]`` is ``j * width + lo`` rounded twice, as
-    ``np.linspace`` builds it, so ``floor((v - lo) / width)`` is off by at
-    most one bin while the width is above 2**-48 of the largest magnitude:
-    rounding ``v - lo``, the division and each edge moves a value by less
-    than 3 * 2**-53 of that magnitude, under a tenth of a bin. One step
-    against the stored edges then corrects it. A narrower range falls back to
-    the binary search. Chunks keep the temporaries small.
+    The bins equal ``searchsorted(edges, values, side="right") - 1`` clipped
+    to ``[0, bins - 1]``. ``edges[j]`` is ``j * width + lo`` rounded twice, as
+    ``np.linspace`` builds it, and a value's bin fraction is
+    ``t = (v - lo) / width``, also rounded twice. With ``M = max(|lo|, |hi|,
+    tiny)``, each rounding errs by at most ``2**-53`` of ``M`` or of its
+    result, subnormals included, so ``t`` and the edges together lie within
+    ``5 * 2**-53 * M / width + 2**-53 * (bins + 1)`` bins of their exact
+    places: under half of ``delta = 2**-49 * (M / width + bins)``.
+
+    * Where ``t`` lies at least ``delta`` from every integer, ``v`` lies
+      strictly between the same two edges as ``t``'s exact value, so
+      ``floor(t)`` is its bin. A ``t`` at or past ``bins`` is within
+      ``delta`` of ``bins``.
+    * Where ``t`` lies within ``delta`` of an integer ``k``, ``v`` lies
+      strictly between edges ``k - 1`` and ``k + 1``, so one comparison with
+      ``edges[k]`` settles its bin.
+    * A ``delta`` of 1/4 or more (a width under about ``2**-47 * M``) falls
+      back to the binary search.
+
+    Values are binned ``_OTSU_CHUNK`` at a time into reused buffers, and each
+    chunk is counted while it is in cache: integer counts are exact under
+    any split.
     """
     bins = edges.size - 1
     width = (hi - lo) / bins
-    if not width > 2.0**-48 * max(abs(lo), abs(hi), np.finfo(np.float64).tiny):
+    delta = 2.0**-49 * (max(abs(lo), abs(hi), np.finfo(np.float64).tiny) / width + bins) if width else math.inf
+    if not delta < 0.25:
         idx = np.searchsorted(edges, values, side="right")
         idx -= 1
-        return np.clip(idx, 0, bins - 1, out=idx)
+        np.clip(idx, 0, bins - 1, out=idx)
+        return idx, np.bincount(idx, minlength=bins)
     idx = np.empty(values.size, dtype=np.intp)
+    counts = np.zeros(bins, dtype=np.intp)
+    t_buffer = np.empty(min(_OTSU_CHUNK, values.size), dtype=np.float64)
+    k_buffer = np.empty_like(t_buffer)
+    near_buffer = np.empty(t_buffer.size, dtype=bool)
     for start in range(0, values.size, _OTSU_CHUNK):
         v = values[start : start + _OTSU_CHUNK]
-        chunk = idx[start : start + _OTSU_CHUNK]
-        np.copyto(chunk, (v - lo) / width, casting="unsafe")
-        np.clip(chunk, 0, bins - 1, out=chunk)
-        chunk -= edges[chunk] > v
-        chunk += (edges[chunk + 1] <= v) & (chunk < bins - 1)
-    return idx
+        chunk = idx[start : start + v.size]
+        t, k, near = t_buffer[: v.size], k_buffer[: v.size], near_buffer[: v.size]
+        np.subtract(v, lo, out=t)
+        t /= width
+        np.copyto(chunk, t, casting="unsafe")  # t >= 0, so truncation is floor
+        np.rint(t, out=k)
+        t -= k
+        np.less(np.abs(t, out=t), delta, out=near)
+        at = np.flatnonzero(near)
+        if at.size:
+            fixed = k[at].astype(np.intp)
+            fixed -= v[at] < edges[fixed]
+            chunk[at] = np.clip(fixed, 0, bins - 1, out=fixed)
+        counts += np.bincount(chunk, minlength=bins)
+    return idx, counts
 
 
 def binarize(scores: ScoreMap, threshold: float, polarity: str = "above") -> BinaryMask:

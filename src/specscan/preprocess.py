@@ -210,14 +210,14 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
     # which is freed before the output is allocated.
     quantiles = [band_quantiles(cube.plane(i), cube.validity, fractions) for i in range(cube.bands)]
     out = np.empty(cube.data.shape, dtype=np.float32)
+    nodata = None if cube.nodata is None else params.nodata
+    invalid = None if nodata is None else ~cube.validity
     for i in range(cube.bands):
         # stretch_band clamps to [v_min, v_max]; rounding to float32 is
         # monotonic, so the stored band stays within the rounded bounds.
         stretch_band(cube.plane(i), params, *quantiles[i], out=out[i])
-    nodata = None
-    if cube.nodata is not None:
-        nodata = params.nodata
-        out[:, ~cube.validity] = np.float32(nodata)
+        if invalid is not None:
+            np.copyto(out[i], np.float32(nodata), where=invalid)
     # Valid pixels lie in [v_min, v_max] and nodata below v_min, all finite
     # in float32 (check_float32), so the result needs no new check.
     return cube._derived(out, cube.band_meta, nodata)

@@ -315,6 +315,15 @@ class TestInvariants:
         with pytest.raises(DataError, match="SAM"):
             ScoreMap(data=np.array([[-0.1]]), score_kind="SAM")
 
+    @pytest.mark.parametrize("kind", ["NDWI", "HOT"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 17, -1])
+    def test_score_map_rejects_non_finite(self, kind, bad, at):
+        data = np.linspace(-0.5, 0.5, 35).reshape(5, 7)
+        data.reshape(-1)[at] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            ScoreMap(data=data, score_kind=kind)
+
     def test_target_spectrum_label(self):
         with pytest.raises(DataError, match="label"):
             TargetSpectrum(label="", values=np.array([1.0]))
@@ -379,6 +388,29 @@ class TestMaskPgm:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read mask"):
             load_mask(tmp_path / "absent.pgm")
+
+
+class TestPayloadBytes:
+    """Payload files hold exactly the array's little-endian bytes."""
+
+    def test_cube(self, tmp_path):
+        cube = random_cube(np.random.default_rng(5), bands=3, height=4, width=6)
+        save_cube(cube, tmp_path / "c.json")
+        assert (tmp_path / "c.raw").read_bytes() == cube.data.astype("<f4").tobytes()
+
+    def test_score_map(self, tmp_path):
+        scores = ScoreMap(data=np.random.default_rng(6).normal(size=(5, 3)), score_kind="HOT")
+        save_score_map(scores, tmp_path / "s.json")
+        assert (tmp_path / "s.raw").read_bytes() == scores.data.astype("<f4").tobytes()
+
+    def test_mask(self, tmp_path):
+        data = (np.random.default_rng(7).random((4, 9)) > 0.5).astype(np.uint8)
+        save_mask(BinaryMask(data=data), tmp_path / "m.pgm")
+        assert (tmp_path / "m.pgm").read_bytes() == b"P5\n9 4\n255\n" + (data * np.uint8(255)).tobytes()
+
+    def test_unwritable_mask(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot write mask"):
+            save_mask(BinaryMask(data=np.zeros((1, 1))), tmp_path / "absent" / "m.pgm")
 
 
 class TestScoreMapIO:

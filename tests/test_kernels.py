@@ -2,8 +2,8 @@
 
 Each reference in ``oracles.py`` is the formula the kernel used before it
 was rewritten to partition instead of sort, bin by floor instead of binary
-search, work in place, or walk the cube in pixel tiles. The rewrites promise the same bits, so every
-comparison here is exact.
+search, work in place or in chunks, or walk the cube in pixel tiles. The
+rewrites promise the same bits, so every comparison here is exact.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from specscan import (
     ndwi,
     stretch_band,
 )
-from specscan import preprocess
+from specscan import labeling, preprocess
 from specscan.labeling import _OTSU_CHUNK, _otsu_bins
 from conftest import cube_from_planes
 from oracles import (
@@ -157,6 +157,14 @@ class TestClearSkyLine:
             assert (line.slope, line.intercept, line.n_fit_points, line.fit_residual_rms) == expected
 
 
+def assert_otsu_bins(values, edges, lo, hi):
+    """`_otsu_bins` gives the binary search's bins, and their counts."""
+    expected = otsu_bins_searchsorted(values, edges)
+    idx, counts = _otsu_bins(values, edges, lo, hi)
+    assert_same_bits(idx, expected)
+    assert_same_bits(counts, np.bincount(expected, minlength=edges.size - 1))
+
+
 class TestOtsuBins:
     @staticmethod
     def edge_values(lo, hi, bins):
@@ -180,7 +188,7 @@ class TestOtsuBins:
     )
     def test_edges_and_their_neighbours(self, lo, hi, bins):
         values, edges = self.edge_values(lo, hi, bins)
-        assert_same_bits(_otsu_bins(values, edges, lo, hi), otsu_bins_searchsorted(values, edges))
+        assert_otsu_bins(values, edges, lo, hi)
 
     @pytest.mark.parametrize("ulps", [1, 2, 3, 5, 40, 1000, 2**12, 2**13, 2**14])
     @pytest.mark.parametrize("lo", [1.0, 0.3, -7.0, 1e-310])
@@ -192,7 +200,7 @@ class TestOtsuBins:
         hi = float(values[-1])
         for bins in (2, 256):
             edges = np.linspace(lo, hi, bins + 1)
-            assert_same_bits(_otsu_bins(values, edges, lo, hi), otsu_bins_searchsorted(values, edges))
+            assert_otsu_bins(values, edges, lo, hi)
 
     def test_chunks_cover_every_value(self):
         rng = np.random.default_rng(31)
@@ -200,7 +208,22 @@ class TestOtsuBins:
         lo, hi = float(values.min()), float(values.max())
         edges = np.linspace(lo, hi, 257)
         values[[0, _OTSU_CHUNK - 1, _OTSU_CHUNK, 2 * _OTSU_CHUNK, values.size - 1]] = edges[[5, 100, 101, 200, 256]]
-        assert_same_bits(_otsu_bins(values, edges, lo, hi), otsu_bins_searchsorted(values, edges))
+        assert_otsu_bins(values, edges, lo, hi)
+
+    @pytest.mark.parametrize("chunk, size", [(1, 200), (3, 500), (7, 1000), (64, 5000), (_OTSU_CHUNK, 2 * _OTSU_CHUNK + 77)])
+    def test_values_on_edges_across_chunks(self, monkeypatch, chunk, size):
+        # An NDWI map's clipped -1 and +1 and the 0 of its zero-sum pixels sit
+        # on edges; here most values do, in runs that cross chunk boundaries.
+        monkeypatch.setattr(labeling, "_OTSU_CHUNK", chunk)
+        rng = np.random.default_rng(32)
+        values = np.repeat(rng.choice([-1.0, 0.0, 1.0], size=size // 5 + 1), 5)[:size]
+        off_edges = rng.random(size) < 0.2
+        values[off_edges] = rng.uniform(-1.0, 1.0, size=int(off_edges.sum()))
+        values[[0, -1]] = -1.0, 1.0
+        for bins in (2, 8, 256):
+            edges = np.linspace(-1.0, 1.0, bins + 1)
+            assert np.isin(values, edges).mean() > 0.7
+            assert_otsu_bins(values, edges, -1.0, 1.0)
 
 
 class TestStretchBand:
@@ -287,6 +310,25 @@ class TestNdwi:
         scores = ndwi(cube_from_planes({"green": green, "nir": nir}))
         expected, zero = ndwi_where(green, nir)
         assert zero.sum() > 64 * 21
+        assert_same_bits(scores.data, expected)
+        assert_same_bits(scores.flags, zero)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 5000])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        monkeypatch.setattr(labeling, "_OTSU_CHUNK", chunk)
+        rng = np.random.default_rng(53)
+        green = rng.uniform(-1.0, 1.0, size=(37, 64)).astype(np.float32)
+        nir = rng.uniform(-1.0, 1.0, size=(37, 64)).astype(np.float32)
+        flat_green, flat_nir = green.reshape(-1), nir.reshape(-1)
+        # Zero sums on the first and last pixel of every other chunk and of
+        # the map, and 0 / 0 over the whole second chunk.
+        for at in (0, chunk - 1, green.size - 1):
+            ends = np.arange(at, green.size, 2 * chunk)
+            flat_nir[ends] = -flat_green[ends]
+        flat_green[chunk : 2 * chunk] = flat_nir[chunk : 2 * chunk] = 0.0
+        scores = ndwi(cube_from_planes({"green": green, "nir": nir}))
+        expected, zero = ndwi_where(green, nir)
+        assert zero[0, 0] and zero[-1, -1]
         assert_same_bits(scores.data, expected)
         assert_same_bits(scores.flags, zero)
 
