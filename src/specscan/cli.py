@@ -140,18 +140,6 @@ def _parse_band(value: str):
         return value
 
 
-def _cmd_label_threshold(args) -> int:
-    """``label threshold``: the score and label steps of the ``thermal`` application."""
-    app = APPLICATIONS["thermal"]
-    config = _config(args, "thermal")
-    scene, config = app.select(load_cube(args.cube), config)
-    mask, _, _ = app.label(app.score(scene, config, {})[0], config, {})
-    mask_path = Path(str(args.out) + ".pgm") if not str(args.out).endswith(".pgm") else Path(args.out)
-    save_mask(mask, mask_path)
-    _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})
-    return 0
-
-
 def _cmd_stats(args) -> int:
     cube = load_cube(args.cube)
     payload = compute_scene_stats(cube).describe(bands=True, covariance=args.full)
@@ -181,13 +169,22 @@ def _target(args, app) -> TargetSpectrum | None:
 
 
 def _cmd_score(args) -> int:
-    """``label ndwi|hot`` and ``detect sam|mf|rx``: the score and label steps of the matching application."""
+    """``label ndwi|hot|threshold`` and ``detect sam|mf|rx``: the score and label steps of the matching application.
+
+    ``label threshold`` writes the band window's mask alone.
+    """
     name = next(name for name, entry in APPLICATIONS.items() if entry.command == args.score)
     app = APPLICATIONS[name]
     config = _config(args, name)
-    scene, config = app.select(load_cube(args.cube), config)
+    scene, config = app.select(args.cube, config)
     diagnostics: dict = {}
     scores, _ = app.score(scene, config, diagnostics)
+    if app.band_window:
+        mask, _, _ = app.label(scores, config, diagnostics)
+        mask_path = Path(args.out) if str(args.out).endswith(".pgm") else Path(f"{args.out}.pgm")
+        save_mask(mask, mask_path)
+        _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})
+        return 0
     score_header = Path(f"{args.out}.json")
     save_score_map(scores, score_header)
     outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}
@@ -306,8 +303,8 @@ def _cmd_pipeline_run(args) -> int:
         output_dir = out_root / scene_id if len(args.cube) > 1 else out_root
         item = {"scene_id": scene_id, "output_dir": str(output_dir)}
         try:
-            cube = load_cube(cube_path)
-            summary = run_pipeline(cube, replace(config, scene_id=scene_id, output_dir=output_dir)).summary
+            # Given the path, the run loads only the bands it scores and frees them once stretched.
+            summary = run_pipeline(cube_path, replace(config, scene_id=scene_id, output_dir=output_dir)).summary
         except (SpecScanError, OSError) as exc:
             return {**item, "error": str(exc)}
         return {
@@ -388,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=sorted(_HOT_MODE_FLAGS), default=_HOT_MODE_DEFAULT, help="HOT formula variant")
     _add_score_flags(p)
 
-    p = add(label_sub, "threshold", "label pixels inside a band-value window", _cmd_label_threshold, cube=True)
+    p = add(label_sub, "threshold", "label pixels inside a band-value window", _cmd_score, cube=True)
     p.add_argument("--band", type=_parse_band, required=True, help="band role (blue/green/red/nir) or index")
     p.add_argument("--low", type=float, help="lower bound (inclusive)")
     p.add_argument("--high", type=float, help="upper bound (inclusive)")

@@ -21,12 +21,13 @@ a new object, so cubes are safe to share across threads for reading.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
 import numbers
-from collections.abc import Sequence
+import os
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -76,7 +77,9 @@ class RasterCube:
     ``data`` has shape ``(bands, height, width)`` and dtype float32, matching
     the on-disk layout. ``validity`` comes from ``nodata`` alone: None without
     it, else a ``(height, width)`` bool plane, False where any band holds it.
-    Invalid pixels are excluded from statistics and quantiles.
+    A band selection (:meth:`select`, ``load_cube(path, bands=...)``) keeps
+    the validity of the whole cube, bands left out included. Invalid pixels
+    are excluded from statistics and quantiles.
     """
 
     data: NDArray[np.float32]
@@ -90,44 +93,30 @@ class RasterCube:
             raise DataError(f"cube data must be 3-D (bands, height, width), got shape {data.shape}")
         if min(data.shape) < 1:
             raise DataError(f"cube dimensions must all be >= 1, got {data.shape}")
-        # Band by band, so the check holds one band's flags at a time.
-        if not all(np.isfinite(band).all() for band in data):
-            raise DataError("cube contains non-finite samples")
         self.data = data
-        if not self.band_meta:
-            self.band_meta = [BandMeta(name=f"band_{i}") for i in range(data.shape[0])]
-        self.band_meta = list(self.band_meta)
-        if len(self.band_meta) != data.shape[0]:
-            raise DataError(
-                f"band_meta has {len(self.band_meta)} entries for {data.shape[0]} bands"
-            )
-        roles = [m.role for m in self.band_meta if m.role != "other"]
-        dupes = sorted({r for r in roles if roles.count(r) > 1})
-        if dupes:
-            raise DataError(f"duplicated band role(s): {dupes}")
-        if self.nodata is not None:
-            if isinstance(self.nodata, bool) or not isinstance(self.nodata, numbers.Real):
-                raise DataError(f"nodata {self.nodata!r} must be a number")
-            self.nodata = float(self.nodata)
-            if not math.isfinite(self.nodata):
-                raise DataError("nodata value must be finite")
-            # Band by band, so the scan holds one band's flags beside the plane.
-            sentinel = np.float32(self.nodata)
-            self.validity = data[0] != sentinel
-            for band in data[1:]:
-                self.validity &= band != sentinel
+        self.band_meta, self.nodata = _checked_meta(self.band_meta, data.shape[0], self.nodata)
+        self.validity = _scan_planes(data, self.nodata)
 
-    def _derived(self, data: NDArray[np.float32], band_meta: list[BandMeta], nodata: float | None) -> RasterCube:
-        """A cube of `data` on this cube's grid that keeps its validity, built without ``__post_init__``.
+    @classmethod
+    def _derived(
+        cls,
+        data: NDArray[np.float32],
+        band_meta: list[BandMeta],
+        nodata: float | None,
+        validity: NDArray[np.bool_] | None,
+    ) -> RasterCube:
+        """A cube built without ``__post_init__``, whose caller vouches for what it would check.
 
-        The caller vouches for what that would check: `data` is a finite
-        float32 ``(len(band_meta), height, width)`` array, `nodata` is None
-        exactly when this cube's is, and no valid pixel holds `nodata` in any
-        band, so every pixel that does is still marked invalid.
+        `data` is a finite float32 ``(len(band_meta), height, width)`` array,
+        `band_meta` and `nodata` are checked, `validity` is None exactly when
+        `nodata` is, and every pixel that holds `nodata` in any band of `data`
+        is False in `validity`. Other pixels may be False too: a band
+        selection, or a cube stretched from one, keeps the validity that the
+        bands it leaves out contributed.
         """
-        derived = copy.copy(self)
-        derived.data, derived.band_meta, derived.nodata = data, list(band_meta), nodata
-        return derived
+        cube = cls.__new__(cls)
+        cube.data, cube.band_meta, cube.nodata, cube.validity = data, list(band_meta), nodata, validity
+        return cube
 
     @property
     def bands(self) -> int:
@@ -143,15 +132,7 @@ class RasterCube:
 
     def band_index(self, band: int | str) -> int:
         """Index of a band given by index or by role; raises DataError if absent."""
-        if isinstance(band, int):
-            if not 0 <= band < self.bands:
-                raise DataError(f"band index {band} out of range for {self.bands} bands")
-            return band
-        role = str(band).strip().lower()
-        matches = [i for i, m in enumerate(self.band_meta) if m.role == role]
-        if not matches:
-            raise DataError(f"cube has no band with role {role!r}")
-        return matches[0]
+        return _band_index(self.band_meta, band)
 
     def plane(self, band: int | str) -> NDArray[np.float32]:
         """The (height, width) plane of one band, as a view (no copy)."""
@@ -164,9 +145,7 @@ class RasterCube:
         bands, which one or two bands always are, are a view of this cube's
         data; other selections are a copy.
         """
-        indices = [self.band_index(band) for band in bands]
-        if not indices or len(set(indices)) < len(indices):
-            raise DataError(f"select needs distinct bands, at least one, got {list(bands)}")
+        indices = _band_indices(self.band_meta, bands)
         steps = {b - a for a, b in zip(indices, indices[1:])}
         if len(steps) <= 1:
             step = steps.pop() if steps else 1
@@ -174,11 +153,7 @@ class RasterCube:
             data = self.data[indices[0] : stop if stop >= 0 else None : step]
         else:
             data = self.data[indices]
-        return self._derived(data, [self.band_meta[i] for i in indices], self.nodata)
-
-    def pixels(self) -> NDArray[np.float32]:
-        """All pixel spectra as an (N, bands) array, row-major pixel order."""
-        return self.data.reshape(self.bands, -1).T
+        return RasterCube._derived(data, [self.band_meta[i] for i in indices], self.nodata, self.validity)
 
     def wavelengths(self) -> NDArray[np.float64] | None:
         """Per-band wavelengths, or None unless every band declares one."""
@@ -187,10 +162,62 @@ class RasterCube:
             return None
         return np.asarray(values, dtype=np.float64)
 
-    def valid_pixel_count(self) -> int:
-        if self.validity is None:
-            return self.height * self.width
-        return int(np.count_nonzero(self.validity))
+
+def _checked_meta(band_meta: list[BandMeta], bands: int, nodata) -> tuple[list[BandMeta], float | None]:
+    """`band_meta` for `bands` bands (default names without it) and `nodata` as a float, both checked."""
+    band_meta = list(band_meta) or [BandMeta(name=f"band_{i}") for i in range(bands)]
+    if len(band_meta) != bands:
+        raise DataError(f"band_meta has {len(band_meta)} entries for {bands} bands")
+    roles = [m.role for m in band_meta if m.role != "other"]
+    dupes = sorted({r for r in roles if roles.count(r) > 1})
+    if dupes:
+        raise DataError(f"duplicated band role(s): {dupes}")
+    if nodata is not None:
+        if isinstance(nodata, bool) or not isinstance(nodata, numbers.Real):
+            raise DataError(f"nodata {nodata!r} must be a number")
+        nodata = float(nodata)
+        if not math.isfinite(nodata):
+            raise DataError("nodata value must be finite")
+    return band_meta, nodata
+
+
+def _scan_planes(planes: Iterable[NDArray[np.float32]], nodata: float | None) -> NDArray[np.bool_] | None:
+    """The validity of a cube's band planes, each checked to be finite.
+
+    Plane by plane, so the scan holds one plane of flags beside the validity.
+    """
+    validity = flags = None
+    for plane in planes:
+        flags = np.isfinite(plane, out=flags)
+        if not flags.all():
+            raise DataError("cube contains non-finite samples")
+        if nodata is not None:
+            if validity is None:
+                validity = np.not_equal(plane, np.float32(nodata))
+            else:
+                validity &= np.not_equal(plane, np.float32(nodata), out=flags)
+    return validity
+
+
+def _band_index(band_meta: list[BandMeta], band: int | str) -> int:
+    """Index of a band of `band_meta` given by index or by role; raises DataError if absent."""
+    if isinstance(band, int):
+        if not 0 <= band < len(band_meta):
+            raise DataError(f"band index {band} out of range for {len(band_meta)} bands")
+        return band
+    role = str(band).strip().lower()
+    matches = [i for i, m in enumerate(band_meta) if m.role == role]
+    if not matches:
+        raise DataError(f"cube has no band with role {role!r}")
+    return matches[0]
+
+
+def _band_indices(band_meta: list[BandMeta], bands: Sequence[int | str]) -> list[int]:
+    """Indices of distinct bands, at least one, each given as :func:`_band_index` takes it."""
+    indices = [_band_index(band_meta, band) for band in bands]
+    if not indices or len(set(indices)) < len(indices):
+        raise DataError(f"select needs distinct bands, at least one, got {list(bands)}")
+    return indices
 
 
 @dataclass
@@ -231,12 +258,14 @@ class ScoreMap:
 
     ``flags`` optionally marks pixels scored by a documented convention
     rather than the formula (zero-denominator NDWI pixels, zero-norm SAM
-    pixels).
+    pixels). ``value_range`` is the ``(min, max)`` of ``data``, taken when
+    it is checked; ``data`` is not to be changed after construction.
     """
 
     data: NDArray[np.float64]
     score_kind: str
     flags: NDArray[np.bool_] | None = None
+    value_range: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -252,7 +281,7 @@ class ScoreMap:
             low, high, printed = _SCORE_RANGES[self.score_kind]
             if lowest < low or highest > high:
                 raise DataError(f"{self.score_kind} scores must lie in {printed}")
-        self.data = data
+        self.data, self.value_range = data, (lowest, highest)
         if self.flags is not None:
             flags = np.asarray(self.flags, dtype=bool)
             if flags.shape != data.shape:
@@ -344,12 +373,22 @@ def save_cube(cube: RasterCube, header_path: str | Path) -> None:
         raise FormatError(f"cannot write cube to {header_path}: {exc}") from exc
 
 
-def load_cube(header_path: str | Path) -> RasterCube:
+def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None) -> RasterCube:
     """Load a cube written in the header+payload format.
+
+    With `bands`, keys as :meth:`RasterCube.select` takes them, the result
+    equals ``load_cube(header_path).select(bands)`` but holds only those
+    bands. The keys are resolved against the header's band metadata, so an
+    index names a band of the file. Every band is still read, one plane at
+    a time, checked to be finite and ANDed into the validity; a band left
+    out is read into one reused plane. The result therefore keeps the whole
+    cube's validity: a pixel that holds nodata in a band left out is
+    invalid, as it is in the selection.
 
     Raises:
         FormatError: missing files, malformed header, unsupported layout,
             payload length mismatch, or non-finite samples.
+        DataError: `bands` names a band the file lacks, or repeats one.
     """
     header_path = Path(header_path)
     try:
@@ -370,19 +409,19 @@ def load_cube(header_path: str | Path) -> RasterCube:
         if header.get(key, only) != only:
             raise FormatError(f"unsupported {key.replace('_', ' ')} {header[key]!r} (only {only!r})")
 
-    width, height, bands = (header[key] for key in ("width", "height", "bands"))
+    width, height, count = (header[key] for key in ("width", "height", "bands"))
     # JSON integers only: not floats, strings or booleans.
-    if not all(type(n) is int for n in (width, height, bands)):
+    if not all(type(n) is int for n in (width, height, count)):
         raise FormatError(f"cube header {header_path} has non-integer dimensions")
-    if min(width, height, bands) < 1:
-        raise FormatError(f"cube dimensions must be >= 1, got {width}x{height}x{bands}")
+    if min(width, height, count) < 1:
+        raise FormatError(f"cube dimensions must be >= 1, got {width}x{height}x{count}")
 
     meta_entries = header.get("bands_meta") or []
     if not isinstance(meta_entries, list):
         raise FormatError(f"bands_meta in {header_path} must be a list")
-    if meta_entries and len(meta_entries) != bands:
+    if meta_entries and len(meta_entries) != count:
         raise FormatError(
-            f"bands_meta has {len(meta_entries)} entries for {bands} bands in {header_path}"
+            f"bands_meta has {len(meta_entries)} entries for {count} bands in {header_path}"
         )
     try:
         band_meta = [
@@ -397,23 +436,40 @@ def load_cube(header_path: str | Path) -> RasterCube:
         raise FormatError(f"bands_meta entries must be objects in {header_path}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed bands_meta entry in {header_path}: {exc}") from exc
-
-    payload_path = header_path.parent / str(header["payload"])
     try:
-        raw = np.fromfile(payload_path, dtype=np.uint8)
-    except OSError as exc:
-        raise FormatError(f"cannot read cube payload {payload_path}: {exc}") from exc
-    expected = width * height * bands * 4
-    if raw.size != expected:
-        raise FormatError(
-            f"payload {payload_path} holds {raw.size} bytes, header implies {expected}"
-        )
-    # The one copy is the read: on a little-endian host the view needs none.
-    data = raw.view("<f4").astype(np.float32, copy=False).reshape(bands, height, width)
-    try:
-        return RasterCube(data=data, band_meta=band_meta, nodata=header.get("nodata"))
+        band_meta, nodata = _checked_meta(band_meta, count, header.get("nodata"))
     except DataError as exc:
         raise FormatError(f"cube {header_path} invalid: {exc}") from exc
+
+    payload_path = header_path.parent / str(header["payload"])
+    plane_bytes = width * height * 4
+    expected = plane_bytes * count
+    try:
+        with open(payload_path, "rb") as payload:
+            size = os.fstat(payload.fileno()).st_size
+            if size != expected:
+                raise FormatError(f"payload {payload_path} holds {size} bytes, header implies {expected}")
+            kept = range(count) if bands is None else _band_indices(band_meta, bands)
+            data = np.empty((len(kept), height, width), dtype=np.float32)
+            slots = dict(zip(kept, data))
+            spare = None if len(kept) == count else np.empty((height, width), dtype=np.float32)
+
+            def planes():
+                for b in range(count):
+                    plane = slots.get(b, spare)
+                    if payload.readinto(plane) != plane_bytes:
+                        raise FormatError(f"payload {payload_path} ended early, header implies {expected} bytes")
+                    if sys.byteorder == "big":
+                        plane.byteswap(inplace=True)
+                    yield plane
+
+            try:
+                validity = _scan_planes(planes(), nodata)
+            except DataError as exc:
+                raise FormatError(f"cube {header_path} invalid: {exc}") from exc
+    except OSError as exc:
+        raise FormatError(f"cannot read cube payload {payload_path}: {exc}") from exc
+    return RasterCube._derived(data, [band_meta[b] for b in kept], nodata, validity)
 
 
 # ---------------------------------------------------------------------------

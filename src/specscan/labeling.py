@@ -186,16 +186,13 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
     """
     _check_otsu_bins(bins)
     values = scores.data.ravel()
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = scores.value_range
     if lo == hi:
         return OtsuResult(threshold=lo, inter_class_variance=0.0, histogram_bins=bins, degenerate=True)
 
     edges = np.linspace(lo, hi, bins + 1)
-    idx, counts = _otsu_bins(values, edges, lo, hi)
+    counts, sums = _otsu_bins(values, edges, lo, hi)
     counts = counts.astype(np.float64)
-    # One pass over the whole map, so each bin's sum adds its values in pixel order.
-    sums = np.bincount(idx, weights=values, minlength=bins)
 
     n_total = float(values.size)
     sum_total = float(values.sum())
@@ -218,9 +215,35 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
 
 
 def _otsu_bins(values: np.ndarray, edges: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bin of each value, the last edge at or below it with the top bin closed, and each bin's count.
+    """Each bin's count and sum of `values`, binned by :func:`_otsu_chunk_bins`.
 
-    The bins equal ``searchsorted(edges, values, side="right") - 1`` clipped
+    Values are binned ``_OTSU_CHUNK`` at a time into reused buffers, so no
+    per-value index of the whole map is kept. Each chunk is counted, which
+    integer counts allow exactly under any split, and added into the sums
+    value by value with ``np.add.at``: each bin's sum adds its values in
+    pixel order, as one weighted ``np.bincount`` of the whole map would.
+    """
+    bins = edges.size - 1
+    counts = np.zeros(bins, dtype=np.intp)
+    sums = np.zeros(bins, dtype=np.float64)
+    buffers = _otsu_buffers(min(_OTSU_CHUNK, values.size))
+    for start in range(0, values.size, _OTSU_CHUNK):
+        v = values[start : start + _OTSU_CHUNK]
+        idx = _otsu_chunk_bins(v, edges, lo, hi, buffers)
+        counts += np.bincount(idx, minlength=bins)
+        np.add.at(sums, idx, v)
+    return counts, sums
+
+
+def _otsu_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers for :func:`_otsu_chunk_bins` of up to `size` values: bins, two fractions, flags."""
+    return np.empty(size, dtype=np.intp), np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
+def _otsu_chunk_bins(v: np.ndarray, edges: np.ndarray, lo: float, hi: float, buffers=None) -> np.ndarray:
+    """Bin of each value of `v`, the last edge at or below it with the top bin closed.
+
+    The bins equal ``searchsorted(edges, v, side="right") - 1`` clipped
     to ``[0, bins - 1]``. ``edges[j]`` is ``j * width + lo`` rounded twice, as
     ``np.linspace`` builds it, and a value's bin fraction is
     ``t = (v - lo) / width``, also rounded twice. With ``M = max(|lo|, |hi|,
@@ -239,40 +262,30 @@ def _otsu_bins(values: np.ndarray, edges: np.ndarray, lo: float, hi: float) -> t
     * A ``delta`` of 1/4 or more (a width under about ``2**-47 * M``) falls
       back to the binary search.
 
-    Values are binned ``_OTSU_CHUNK`` at a time into reused buffers, and each
-    chunk is counted while it is in cache: integer counts are exact under
-    any split.
+    The bins are written into the first of `buffers` (from
+    :func:`_otsu_buffers`, at least ``v.size`` long; new ones by default),
+    and a view of it is returned.
     """
+    idx, t, k, near = (b[: v.size] for b in buffers or _otsu_buffers(v.size))
     bins = edges.size - 1
     width = (hi - lo) / bins
     delta = 2.0**-49 * (max(abs(lo), abs(hi), np.finfo(np.float64).tiny) / width + bins) if width else math.inf
     if not delta < 0.25:
-        idx = np.searchsorted(edges, values, side="right")
+        idx[...] = np.searchsorted(edges, v, side="right")
         idx -= 1
-        np.clip(idx, 0, bins - 1, out=idx)
-        return idx, np.bincount(idx, minlength=bins)
-    idx = np.empty(values.size, dtype=np.intp)
-    counts = np.zeros(bins, dtype=np.intp)
-    t_buffer = np.empty(min(_OTSU_CHUNK, values.size), dtype=np.float64)
-    k_buffer = np.empty_like(t_buffer)
-    near_buffer = np.empty(t_buffer.size, dtype=bool)
-    for start in range(0, values.size, _OTSU_CHUNK):
-        v = values[start : start + _OTSU_CHUNK]
-        chunk = idx[start : start + v.size]
-        t, k, near = t_buffer[: v.size], k_buffer[: v.size], near_buffer[: v.size]
-        np.subtract(v, lo, out=t)
-        t /= width
-        np.copyto(chunk, t, casting="unsafe")  # t >= 0, so truncation is floor
-        np.rint(t, out=k)
-        t -= k
-        np.less(np.abs(t, out=t), delta, out=near)
-        at = np.flatnonzero(near)
-        if at.size:
-            fixed = k[at].astype(np.intp)
-            fixed -= v[at] < edges[fixed]
-            chunk[at] = np.clip(fixed, 0, bins - 1, out=fixed)
-        counts += np.bincount(chunk, minlength=bins)
-    return idx, counts
+        return np.clip(idx, 0, bins - 1, out=idx)
+    np.subtract(v, lo, out=t)
+    t /= width
+    np.copyto(idx, t, casting="unsafe")  # t >= 0, so truncation is floor
+    np.rint(t, out=k)
+    t -= k
+    np.less(np.abs(t, out=t), delta, out=near)
+    at = np.flatnonzero(near)
+    if at.size:
+        fixed = k[at].astype(np.intp)
+        fixed -= v[at] < edges[fixed]
+        idx[at] = np.clip(fixed, 0, bins - 1, out=fixed)
+    return idx
 
 
 def binarize(scores: ScoreMap, threshold: float, polarity: str = "above") -> BinaryMask:

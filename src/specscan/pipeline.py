@@ -30,6 +30,7 @@ from .cube import (
     RasterCube,
     ScoreMap,
     TargetSpectrum,
+    load_cube,
     save_mask,
     save_score_map,
 )
@@ -81,7 +82,7 @@ class Application:
     ``bands(config)`` names the bands the score step reads, as
     :meth:`RasterCube.band_index` keys, or is None for every band. The
     score step's scene holds just these bands, in this order (see
-    :meth:`select`), and a run stretches only them.
+    :meth:`select`): a run loads and stretches only them.
     """
 
     score: Callable[[RasterCube, PipelineConfig, dict], tuple[ScoreMap, str]]
@@ -92,16 +93,23 @@ class Application:
     stretch: bool = True
     needs_target: bool = False
 
-    def select(self, cube: RasterCube, config: PipelineConfig) -> tuple[RasterCube, PipelineConfig]:
+    def select(self, cube: RasterCube | str | Path, config: PipelineConfig) -> tuple[RasterCube, PipelineConfig]:
         """What the score step reads: `cube` cut down to its bands, and `config`.
 
-        For an entry that needs a target, the config's target is fitted onto
-        those bands (:meth:`TargetSpectrum.on_bands`).
+        `cube` may be a cube header's path: only those bands are then read
+        (``load_cube(path, bands=...)``), and an index names a band of the
+        file. For an entry that needs a target, the config's target is fitted
+        onto those bands (:meth:`TargetSpectrum.on_bands`).
 
         Raises:
+            FormatError: the file at `cube` cannot be loaded.
             DataError: `cube` lacks one of the bands, or the target does not fit them.
         """
-        scene = cube if self.bands is None else cube.select(self.bands(config))
+        keys = None if self.bands is None else self.bands(config)
+        if isinstance(cube, RasterCube):
+            scene = cube if keys is None else cube.select(keys)
+        else:
+            scene = load_cube(cube, bands=keys)
         if self.needs_target and config.target is not None:
             config = replace(config, target=config.target.on_bands(scene.wavelengths(), scene.bands))
         return scene, config
@@ -452,8 +460,13 @@ def _stage(stages: list[dict], name: str):
     stages.append({"name": name, "seconds": time.perf_counter() - start})
 
 
-def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
+def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> PipelineResult:
     """Run one scene through stretch, scoring, thresholding, and summary.
+
+    `cube` is the scene or its header's path. A path is read band-selectively
+    (:meth:`Application.select`): the run holds only the bands it scores, and
+    the validity of every band. Past the selection the run keeps no reference
+    to `cube`, so a stretch frees the bands it read once it has replaced them.
 
     When ``config.output_dir`` is set, writes ``score.json``/``score.raw``,
     ``mask.pgm``, ``summary.json``, and ``report.json`` into a ``.staging-*``
@@ -465,11 +478,13 @@ def run_pipeline(cube: RasterCube, config: PipelineConfig) -> PipelineResult:
     app = APPLICATIONS[config.application]
 
     # Finding its bands and fitting its target are part of the score step,
-    # so a missing band or a target that does not fit fails there.
+    # so a missing band or a target that does not fit fails there; a file
+    # that cannot be read is a FormatError, as from load_cube.
     try:
         scene, config = app.select(cube, config)
     except DataError as exc:
         raise StageError("score", str(exc)) from exc
+    del cube  # the scene is all the run reads, so the stretch can free it
 
     diagnostics: dict = {}
     stages: list[dict] = []

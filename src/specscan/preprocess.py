@@ -220,4 +220,4 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
             np.copyto(out[i], np.float32(nodata), where=invalid)
     # Valid pixels lie in [v_min, v_max] and nodata below v_min, all finite
     # in float32 (check_float32), so the result needs no new check.
-    return cube._derived(out, cube.band_meta, nodata)
+    return RasterCube._derived(out, cube.band_meta, nodata, cube.validity)

@@ -11,6 +11,18 @@ from collections import deque
 import numpy as np
 
 
+def pixel_spectra(cube):
+    """All pixel spectra of `cube` as an (N, bands) array, row-major pixel order."""
+    return cube.data.reshape(cube.bands, -1).T
+
+
+def valid_pixel_count(cube):
+    """Pixels of `cube` its validity mask keeps: all of them without one."""
+    if cube.validity is None:
+        return cube.height * cube.width
+    return int(np.count_nonzero(cube.validity))
+
+
 def quantile_sorted(values, fraction):
     """Type-7 quantile via an explicit sort and linear interpolation."""
     ordered = sorted(float(v) for v in values)
@@ -276,12 +288,12 @@ def sam_map_whole(cube, target, dtype):
     Zero-norm pixels score pi. Returns the float64 angles clipped into
     [0, pi] and the zero-norm flags, both flat.
     """
-    pixels = cube.pixels().astype(dtype)
+    spectra = pixel_spectra(cube).astype(dtype)
     t = np.asarray(target, dtype=np.float64).astype(dtype)
     norm_t = np.linalg.norm(t)
-    norms = np.sqrt(np.einsum("ij,ij->i", pixels, pixels))
+    norms = np.sqrt(np.einsum("ij,ij->i", spectra, spectra))
     zero = norms == 0.0
-    unit = pixels / np.where(zero, dtype(1.0), norms)[:, np.newaxis]
+    unit = spectra / np.where(zero, dtype(1.0), norms)[:, np.newaxis]
     v = t / norm_t
     diff = unit - v
     total = unit + v

@@ -42,6 +42,7 @@ from oracles import (
     confusion_loop,
     gauss_jordan_inverse,
     otsu_exhaustive,
+    pixel_spectra,
     quantile_sorted,
 )
 from test_detectors import cube_from_pixels
@@ -92,7 +93,7 @@ def test_criterion_02_detector_oracle_equivalence():
         stats = compute_scene_stats(cube)
         inverse = gauss_jordan_inverse(stats.covariance + stats.ridge * np.eye(bands))
         target = rng.random(bands) + 0.1
-        deviations = cube.pixels().astype(np.float64) - stats.mean
+        deviations = pixel_spectra(cube).astype(np.float64) - stats.mean
         t_dev = target - stats.mean
         mf_oracle = (deviations @ inverse @ t_dev) / float(t_dev @ inverse @ t_dev)
         rx_oracle = np.einsum("ij,ij->i", deviations @ inverse, deviations)

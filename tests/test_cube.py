@@ -21,6 +21,7 @@ from specscan import (
     save_score_map,
 )
 from conftest import RGBN, random_cube
+from oracles import valid_pixel_count
 
 # A valid 2x1x2 header for tests that break one part of it.
 HEADER = {"width": 2, "height": 1, "bands": 2, "payload": "m.raw"}
@@ -181,6 +182,85 @@ class TestCubeRoundTrip:
             load_cube(tmp_path / "m.json")
 
 
+def five_band_file(tmp_path, nodata=-9999.0):
+    """A saved 5-band cube (RGBN plus an ``other`` band) with nodata pixels in single bands."""
+    rng = np.random.default_rng(17)
+    data = rng.random((5, 6, 7), dtype=np.float32)
+    if nodata is not None:
+        data[0, 1, 2] = data[2, 4, 0] = data[4, 5, 6] = nodata
+    meta = [*(BandMeta(name=f"b{i}", role=role) for i, role in enumerate(RGBN)), BandMeta(name="x")]
+    save_cube(RasterCube(data=data, band_meta=meta, nodata=nodata), tmp_path / "five.json")
+    return tmp_path / "five.json"
+
+
+class TestBandSelectiveLoad:
+    """``load_cube(path, bands=keys)`` reads every band but keeps only `keys`."""
+
+    @pytest.mark.parametrize("nodata", [-9999.0, None])
+    @pytest.mark.parametrize(
+        "keys",
+        [("green", "nir"), ("nir",), (3,), (1, 3), (3, 0, 2), ("other",), (4, "blue"), (0, 1, 2, 3, 4)],
+    )
+    def test_equals_the_selection_of_the_whole_cube(self, tmp_path, keys, nodata):
+        path = five_band_file(tmp_path, nodata)
+        assert cubes_equal(load_cube(path, bands=keys), load_cube(path).select(keys))
+
+    def test_nodata_in_an_unscored_band_marks_the_pixel_invalid(self, tmp_path):
+        cube = load_cube(five_band_file(tmp_path), bands=("green", "nir"))
+        assert not (cube.data == np.float32(-9999.0)).any()
+        expected = np.ones((6, 7), dtype=bool)
+        expected[1, 2] = expected[4, 0] = expected[5, 6] = False
+        assert np.array_equal(cube.validity, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_in_an_unscored_band_is_format_error(self, tmp_path, bad):
+        path = five_band_file(tmp_path)
+        payload = np.fromfile(path.with_suffix(".raw"), dtype="<f4")
+        payload[2 * 42 + 5] = bad  # band 2, red
+        payload.tofile(path.with_suffix(".raw"))
+        with pytest.raises(FormatError, match=r"five\.json invalid: cube contains non-finite samples"):
+            load_cube(path, bands=("green", "nir"))
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("green", "cyan"), "no band with role 'cyan'"),
+            ((5,), "band index 5 out of range for 5 bands"),
+            (("nir", 3), "distinct bands"),
+            ((), "at least one"),
+        ],
+    )
+    def test_a_key_the_file_lacks_is_the_selection_error(self, tmp_path, keys, message):
+        path = five_band_file(tmp_path)
+        with pytest.raises(DataError, match=message) as whole:
+            load_cube(path).select(keys)
+        with pytest.raises(DataError) as selective:
+            load_cube(path, bands=keys)
+        assert str(selective.value) == str(whole.value)
+
+    @pytest.mark.parametrize("extra", [-5, 3])
+    def test_payload_length_is_checked_before_the_keys(self, tmp_path, extra):
+        (tmp_path / "m.json").write_text(json.dumps(HEADER))
+        (tmp_path / "m.raw").write_bytes(bytes(16 + extra))
+        with pytest.raises(FormatError, match=f"holds {16 + extra} bytes, header implies 16"):
+            load_cube(tmp_path / "m.json", bands=(7,))
+
+    def test_holds_the_kept_bands_and_one_spare_plane(self, tmp_path):
+        data = np.random.default_rng(6).random((8, 256, 256), dtype=np.float32)
+        data[:, :, :4] = -9999.0
+        save_cube(RasterCube(data=data, nodata=-9999.0), tmp_path / "wide.json")
+        plane = data[0].nbytes
+        tracemalloc.start()
+        try:
+            cube = load_cube(tmp_path / "wide.json", bands=(2, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.bands == 2
+        # Two kept bands, one spare plane, the validity and one plane of flags.
+        assert peak < 3 * plane + 2 * cube.validity.nbytes + plane // 4
+
+
 class TestBandAccess:
     def test_role_lookup(self, make_cube):
         cube = make_cube(
@@ -241,7 +321,7 @@ class TestInvariants:
         cube = RasterCube(data=data, nodata=-9999.0)
         assert cube.validity is not None
         assert cube.validity.tolist() == [[True, False], [True, True]]
-        assert cube.valid_pixel_count() == 3
+        assert valid_pixel_count(cube) == 3
 
     def test_nodata_validity_holds_one_band_of_flags(self):
         # Scanned band by band: the plane and one band's comparison, not a

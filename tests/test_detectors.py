@@ -20,7 +20,7 @@ from specscan import (
     scene_stats_from_moments,
 )
 from conftest import random_cube
-from oracles import covariance_bruteforce, gauss_jordan_inverse, mf_bruteforce, rx_bruteforce, sam_arccos
+from oracles import covariance_bruteforce, gauss_jordan_inverse, mf_bruteforce, pixel_spectra, rx_bruteforce, sam_arccos
 
 
 def cube_from_pixels(pixels, width=None, nodata=None):
@@ -306,7 +306,7 @@ class TestDetectMap:
         target = rng.normal(size=5)
         sam_map = detect_map(cube, "sam", target=target, precision="double").data.ravel()
         checked = 0
-        for spectrum, mapped in zip(cube.pixels().astype(np.float64), sam_map):
+        for spectrum, mapped in zip(pixel_spectra(cube).astype(np.float64), sam_map):
             want = sam_arccos(spectrum, target)
             if not 0.01 < want < np.pi - 0.01:
                 continue
@@ -324,7 +324,7 @@ class TestDetectMap:
         mf_map = detect_map(cube, "mf", target=target, stats=stats, precision="double").data.ravel()
         rx_map = detect_map(cube, "rx", stats=stats, precision="double").data.ravel()
         sam_map = detect_map(cube, "sam", target=target, precision="double").data.ravel()
-        spectra = cube.pixels().astype(np.float64)
+        spectra = pixel_spectra(cube).astype(np.float64)
         for i in (0, 7, 23):
             assert mf_map[i] == pytest.approx(mf(spectra[i], target, stats), rel=1e-12, abs=1e-12)
             assert rx_map[i] == pytest.approx(rx(spectra[i], stats), rel=1e-12, abs=1e-12)
@@ -350,7 +350,7 @@ class TestTiles:
         invalid = rng.choice(150, size=40, replace=False) if nodata else ()
         cube = nodata_scene(rng, 5, 10, 15, invalid)
         stats = compute_scene_stats(cube)
-        valid_pixels = np.delete(cube.pixels().astype(np.float64), np.asarray(invalid, dtype=int), axis=0)
+        valid_pixels = np.delete(pixel_spectra(cube).astype(np.float64), np.asarray(invalid, dtype=int), axis=0)
         mean, cov = covariance_bruteforce(valid_pixels)
         assert stats.pixel_count == 150 - len(invalid)
         np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=1e-15)
@@ -362,7 +362,7 @@ class TestTiles:
         invalid = list(range(10, 30)) + [55]   # the second and third tiles are all nodata
         cube = nodata_scene(rng, 4, 6, 10, invalid)
         stats = compute_scene_stats(cube)
-        valid_pixels = np.delete(cube.pixels().astype(np.float64), invalid, axis=0)
+        valid_pixels = np.delete(pixel_spectra(cube).astype(np.float64), invalid, axis=0)
         mean, cov = covariance_bruteforce(valid_pixels)
         assert stats.pixel_count == 39
         np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=1e-15)
@@ -370,7 +370,7 @@ class TestTiles:
         inverse = gauss_jordan_inverse(stats.covariance)
         rx_map = detect_map(cube, "rx", stats=stats, precision="double").data.ravel()
         for i in (0, 10, 29, 55, 59):
-            assert rx_map[i] == pytest.approx(rx_bruteforce(cube.pixels()[i], stats.mean, inverse), rel=1e-9)
+            assert rx_map[i] == pytest.approx(rx_bruteforce(pixel_spectra(cube)[i], stats.mean, inverse), rel=1e-9)
 
     def test_one_valid_pixel_is_too_few(self, monkeypatch):
         monkeypatch.setattr("specscan.detectors._TILE_PIXELS", 4)
@@ -412,7 +412,7 @@ class TestTiles:
         target = rng.random(5) + 0.2
         mf_map = detect_map(cube, "mf", target=target, stats=stats, precision="double").data.ravel()
         rx_map = detect_map(cube, "rx", stats=stats, precision="double").data.ravel()
-        for spectrum, mf_score, rx_score in zip(cube.pixels(), mf_map, rx_map):
+        for spectrum, mf_score, rx_score in zip(pixel_spectra(cube), mf_map, rx_map):
             assert mf_score == pytest.approx(mf_bruteforce(spectrum, target, stats.mean, inverse), rel=1e-9, abs=1e-12)
             assert rx_score == pytest.approx(rx_bruteforce(spectrum, stats.mean, inverse), rel=1e-9, abs=1e-12)
 

@@ -24,7 +24,7 @@ from specscan import (
     stretch_band,
 )
 from specscan import labeling, preprocess
-from specscan.labeling import _OTSU_CHUNK, _otsu_bins
+from specscan.labeling import _OTSU_CHUNK, _otsu_bins, _otsu_chunk_bins
 from conftest import cube_from_planes
 from oracles import (
     clear_sky_line_argsort,
@@ -158,11 +158,16 @@ class TestClearSkyLine:
 
 
 def assert_otsu_bins(values, edges, lo, hi):
-    """`_otsu_bins` gives the binary search's bins, and their counts."""
+    """Each value's bin is the binary search's, and `_otsu_bins` counts and sums those bins.
+
+    The sums are those of one weighted ``np.bincount`` over all the values,
+    bit for bit: each bin adds its values in the same order.
+    """
     expected = otsu_bins_searchsorted(values, edges)
-    idx, counts = _otsu_bins(values, edges, lo, hi)
-    assert_same_bits(idx, expected)
+    assert_same_bits(_otsu_chunk_bins(values, edges, lo, hi), expected)
+    counts, sums = _otsu_bins(values, edges, lo, hi)
     assert_same_bits(counts, np.bincount(expected, minlength=edges.size - 1))
+    assert_same_bits(sums, np.bincount(expected, weights=values, minlength=edges.size - 1))
 
 
 class TestOtsuBins:
@@ -209,6 +214,28 @@ class TestOtsuBins:
         edges = np.linspace(lo, hi, 257)
         values[[0, _OTSU_CHUNK - 1, _OTSU_CHUNK, 2 * _OTSU_CHUNK, values.size - 1]] = edges[[5, 100, 101, 200, 256]]
         assert_otsu_bins(values, edges, lo, hi)
+
+    @pytest.mark.parametrize("size", [1, _OTSU_CHUNK - 1, _OTSU_CHUNK + 1, 3 * _OTSU_CHUNK + 5])
+    def test_chunked_sums_add_in_pixel_order(self, size):
+        # Values of many magnitudes, so a bin's sum depends on the order its
+        # values are added in.
+        rng = np.random.default_rng(size)
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-12, 13, size=size)
+        lo, hi = float(values.min()), float(values.max())
+        for bins in (2, 256):
+            edges = np.linspace(lo, hi, bins + 1)
+            counts, sums = _otsu_bins(values, edges, lo, hi)
+            idx = otsu_bins_searchsorted(values, edges)
+            assert_same_bits(sums, np.bincount(idx, weights=values, minlength=bins))
+            assert_same_bits(counts, np.bincount(idx, minlength=bins))
+
+    def test_chunk_bins_reuse_the_buffers_they_are_given(self):
+        values = np.linspace(-1.0, 1.0, 1000)
+        edges = np.linspace(-1.0, 1.0, 9)
+        buffers = labeling._otsu_buffers(values.size + 24)
+        idx = _otsu_chunk_bins(values, edges, -1.0, 1.0, buffers)
+        assert np.shares_memory(idx, buffers[0])
+        assert_same_bits(idx, otsu_bins_searchsorted(values, edges))
 
     @pytest.mark.parametrize("chunk, size", [(1, 200), (3, 500), (7, 1000), (64, 5000), (_OTSU_CHUNK, 2 * _OTSU_CHUNK + 77)])
     def test_values_on_edges_across_chunks(self, monkeypatch, chunk, size):

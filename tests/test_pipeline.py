@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,12 +21,15 @@ from specscan import (
     build_summary,
     connected_boxes,
     emit_summary,
+    load_cube,
     parse_summary,
     run_pipeline,
+    save_cube,
     save_mask,
     save_score_map,
     stretch_cube,
 )
+from specscan import pipeline
 from specscan.pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
@@ -455,6 +459,44 @@ class TestRunPipeline:
                     run_pipeline(cube, PipelineConfig(**fields, stretch=stretch))
                 assert excinfo.value.stage == "score"
                 assert str(excinfo.value) == f"stage 'score': {message}"
+
+    @pytest.mark.parametrize(
+        "application, fields",
+        [
+            ("surface_water", {}), ("clouds", {}), ("vegetation_rx", {}),
+            ("thermal", {}), ("thermal", {"thermal_band": 3}),
+        ],
+        ids=["surface_water", "clouds", "vegetation_rx", "thermal-role", "thermal-index"],
+    )
+    def test_a_cube_file_runs_as_its_loaded_cube(self, tmp_path, application, fields):
+        # Given a path, a run reads only the bands its entry scores; an index
+        # names a band of the file, as it does of the whole cube.
+        save_cube(bordered_scene(), tmp_path / "scene.json")
+        config = app_config(application, **fields)
+        run_pipeline(load_cube(tmp_path / "scene.json"), replace(config, output_dir=tmp_path / "cube"))
+        run_pipeline(tmp_path / "scene.json", replace(config, output_dir=tmp_path / "path"))
+        assert written_outputs(tmp_path / "path") == written_outputs(tmp_path / "cube")
+
+    @pytest.mark.parametrize(
+        "application, scorer", [("surface_water", "ndwi"), ("vegetation_rx", "compute_scene_stats")]
+    )
+    def test_raw_bands_are_freed_once_stretched(self, monkeypatch, tmp_path, application, scorer):
+        save_cube(bordered_scene(), tmp_path / "scene.json")
+        raw, alive = [], []
+        stretch, score = pipeline.stretch_cube, getattr(pipeline, scorer)
+
+        def spy_stretch(cube, params):
+            raw.append(weakref.ref(cube.data))
+            return stretch(cube, params)
+
+        def spy_score(scene, *args, **kwargs):
+            alive.append(raw[0]() is not None)
+            return score(scene, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "stretch_cube", spy_stretch)
+        monkeypatch.setattr(pipeline, scorer, spy_score)
+        run_pipeline(tmp_path / "scene.json", app_config(application))
+        assert alive == [False]
 
     def test_mf_application_with_target(self):
         rng = np.random.default_rng(21)

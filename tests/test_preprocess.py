@@ -15,7 +15,7 @@ from specscan import (
     stretch_band,
     stretch_cube,
 )
-from oracles import quantile_sorted
+from oracles import quantile_sorted, valid_pixel_count
 
 
 class TestStretchParams:
@@ -168,7 +168,7 @@ class TestStretchCube:
         cube = RasterCube(data=data, nodata=-9999.0)
         out = stretch_cube(cube, StretchParams(v_min=2.0**25, v_max=2.0**25 + 1.0))
         assert out.validity.tolist() == cube.validity.tolist()
-        assert out.valid_pixel_count() == 19
+        assert valid_pixel_count(out) == 19
 
     @pytest.mark.parametrize("nodata", [None, -9999.0])
     def test_result_is_not_checked_again(self, monkeypatch, nodata):
