@@ -434,7 +434,7 @@ def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None)
         ]
     except AttributeError as exc:
         raise FormatError(f"bands_meta entries must be objects in {header_path}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise FormatError(f"malformed bands_meta entry in {header_path}: {exc}") from exc
     try:
         band_meta, nodata = _checked_meta(band_meta, count, header.get("nodata"))

@@ -167,12 +167,15 @@ class TestCubeRoundTrip:
             ({**HEADER, "height": "2"}, "non-integer"),
             ({**HEADER, "nodata": True}, "nodata .* must be a number"),
             ({**HEADER, "nodata": "0"}, "nodata .* must be a number"),
+            ({**HEADER, "bands_meta": [{"name": "a", "role": "ultraviolet"}, {"name": "b"}]}, "malformed bands_meta"),
+            ({**HEADER, "bands_meta": [{"name": "a", "wavelength_nm": 5000}, {"name": "b"}]}, "malformed bands_meta"),
         ],
         ids=[
             "non-object", "missing-field", "dtype", "interleave", "byte-order", "non-integer-dims",
             "zero-dims", "meta-length", "meta-entry", "missing-payload", "non-finite-nodata",
             "string-nodata", "list-nodata", "meta-not-list", "string-wavelength", "float-width",
-            "bool-bands", "numeric-string-height", "bool-nodata", "numeric-string-nodata",
+            "bool-bands", "numeric-string-height", "bool-nodata", "numeric-string-nodata", "unknown-role",
+            "wavelength-out-of-range",
         ],
     )
     def test_malformed_header_is_format_error(self, tmp_path, header, message):

@@ -477,6 +477,20 @@ class TestRunPipeline:
         run_pipeline(tmp_path / "scene.json", replace(config, output_dir=tmp_path / "path"))
         assert written_outputs(tmp_path / "path") == written_outputs(tmp_path / "cube")
 
+    @pytest.mark.parametrize("broken", ["short-payload", "unknown-role"])
+    def test_a_cube_file_that_cannot_be_read_is_a_format_error(self, tmp_path, broken):
+        # Not a score-stage error: the file is at fault, not the entry's bands.
+        path = tmp_path / "scene.json"
+        save_cube(water_scene(), path)
+        if broken == "short-payload":
+            path.with_suffix(".raw").write_bytes(path.with_suffix(".raw").read_bytes()[:-4])
+        else:
+            header = json.loads(path.read_text())
+            header["bands_meta"][0]["role"] = "ultraviolet"
+            path.write_text(json.dumps(header))
+        with pytest.raises(FormatError):
+            run_pipeline(path, PipelineConfig(application="surface_water"))
+
     @pytest.mark.parametrize(
         "application, scorer", [("surface_water", "ndwi"), ("vegetation_rx", "compute_scene_stats")]
     )
