@@ -44,7 +44,7 @@ from .evaluation import (
     render_metrics_table,
     seg_metrics,
 )
-from .labeling import binarize
+from .labeling import POLARITIES, binarize
 from .pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
@@ -98,14 +98,6 @@ def _from_flags(cls, args, **given):
     return cls(**{**values, **given})
 
 
-def _config(args, application: str, **given) -> PipelineConfig:
-    """The flags' config for `application` with its target resolved, validated before any payload is read."""
-    target = _target(args, APPLICATIONS[application])
-    config = _from_flags(PipelineConfig, args, application=application, target=target, **given)
-    config.validate()
-    return config
-
-
 def _add_stretch_flags(parser) -> None:
     parser.add_argument("--v-min", type=float, default=StretchParams.v_min, help="stretched range lower bound")
     parser.add_argument("--v-max", type=float, default=StretchParams.v_max, help="stretched range upper bound")
@@ -154,8 +146,8 @@ def _cmd_stats(args) -> int:
 def _target(args, app) -> TargetSpectrum | None:
     """The ``--target`` spectrum of ``--library`` when `app` needs one and both flags are set.
 
-    The library is read once, on its own grid, which is enough to validate a
-    config before any payload is read; ``Application.select`` fits the target
+    The library is read once, on its own grid, which is enough to build, and
+    so check, a config before any payload is read; ``Application.select`` fits the target
     onto each cube. Other targets of the library need not fit the cube.
     """
     if not (app.needs_target and args.library and args.target):
@@ -173,9 +165,8 @@ def _cmd_score(args) -> int:
 
     ``label threshold`` writes the band window's mask alone.
     """
-    name = next(name for name, entry in APPLICATIONS.items() if entry.command == args.score)
-    app = APPLICATIONS[name]
-    config = _config(args, name)
+    name, app = next((name, entry) for name, entry in APPLICATIONS.items() if entry.command == args.score)
+    config = _from_flags(PipelineConfig, args, application=name, target=_target(args, app))
     scene, config = app.select(args.cube, config)
     diagnostics: dict = {}
     scores, _ = app.score(scene, config, diagnostics)
@@ -186,8 +177,7 @@ def _cmd_score(args) -> int:
         _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})
         return 0
     score_header = Path(f"{args.out}.json")
-    save_score_map(scores, score_header)
-    outputs = {"score": str(score_header), "payload": str(score_header.with_suffix(".raw"))}
+    outputs = {"score": str(score_header), "payload": str(save_score_map(scores, score_header))}
     if args.otsu:
         mask, threshold, _ = app.label(scores, config, diagnostics)
         mask_path = Path(f"{args.out}_mask.pgm")
@@ -294,7 +284,7 @@ def _cmd_pipeline_run(args) -> int:
                 f"--cube files share the stem {', '.join(shared)}: each scene needs its own output directory"
             )
     stretch = None if args.no_stretch else _from_flags(StretchParams, args)
-    config = _config(args, args.application, stretch=stretch)
+    config = _from_flags(PipelineConfig, args, target=_target(args, APPLICATIONS[args.application]), stretch=stretch)
     out_root = Path(args.out)
 
     def run_one(cube_path: str) -> dict:
@@ -412,7 +402,7 @@ def build_parser() -> _Parser:
     p = add(sub, "binarize", "threshold a score map into a mask", _cmd_binarize)
     p.add_argument("--scores", required=True, help="score map header (JSON)")
     p.add_argument("--threshold", type=float, required=True, help="decision threshold")
-    p.add_argument("--polarity", choices=("above", "below"), default="above", help="which side becomes label 1")
+    p.add_argument("--polarity", choices=POLARITIES, default="above", help="which side becomes label 1")
     p.add_argument("--out", required=True, help="output mask path (.pgm)")
 
     p = add(sub, "eval", "segmentation metrics for a mask pair", _cmd_eval)
@@ -433,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bands", type=int, default=48, help="synthetic scene bands")
     p.add_argument("--repetitions", type=int, default=5, help="timed repetitions (after 1 warm-up)")
     p.add_argument("--seed", type=int, default=0, help="synthetic data seed")
-    p.add_argument("--precision", choices=PRECISIONS, default="single", help="kernel precision")
+    p.add_argument("--precision", choices=PRECISIONS, default=PipelineConfig.precision, help="kernel precision")
     p.add_argument("--application", default="synthetic", help="application label for the table")
     p.add_argument("--out", default=None, help="also write records JSON here")
 

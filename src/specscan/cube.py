@@ -131,7 +131,7 @@ class RasterCube:
         return self.data.shape[2]
 
     def band_index(self, band: int | str) -> int:
-        """Index of a band given by index or by role; raises DataError if absent."""
+        """Index of a band given by index (any integer but a bool) or by role; raises DataError if absent."""
         return _band_index(self.band_meta, band)
 
     def plane(self, band: int | str) -> NDArray[np.float32]:
@@ -200,11 +200,13 @@ def _scan_planes(planes: Iterable[NDArray[np.float32]], nodata: float | None) ->
 
 
 def _band_index(band_meta: list[BandMeta], band: int | str) -> int:
-    """Index of a band of `band_meta` given by index or by role; raises DataError if absent."""
-    if isinstance(band, int):
+    """Index of a band of `band_meta` given by index (any integer but a bool) or by role; raises DataError if absent."""
+    if isinstance(band, (bool, np.bool_)):
+        raise DataError(f"band key {band!r} is a bool, not an index or a role")
+    if isinstance(band, numbers.Integral):
         if not 0 <= band < len(band_meta):
             raise DataError(f"band index {band} out of range for {len(band_meta)} bands")
-        return band
+        return int(band)
     role = str(band).strip().lower()
     matches = [i for i, m in enumerate(band_meta) if m.role == role]
     if not matches:
@@ -348,29 +350,35 @@ class TargetSpectrum:
 _LAYOUT = {"dtype": "f32", "interleave": "bsq", "byte_order": "little"}
 
 
-def save_cube(cube: RasterCube, header_path: str | Path) -> None:
-    """Write `cube` as a JSON header plus raw BSQ float32 payload.
+def save_cube(cube: RasterCube, header_path: str | Path) -> Path:
+    """Write `cube` as a JSON header plus raw BSQ float32 payload; return the payload's path.
 
     The payload file is placed next to the header, named after its stem with
-    a ``.raw`` suffix. ``load_cube(save_cube(c))`` is bit-identical to ``c``.
+    a ``.raw`` suffix. Loading the header gives back a cube bit-identical to `cube`.
+
+    Raises:
+        FormatError: a file cannot be written, or the header is named ``*.raw`` and nothing is written.
     """
     header_path = Path(header_path)
-    payload_name = header_path.stem + ".raw"
+    payload_path = header_path.parent / f"{header_path.stem}.raw"
+    if payload_path == header_path:
+        raise FormatError(f"cube header {header_path} would be overwritten by its payload; name it other than *.raw")
     header = {
         "width": cube.width,
         "height": cube.height,
         "bands": cube.bands,
         **_LAYOUT,
-        "payload": payload_name,
+        "payload": payload_path.name,
         "nodata": cube.nodata,
         "bands_meta": [asdict(m) for m in cube.band_meta],
     }
     payload = np.ascontiguousarray(cube.data, dtype="<f4")
     try:
         header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
-        payload.tofile(header_path.parent / payload_name)
+        payload.tofile(payload_path)
     except OSError as exc:
         raise FormatError(f"cannot write cube to {header_path}: {exc}") from exc
+    return payload_path
 
 
 def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None) -> RasterCube:
@@ -393,7 +401,7 @@ def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None)
     header_path = Path(header_path)
     try:
         text = header_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read cube header {header_path}: {exc}") from exc
     try:
         header = json.loads(text)
@@ -545,13 +553,13 @@ def load_mask(path: str | Path) -> BinaryMask:
 # Score map I/O (single-band cube in the cube format)
 
 
-def save_score_map(scores: ScoreMap, header_path: str | Path) -> None:
-    """Write a score map as a single-band cube; the band name is the kind."""
+def save_score_map(scores: ScoreMap, header_path: str | Path) -> Path:
+    """Write a score map as a single-band cube whose band name is its kind; return what :func:`save_cube` does."""
     cube = RasterCube(
         data=scores.data.astype(np.float32)[np.newaxis, :, :],
         band_meta=[BandMeta(name=scores.score_kind, role="other")],
     )
-    save_cube(cube, header_path)
+    return save_cube(cube, header_path)
 
 
 def load_score_map(header_path: str | Path) -> ScoreMap:
@@ -592,7 +600,7 @@ def load_spectral_library(
     csv_path = Path(csv_path)
     try:
         text = csv_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read spectral library {csv_path}: {exc}") from exc
 
     rows = list(csv.reader(text.splitlines()))

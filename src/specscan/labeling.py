@@ -129,19 +129,15 @@ def fit_clear_sky_line(cube: RasterCube) -> ClearSkyLine:
         # primary key: red descending; secondary: pixel index ascending
         ranking = np.lexsort((members, -red[members]))
         retained.append(members[ranking[:CLEAR_SKY_POINTS_PER_BIN]])
+    # lo and hi fall in the first and last bins: 2 or more points, not all of one blue value.
     points = np.concatenate(retained)
-    if points.size < 2:
-        raise ComputeError("fewer than 2 points retained for the clear-sky fit")
 
     x = blue[points].astype(np.float64)
     y = red[points].astype(np.float64)
     x_mean = x.mean()
     y_mean = y.mean()
     xc = x - x_mean
-    denom = float(np.dot(xc, xc))
-    if denom == 0.0:
-        raise ComputeError("all retained blue values identical; clear-sky line is vertical")
-    slope = float(np.dot(xc, y - y_mean) / denom)
+    slope = float(np.dot(xc, y - y_mean) / np.dot(xc, xc))
     intercept = float(y_mean - slope * x_mean)
     residuals = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(residuals * residuals)))

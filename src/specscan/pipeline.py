@@ -191,9 +191,12 @@ APPLICATIONS: dict[str, Application] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one pipeline run needs besides the scene itself."""
+    """Everything one pipeline run needs besides the scene itself, checked when built (ConfigError).
+
+    Frozen: derive a changed config with :func:`dataclasses.replace`, which checks it again.
+    """
 
     application: str
     scene_id: str = "scene"
@@ -209,7 +212,7 @@ class PipelineConfig:
     max_boxes: int = MAX_DETECTION_BOXES
     output_dir: str | Path | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         app = APPLICATIONS.get(self.application)
         if app is None:
             raise ConfigError(
@@ -419,11 +422,13 @@ def parse_summary(path: str | Path) -> SummaryMessage:
     """Read back a summary written by :func:`emit_summary`.
 
     Raises:
-        FormatError: the file is not JSON, its keys are not exactly the
-            summary's fields, or its values break a summary invariant.
+        FormatError: the file cannot be read or is not UTF-8 JSON, its keys are
+            not the summary's fields, or its values break a summary invariant.
     """
     try:
         return SummaryMessage(**json.loads(Path(path).read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise FormatError(f"cannot read summary {path}: {exc}") from exc
     except (ValueError, TypeError, DataError) as exc:
         raise FormatError(f"malformed summary {path}: {exc}") from exc
 
@@ -437,8 +442,8 @@ class PipelineResult:
 
 
 def _json_default(value):
-    """JSON hook for the run report: arrays become lists, paths strings."""
-    if isinstance(value, np.ndarray):
+    """JSON hook for the run report: arrays become lists, numpy scalars numbers, paths strings."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, Path):
         return str(value)
@@ -474,7 +479,6 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
     written. A run that fails therefore leaves the directory as it was: empty
     or absent for a first run, the previous run's files for a re-run.
     """
-    config.validate()
     app = APPLICATIONS[config.application]
 
     # Finding its bands and fitting its target are part of the score step,

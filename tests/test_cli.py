@@ -19,6 +19,10 @@ def scene_path(tmp_path):
     return path
 
 
+# Bytes that are not UTF-8 text.
+NOT_UTF8 = b"\xff\xfe\x80 binary \x00\x81"
+
+
 def write_library(tmp_path, bands=4):
     rows = ["label,wavelength_nm,value"]
     for i in range(bands):
@@ -51,6 +55,11 @@ class TestExitCodes:
     def test_data_error_is_exit_two(self, capsys, tmp_path):
         code = main(["stretch", "--cube", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o.json")])
         assert code == 2
+
+    def test_header_that_is_not_utf8_is_exit_two(self, capsys, tmp_path):
+        (tmp_path / "bin.json").write_bytes(NOT_UTF8)
+        assert main(["stats", "--cube", str(tmp_path / "bin.json")]) == 2
+        assert capsys.readouterr().err.startswith("specscan: data error: cannot read cube header")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -116,6 +125,12 @@ class TestStretch:
         assert header["nodata"] == -3.0
         assert [band["name"] for band in header["bands_meta"]] == ["b", "g", "r", "n", "x"]
 
+    def test_out_named_like_its_payload_is_exit_two_and_writes_nothing(self, capsys, scene_path, tmp_path):
+        out = tmp_path / "y.raw"
+        assert main(["stretch", "--cube", str(scene_path), "--out", str(out)]) == 2
+        assert "overwritten by its payload" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_range_is_usage_error_before_the_payload_is_read(self, capsys, scene_path, tmp_path):
         scene_path.with_suffix(".raw").unlink()
         out = tmp_path / "stretched.json"
@@ -165,6 +180,13 @@ class TestLabel:
         save_cube(RasterCube(data=data, band_meta=cube.band_meta), scene)
         assert main(["label", "ndwi", "--cube", str(scene), "--out", str(tmp_path / "ndwi"), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["flagged_pixels"] == 1
+
+    def test_json_names_the_written_payload(self, capsys, scene_path, tmp_path):
+        assert main(["label", "ndwi", "--cube", str(scene_path), "--out", str(tmp_path / "n.v2"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["score"] == str(tmp_path / "n.v2.json")
+        assert payload["payload"] == str(tmp_path / "n.v2.raw")
+        assert load_cube(payload["score"]).data.tobytes() == Path(payload["payload"]).read_bytes()
 
     def test_ndwi_without_otsu_writes_no_mask(self, scene_path, tmp_path):
         prefix = tmp_path / "plain"
@@ -275,6 +297,16 @@ class TestStatsAndDetect:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["flagged_pixels"] == 1
+
+    def test_detect_library_that_is_not_utf8_is_exit_two(self, capsys, scene_path, tmp_path):
+        (tmp_path / "lib.csv").write_bytes(NOT_UTF8)
+        code = main(
+            ["detect", "sam", "--cube", str(scene_path), "--library", str(tmp_path / "lib.csv"),
+             "--target", "veg", "--out", str(tmp_path / "sam")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("specscan: data error: cannot read spectral library")
+        assert not (tmp_path / "sam.json").exists()
 
     def test_detect_unknown_target_label(self, capsys, scene_path, tmp_path):
         library = write_library(tmp_path)
@@ -430,6 +462,22 @@ class TestPipelineCli:
         assert lines[0] == "scene a: 512 positive pixels"
         assert lines[1] == f"specscan: data error: {scenes[1]['error']}"
         assert lines[2] == "scene b: 512 positive pixels"
+
+    def test_header_that_is_not_utf8_does_not_stop_the_batch(self, capsys, tmp_path):
+        save_cube(water_scene(), tmp_path / "a.json")
+        (tmp_path / "b.json").write_bytes(NOT_UTF8)
+        out = tmp_path / "multi"
+        argv = ["pipeline", "run", "--application", "surface_water", "--out", str(out)]
+        for name in "ab":
+            argv += ["--cube", str(tmp_path / f"{name}.json")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == "scene a: 512 positive pixels"
+        assert lines[1].startswith(f"specscan: data error: cannot read cube header {tmp_path / 'b.json'}")
+        files = sorted(path.name for path in (out / "a").iterdir())
+        assert files == ["mask.pgm", "report.json", "score.json", "score.raw", "summary.json"]
+        assert not (out / "b").exists()
 
     def test_validation_failure_writes_nothing(self, capsys, tmp_path):
         scene = tmp_path / "w.json"

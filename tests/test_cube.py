@@ -25,6 +25,8 @@ from oracles import valid_pixel_count
 
 # A valid 2x1x2 header for tests that break one part of it.
 HEADER = {"width": 2, "height": 1, "bands": 2, "payload": "m.raw"}
+# Bytes that are not UTF-8 text.
+NOT_UTF8 = b"\xff\xfe\x80 binary \x00\x81"
 
 
 def cubes_equal(a: RasterCube, b: RasterCube) -> bool:
@@ -99,6 +101,27 @@ class TestCubeRoundTrip:
     def test_missing_header(self, tmp_path):
         with pytest.raises(FormatError, match="read"):
             load_cube(tmp_path / "absent.json")
+
+    def test_header_that_is_not_utf8_is_format_error(self, tmp_path):
+        (tmp_path / "bin.json").write_bytes(NOT_UTF8)
+        with pytest.raises(FormatError, match="cannot read cube header .*bin.json"):
+            load_cube(tmp_path / "bin.json")
+
+    def test_save_returns_the_payload_path(self, tmp_path):
+        cube = random_cube(np.random.default_rng(3), bands=2, height=3, width=4)
+        assert save_cube(cube, tmp_path / "c.json") == tmp_path / "c.raw"
+        scores = ScoreMap(data=np.zeros((2, 2)), score_kind="HOT")
+        assert save_score_map(scores, tmp_path / "s.json") == tmp_path / "s.raw"
+
+    @pytest.mark.parametrize("writer", ["cube", "score_map"])
+    def test_header_named_like_its_payload_is_refused_before_any_write(self, tmp_path, writer):
+        # The payload is <stem>.raw: written after the header, it would overwrite it.
+        with pytest.raises(FormatError, match="overwritten by its payload"):
+            if writer == "cube":
+                save_cube(random_cube(np.random.default_rng(4), bands=2, height=4, width=4), tmp_path / "y.raw")
+            else:
+                save_score_map(ScoreMap(data=np.zeros((4, 4)), score_kind="HOT"), tmp_path / "y.raw")
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_header(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
@@ -297,6 +320,22 @@ class TestBandAccess:
         cube = make_cube({"blue": [[0.1]]})
         with pytest.raises(DataError, match="range"):
             cube.plane(3)
+
+    @pytest.mark.parametrize("key", [np.int64(2), np.int32(2), np.uint8(2)], ids=lambda key: type(key).__name__)
+    def test_numpy_integer_is_an_index(self, key, tmp_path):
+        cube = load_cube(five_band_file(tmp_path))
+        index = cube.band_index(key)
+        assert index == 2 and type(index) is int
+        assert cubes_equal(cube.select([key, np.int64(4)]), cube.select([2, 4]))
+        assert cubes_equal(load_cube(tmp_path / "five.json", bands=[key]), cube.select([2]))
+
+    @pytest.mark.parametrize("key", [True, False, np.bool_(True)], ids=repr)
+    def test_bool_is_not_a_band_key(self, key, tmp_path):
+        path = five_band_file(tmp_path)
+        cube = load_cube(path)
+        for select in (cube.band_index, lambda key: cube.select([key]), lambda key: load_cube(path, bands=[key])):
+            with pytest.raises(DataError, match="is a bool"):
+                select(key)
 
 
 class TestInvariants:
@@ -559,6 +598,11 @@ class TestSpectralLibrary:
         path = self.write(tmp_path, ["t,0.5"], header="label,value")
         with pytest.raises(FormatError, match="header"):
             load_spectral_library(path)
+
+    def test_library_that_is_not_utf8_is_format_error(self, tmp_path):
+        (tmp_path / "lib.csv").write_bytes(NOT_UTF8)
+        with pytest.raises(FormatError, match="cannot read spectral library .*lib.csv"):
+            load_spectral_library(tmp_path / "lib.csv")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

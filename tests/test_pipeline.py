@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -224,6 +224,13 @@ class TestSummaryMessage:
         with pytest.raises(FormatError, match="malformed summary"):
             parse_summary(tmp_path / "sum.json")
 
+    def test_parse_unreadable_file_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read summary .*absent.json"):
+            parse_summary(tmp_path / "absent.json")
+        (tmp_path / "sum.json").write_bytes(b"\xff\xfe\x80")
+        with pytest.raises(FormatError, match="malformed summary"):
+            parse_summary(tmp_path / "sum.json")
+
     def test_parse_missing_key_is_format_error(self, tmp_path):
         payload = json.loads(summary_to_bytes(self.make_message()))
         del payload["threshold"]
@@ -361,9 +368,8 @@ class TestRunPipeline:
     def test_mf_without_target_fails_before_compute(self, tmp_path):
         cube = water_scene()
         out = tmp_path / "nothing"
-        config = PipelineConfig(application="vegetation_mf", output_dir=out)
         with pytest.raises(ConfigError, match="target"):
-            run_pipeline(cube, config)
+            run_pipeline(cube, PipelineConfig(application="vegetation_mf", output_dir=out))
         assert not out.exists()
 
     def test_deterministic_outputs(self, tmp_path):
@@ -425,7 +431,7 @@ class TestRunPipeline:
 
             monkeypatch.setattr(pipeline_module, "emit_summary", boom)
         else:
-            rerun.scene_id = "s" * 2100
+            rerun = replace(rerun, scene_id="s" * 2100)
         with pytest.raises(StageError) as excinfo:
             run_pipeline(water_scene(seed=12), rerun)
         assert excinfo.value.stage == "write"
@@ -525,9 +531,10 @@ class TestRunPipeline:
 
     def test_band_window_rejects_fixed_threshold(self):
         cube = water_scene()
-        config = PipelineConfig(application="thermal", thermal_low=0.5, fixed_threshold=0.1)
         with pytest.raises(ConfigError, match="fixed_threshold"):
-            run_pipeline(cube, config)
+            run_pipeline(cube, PipelineConfig(application="thermal", thermal_low=0.5, fixed_threshold=0.1))
+        with pytest.raises(ConfigError, match="fixed_threshold"):
+            replace(PipelineConfig(application="thermal", thermal_low=0.5), fixed_threshold=0.1)
 
     def test_threshold_policy_comes_from_the_table(self, monkeypatch):
         # a new band-window entry gets the same checks as the built-in one
@@ -535,9 +542,11 @@ class TestRunPipeline:
         entry = Application(thermal.score, command="threshold", bands=thermal.bands, band_window=True)
         monkeypatch.setitem(APPLICATIONS, "snowline", entry)
         with pytest.raises(ConfigError, match="fixed_threshold"):
-            PipelineConfig(application="snowline", thermal_low=0.5, fixed_threshold=0.1).validate()
+            PipelineConfig(application="snowline", thermal_low=0.5, fixed_threshold=0.1)
         with pytest.raises(ConfigError, match="bound"):
-            PipelineConfig(application="snowline").validate()
+            PipelineConfig(application="snowline")
+        with pytest.raises(ConfigError, match="bound"):
+            replace(PipelineConfig(application="snowline", thermal_low=0.5), thermal_low=None)
         result = run_pipeline(water_scene(), PipelineConfig(application="snowline", stretch=None, thermal_low=0.5))
         assert result.summary.algorithm == "band_threshold"
         assert result.summary.threshold == 0.5
@@ -576,9 +585,16 @@ class TestRunPipeline:
         ],
     )
     def test_invalid_config(self, fields, message):
-        config = PipelineConfig(**{"application": "surface_water", **fields})
+        # A config is checked when it is built, and again when it is derived.
         with pytest.raises(ConfigError, match=message):
-            run_pipeline(water_scene(), config)
+            run_pipeline(water_scene(), PipelineConfig(**{"application": "surface_water", **fields}))
+        with pytest.raises(ConfigError, match=message):
+            replace(PipelineConfig(application="surface_water"), **fields)
+
+    def test_config_is_frozen(self):
+        config = PipelineConfig(application="surface_water")
+        with pytest.raises(FrozenInstanceError):
+            config.scene_id = "other"
 
     def test_other_exceptions_leave_the_stage_unwrapped(self, monkeypatch):
         import specscan.pipeline as pipeline_module
@@ -682,6 +698,19 @@ class TestBandsRead:
         for band in ("nir", 3):
             run_pipeline(cube, app_config("thermal", thermal_band=band, stretch=stretch, output_dir=tmp_path / str(band)))
         assert written_outputs(tmp_path / "3") == written_outputs(tmp_path / "nir")
+
+    def test_numpy_integer_band_matches_its_role(self, tmp_path):
+        # The report, which echoes the key, writes it as a JSON number.
+        cube = bordered_scene()
+        for band in ("nir", np.int64(3)):
+            run_pipeline(cube, app_config("thermal", thermal_band=band, output_dir=tmp_path / str(band)))
+        assert written_outputs(tmp_path / "3") == written_outputs(tmp_path / "nir")
+        report = json.loads((tmp_path / "3" / "report.json").read_text())
+        assert report["config"]["thermal_band"] == report["diagnostics"]["band_threshold"]["band"] == 3
+
+    def test_bool_band_is_a_score_stage_error(self):
+        with pytest.raises(StageError, match="band key True is a bool"):
+            run_pipeline(bordered_scene(), app_config("thermal", thermal_band=True))
 
     @pytest.mark.parametrize("stretch", [StretchParams(), None], ids=["stretched", "unstretched"])
     def test_other_band_by_index(self, stretch):
