@@ -22,6 +22,9 @@ from .cube import (
     BandMeta,
     RasterCube,
     TargetSpectrum,
+    _check_spares_input,
+    _json_default,
+    _write_json,
     load_cube,
     load_mask,
     load_score_map,
@@ -37,8 +40,6 @@ from .evaluation import (
     _check_repetitions,
     bench_detector,
     compare_paths,
-    error_report_to_dict,
-    metrics_to_dict,
     render_bench_table,
     render_error_report,
     render_metrics_table,
@@ -48,6 +49,7 @@ from .labeling import POLARITIES, binarize
 from .pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
+    _RUN_OUTPUTS,
     PipelineConfig,
     _check_finite,
     _check_max_boxes,
@@ -79,14 +81,10 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload) -> None:
     """Print `payload` as JSON under --json."""
     if args.json:
-        print(json.dumps(payload))
-
-
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        print(json.dumps(payload, default=_json_default))
 
 
 def _from_flags(cls, args, **given):
@@ -134,7 +132,7 @@ def _parse_band(value: str):
 
 def _cmd_stats(args) -> int:
     cube = load_cube(args.cube)
-    payload = compute_scene_stats(cube).describe(bands=True, covariance=args.full)
+    payload = compute_scene_stats(cube).describe(covariance=args.full)
     if args.out:
         _write_json(args.out, payload)
         _emit(args, {"out": str(args.out)})
@@ -167,20 +165,23 @@ def _cmd_score(args) -> int:
     """
     name, app = next((name, entry) for name, entry in APPLICATIONS.items() if entry.command == args.score)
     config = _from_flags(PipelineConfig, args, application=name, target=_target(args, app))
+    if app.band_window:
+        mask_path = Path(args.out) if str(args.out).endswith(".pgm") else Path(f"{args.out}.pgm")
+        _check_spares_input(args.cube, [mask_path])
+    else:
+        score_header, mask_path = Path(f"{args.out}.json"), Path(f"{args.out}_mask.pgm")
+        _check_spares_input(args.cube, [score_header, score_header.with_suffix(".raw"), mask_path])
     scene, config = app.select(args.cube, config)
     diagnostics: dict = {}
     scores, _ = app.score(scene, config, diagnostics)
     if app.band_window:
         mask, _, _ = app.label(scores, config, diagnostics)
-        mask_path = Path(args.out) if str(args.out).endswith(".pgm") else Path(f"{args.out}.pgm")
         save_mask(mask, mask_path)
         _emit(args, {"mask": str(mask_path), "positive_count": mask.positive_count()})
         return 0
-    score_header = Path(f"{args.out}.json")
     outputs = {"score": str(score_header), "payload": str(save_score_map(scores, score_header))}
     if args.otsu:
         mask, threshold, _ = app.label(scores, config, diagnostics)
-        mask_path = Path(f"{args.out}_mask.pgm")
         save_mask(mask, mask_path)
         outputs.update(mask=str(mask_path), threshold=threshold, positive_count=mask.positive_count())
     if "clear_sky_line" in diagnostics:
@@ -203,12 +204,10 @@ def _cmd_eval(args) -> int:
     pred = load_mask(args.pred)
     truth = load_mask(args.truth)
     metrics = seg_metrics(pred, truth)
-    payload = metrics_to_dict(metrics)
-    payload["application"] = args.application
     if args.table and not args.json:
         print(render_metrics_table({args.application: metrics}))
     else:
-        print(json.dumps(payload))
+        print(json.dumps({**asdict(metrics), "application": args.application}))
     return 0
 
 
@@ -217,12 +216,11 @@ def _cmd_compare_paths(args) -> int:
     map_a = load_score_map(args.a)
     map_b = load_score_map(args.b)
     report = compare_paths(map_a, map_b, bins=args.bins)
-    payload = error_report_to_dict(report)
+    payload = asdict(report)
     if args.out:
         _write_json(args.out, payload)
-    if args.json:
-        print(json.dumps(payload))
-    else:
+    _emit(args, payload)
+    if not args.json:
         print(render_error_report(report))
     return 0
 
@@ -265,9 +263,8 @@ def _cmd_bench(args) -> int:
     payload = [asdict(r) for r in records]
     if args.out:
         _write_json(args.out, payload)
-    if args.json:
-        print(json.dumps(payload))
-    else:
+    _emit(args, payload)
+    if not args.json:
         print(render_bench_table(records))
     return 0
 
@@ -286,11 +283,14 @@ def _cmd_pipeline_run(args) -> int:
     stretch = None if args.no_stretch else _from_flags(StretchParams, args)
     config = _from_flags(PipelineConfig, args, target=_target(args, APPLICATIONS[args.application]), stretch=stretch)
     out_root = Path(args.out)
+    output_dirs = {path: out_root / Path(path).stem if len(args.cube) > 1 else out_root for path in args.cube}
+    for cube_path, output_dir in output_dirs.items():
+        _check_spares_input(cube_path, [output_dir / name for name in _RUN_OUTPUTS])
 
     def run_one(cube_path: str) -> dict:
         """One scene's result entry, or its error: a failed scene does not stop the batch."""
         scene_id = args.scene_id or Path(cube_path).stem
-        output_dir = out_root / scene_id if len(args.cube) > 1 else out_root
+        output_dir = output_dirs[cube_path]
         item = {"scene_id": scene_id, "output_dir": str(output_dir)}
         try:
             # Given the path, the run loads only the bands it scores and frees them once stretched.

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 Spectrum = NDArray[np.floating]
 """One-dimensional vector of per-band values."""
@@ -350,6 +350,20 @@ class TargetSpectrum:
 _LAYOUT = {"dtype": "f32", "interleave": "bsq", "byte_order": "little"}
 
 
+def _json_default(value):
+    """JSON hook: arrays become lists, numpy scalars numbers, paths strings."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, Path):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _write_json(path: str | Path, payload) -> None:
+    """Write `payload` to `path` as UTF-8 JSON indented by 2, with a trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", encoding="utf-8")
+
+
 def save_cube(cube: RasterCube, header_path: str | Path) -> Path:
     """Write `cube` as a JSON header plus raw BSQ float32 payload; return the payload's path.
 
@@ -374,11 +388,24 @@ def save_cube(cube: RasterCube, header_path: str | Path) -> Path:
     }
     payload = np.ascontiguousarray(cube.data, dtype="<f4")
     try:
-        header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+        _write_json(header_path, header)
         payload.tofile(payload_path)
     except OSError as exc:
         raise FormatError(f"cannot write cube to {header_path}: {exc}") from exc
     return payload_path
+
+
+def _check_spares_input(header: str | Path, outputs: list[Path]) -> None:
+    """Raise ConfigError if one of `outputs` is the cube header at `header` or the payload it names."""
+    header = Path(header)
+    try:
+        inputs = [header, header.parent / str(json.loads(header.read_text(encoding="utf-8"))["payload"])]
+    except (OSError, ValueError, KeyError, TypeError):
+        inputs = [header]  # the loader reports what is wrong with the header
+    inputs = [path for path in inputs if path.exists()]
+    for output in outputs:
+        if output.exists() and any(os.path.samefile(output, path) for path in inputs):
+            raise ConfigError(f"output {output} would overwrite the input cube {header} or its payload")
 
 
 def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None) -> RasterCube:

@@ -102,16 +102,10 @@ class SceneStats:
         diag = np.diag(self.factor_lower)
         return float((diag.max() / diag.min()) ** 2)
 
-    def describe(self, bands: bool = False, covariance: bool = False) -> dict:
-        """JSON-ready digest: pixel count, ridge, condition estimate and mean.
-
-        `bands` adds the band count after the pixel count; `covariance`
-        appends the full matrix.
-        """
-        digest = {"pixel_count": self.pixel_count}
-        if bands:
-            digest["bands"] = self.n_bands
-        digest.update(ridge=self.ridge, condition_estimate=self.condition_estimate(), mean=self.mean.tolist())
+    def describe(self, covariance: bool = False) -> dict:
+        """JSON-ready digest: pixel and band counts, ridge, condition estimate, mean; `covariance` adds the matrix."""
+        digest = dict(pixel_count=self.pixel_count, bands=self.n_bands, ridge=self.ridge)
+        digest.update(condition_estimate=self.condition_estimate(), mean=self.mean.tolist())
         if covariance:
             digest["covariance"] = self.covariance.tolist()
         return digest

@@ -73,15 +73,6 @@ def seg_metrics(pred: BinaryMask, truth: BinaryMask) -> SegMetrics:
     )
 
 
-def metrics_to_dict(metrics: SegMetrics) -> dict:
-    return {
-        "accuracy": metrics.accuracy,
-        "positive_iou": metrics.positive_iou,
-        "negative_iou": metrics.negative_iou,
-        "confusion": {"tp": metrics.tp, "fp": metrics.fp, "fn": metrics.fn, "tn": metrics.tn},
-    }
-
-
 def render_metrics_table(metrics_by_application: dict[str, SegMetrics]) -> str:
     """Plain-text metrics table: one application per column, one metric per row."""
     applications = list(metrics_by_application)
@@ -155,19 +146,10 @@ def compare_paths(scores_a: ScoreMap, scores_b: ScoreMap, bins: int = 32) -> Err
     )
 
 
-def error_report_to_dict(report: ErrorReport) -> dict:
-    return {
-        "mean_abs_error": report.mean_abs_error,
-        "max_abs_error": report.max_abs_error,
-        "n": report.n,
-        "histogram": {
-            "edges": report.histogram_edges.tolist(),
-            "counts": report.histogram_counts.tolist(),
-        },
-    }
+_BAR_WIDTH = 40  # characters in the longest bar of a rendered error report
 
 
-def render_error_report(report: ErrorReport, bar_width: int = 40) -> str:
+def render_error_report(report: ErrorReport) -> str:
     """Text rendering of an error report with a bar-chart histogram."""
     lines = [
         f"n = {report.n}",
@@ -178,7 +160,7 @@ def render_error_report(report: ErrorReport, bar_width: int = 40) -> str:
     for i, count in enumerate(report.histogram_counts):
         lo = report.histogram_edges[i]
         hi = report.histogram_edges[i + 1]
-        bar = "#" * int(round(bar_width * count / peak))
+        bar = "#" * int(round(_BAR_WIDTH * count / peak))
         lines.append(f"[{lo:.3e}, {hi:.3e}) {int(count):>8d} {bar}")
     return "\n".join(lines)
 

@@ -30,6 +30,8 @@ from .cube import (
     RasterCube,
     ScoreMap,
     TargetSpectrum,
+    _check_spares_input,
+    _write_json,
     load_cube,
     save_mask,
     save_score_map,
@@ -57,6 +59,7 @@ from .preprocess import StretchParams, stretch_cube
 
 SUMMARY_MAX_BYTES = 2048
 MAX_DETECTION_BOXES = 16
+_RUN_OUTPUTS = ("score.json", "score.raw", "mask.pgm", "summary.json", "report.json")  # what a run writes
 
 
 def _check_max_boxes(max_boxes: int) -> None:
@@ -441,15 +444,6 @@ class PipelineResult:
     report: dict
 
 
-def _json_default(value):
-    """JSON hook for the run report: arrays become lists, numpy scalars numbers, paths strings."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    if isinstance(value, Path):
-        return str(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 @contextmanager
 def _stage(stages: list[dict], name: str):
     """Append ``{"name", "seconds"}`` to `stages` when the block succeeds.
@@ -477,9 +471,12 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
     ``mask.pgm``, ``summary.json``, and ``report.json`` into a ``.staging-*``
     directory inside it and renames them into place only once all five are
     written. A run that fails therefore leaves the directory as it was: empty
-    or absent for a first run, the previous run's files for a re-run.
+    or absent for a first run, the previous run's files for a re-run. A header path
+    that one of the five would overwrite, or whose payload it would, is a ConfigError.
     """
     app = APPLICATIONS[config.application]
+    if config.output_dir is not None and not isinstance(cube, RasterCube):
+        _check_spares_input(cube, [Path(config.output_dir) / name for name in _RUN_OUTPUTS])
 
     # Finding its bands and fitting its target are part of the score step,
     # so a missing band or a target that does not fit fails there; a file
@@ -534,8 +531,7 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
                 save_mask(mask, staging / "mask.pgm")
                 emit_summary(summary, staging / "summary.json")
                 report["outputs"] = {"score": "score.json", "mask": "mask.pgm", "summary": "summary.json"}
-                report_text = json.dumps(report, indent=2, default=_json_default) + "\n"
-                (staging / "report.json").write_text(report_text, encoding="utf-8")
+                _write_json(staging / "report.json", report)
                 for path in sorted(staging.iterdir()):
                     os.replace(path, out_dir / path.name)
 

@@ -1,10 +1,23 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specscan import BandMeta, BinaryMask, RasterCube, load_cube, load_spectral_library, save_cube, save_mask
+from specscan import (
+    BandMeta,
+    BinaryMask,
+    ErrorReport,
+    RasterCube,
+    ScoreMap,
+    SegMetrics,
+    load_cube,
+    load_spectral_library,
+    save_cube,
+    save_mask,
+    save_score_map,
+)
 from specscan.cli import main
 from specscan.detectors import DETECTORS
 from specscan.pipeline import APPLICATIONS, PipelineConfig, run_pipeline
@@ -30,6 +43,17 @@ def write_library(tmp_path, bands=4):
     path = tmp_path / "lib.csv"
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def snapshot(root):
+    """Every file and directory under `root` by relative path, with a file's bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def save_cube_with_payload(cube, header, payload_name):
+    """`save_cube` at `header`, then rename its payload to `payload_name` and point the header at it."""
+    save_cube(cube, header).rename(header.parent / payload_name)
+    header.write_text(json.dumps({**json.loads(header.read_text()), "payload": payload_name}))
 
 
 class TestExitCodes:
@@ -269,6 +293,17 @@ class TestStatsAndDetect:
         assert main(["stats", "--cube", str(scene_path), "--out", str(out), "--full"]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["covariance"]) == 4
+        assert payload["bands"] == 4
+
+    def test_stats_and_the_rx_report_carry_the_band_count(self, capsys, tmp_path):
+        scene = tmp_path / "scene.json"
+        save_cube(bordered_scene(), scene)
+        assert main(["stats", "--cube", str(scene)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert main(["pipeline", "run", "--cube", str(scene), "--application", "vegetation_rx",
+                     "--out", str(tmp_path / "rx")]) == 0
+        report = json.loads((tmp_path / "rx" / "report.json").read_text())
+        assert stats["bands"] == report["diagnostics"]["scene_stats"]["bands"] == 5
 
     def test_detect_rx(self, capsys, scene_path, tmp_path):
         code = main(["detect", "rx", "--cube", str(scene_path), "--out", str(tmp_path / "rx"), "--json"])
@@ -334,6 +369,8 @@ class TestBinarizeEvalCompare:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["accuracy"] == 1.0
+        assert list(payload) == [f.name for f in fields(SegMetrics)] + ["application"]
+        assert (payload["tp"], payload["fp"], payload["fn"], payload["tn"]) == (512, 0, 0, 512)
 
     def test_eval_table_mode(self, capsys, tmp_path):
         truth = np.zeros((4, 4), dtype=np.uint8)
@@ -348,13 +385,31 @@ class TestBinarizeEvalCompare:
     def test_compare_paths(self, capsys, scene_path, tmp_path):
         assert main(["label", "ndwi", "--cube", str(scene_path), "--out", str(tmp_path / "a")]) == 0
         assert main(["label", "ndwi", "--cube", str(scene_path), "--out", str(tmp_path / "b")]) == 0
+        out = tmp_path / "report.json"
         code = main(
-            ["compare-paths", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"), "--json"]
+            ["compare-paths", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"), "--json",
+             "--out", str(out)]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_abs_error"] == 0.0
+        assert list(payload) == [f.name for f in fields(ErrorReport)]
+        assert payload == json.loads(out.read_text())
+        assert payload["histogram_counts"] == [32 * 32] + [0] * 31
 
+    def test_compare_paths_text_mode(self, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        for name in "ab":
+            save_score_map(ScoreMap(data=rng.random((6, 5)), score_kind="RX"), tmp_path / f"{name}.json")
+        code = main(["compare-paths", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                     "--bins", "4"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n = 30"
+        assert lines[1].startswith("mean |a-b| = ")
+        assert len(lines) == 3 + 4
+        assert all(line.startswith("[") for line in lines[3:])
+        assert sum(int(line.split(")")[1].split()[0]) for line in lines[3:]) == 30
 
     def test_compare_paths_bins_below_one_is_usage_error_before_any_read(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -381,6 +436,14 @@ class TestBenchCli:
         records = json.loads(out.read_text())
         assert [r["model"] for r in records] == ["SAM", "MF", "RX"]
 
+    def test_json_stdout_equals_the_out_file(self, capsys, tmp_path):
+        out = tmp_path / "bench.json"
+        argv = ["bench", "--width", "8", "--height", "8", "--bands", "4", "--repetitions", "3", "--json",
+                "--out", str(out)]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records == json.loads(out.read_text())
+        assert [r["inputs_shape"] for r in records] == ["8x8x4"] * 3
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -767,3 +830,56 @@ def test_cli_scores_agree_with_the_application_table(application, tmp_path):
     ours = pipeline(application, tmp_path / "ours")
     theirs = pipeline(twin, tmp_path / "twin")
     assert [p.read_bytes() for p in ours] == [p.read_bytes() for p in theirs]
+
+
+class TestOutputsSpareTheInput:
+    """A command that would write over its input cube's header or payload exits 1 and writes nothing."""
+
+    @pytest.mark.parametrize("header, payload", [("score.json", None), ("cube.json", "mask.pgm")],
+                             ids=["header", "payload"])
+    def test_pipeline_run(self, capsys, tmp_path, header, payload):
+        cube = tmp_path / header
+        if payload:
+            save_cube_with_payload(water_scene(), cube, payload)
+        else:
+            save_cube(water_scene(), cube)
+        before = snapshot(tmp_path)
+        argv = ["pipeline", "run", "--cube", str(cube), "--application", "surface_water", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("specscan: error: output ")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_with_one_such_scene_runs_no_scene(self, capsys, tmp_path, jobs):
+        save_cube(water_scene(), tmp_path / "a.json")
+        (tmp_path / "score").mkdir()
+        save_cube(water_scene(seed=2), tmp_path / "score" / "score.json")
+        before = snapshot(tmp_path)
+        argv = ["pipeline", "run", "--cube", str(tmp_path / "a.json"), "--cube", str(tmp_path / "score" / "score.json"),
+                "--application", "surface_water", "--out", str(tmp_path), "--jobs", jobs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"specscan: error: output {tmp_path / 'score' / 'score.json'}")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["label", "ndwi"], None),
+            (["label", "hot", "--otsu"], None),
+            (["detect", "rx", "--otsu"], None),
+            (["label", "ndwi"], "e_mask.pgm"),
+            (["detect", "rx"], "e.raw"),
+            (["label", "threshold", "--band", "nir", "--low", "0.5"], "e.pgm"),
+        ],
+        ids=["ndwi", "hot", "rx", "ndwi-mask", "rx-payload", "threshold-mask"],
+    )
+    def test_label_and_detect(self, capsys, tmp_path, argv, payload):
+        cube = tmp_path / ("c.json" if payload else "e.json")
+        if payload:
+            save_cube_with_payload(water_scene(), cube, payload)
+        else:
+            save_cube(water_scene(), cube)
+        before = snapshot(tmp_path)
+        assert main(argv + ["--cube", str(cube), "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err.startswith("specscan: error: output ")
+        assert snapshot(tmp_path) == before

@@ -507,6 +507,11 @@ class TestMaskPgm:
         with pytest.raises(FormatError, match=match):
             load_mask(tmp_path / "bad.pgm")
 
+    def test_header_that_ends_before_maxval(self, tmp_path):
+        (tmp_path / "short.pgm").write_bytes(b"P5\n4 4\n")
+        with pytest.raises(FormatError, match="malformed PGM header"):
+            load_mask(tmp_path / "short.pgm")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read mask"):
             load_mask(tmp_path / "absent.pgm")
@@ -593,6 +598,25 @@ class TestSpectralLibrary:
         path = self.write(tmp_path, ["t,500,0.0", "t,700,1.0"])
         with pytest.raises(DataError, match="outside"):
             load_spectral_library(path, band_wavelengths=np.array([450.0, 600.0]))
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = self.write(tmp_path, ["t,500,0.1", "", " , , ", "t,600,0.2"])
+        assert load_spectral_library(path)[0].values.tolist() == [0.1, 0.2]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("t,500", "expected 3 columns, got 2"),
+            (" ,500,0.1", "empty label"),
+            ("t,blue,0.1", "non-numeric wavelength 'blue'"),
+            ("t,inf,0.1", "non-finite wavelength for 't'"),
+        ],
+        ids=["two-columns", "empty-label", "non-numeric-wavelength", "non-finite-wavelength"],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        path = self.write(tmp_path, ["t,400,0.1", "", row])
+        with pytest.raises(FormatError, match=f"lib.csv:4: {message}"):
+            load_spectral_library(path)
 
     def test_missing_columns(self, tmp_path):
         path = self.write(tmp_path, ["t,0.5"], header="label,value")

@@ -46,6 +46,15 @@ class TestSceneStats:
         np.testing.assert_array_equal(stats.covariance, np.zeros((3, 3)))
         assert stats.ridge > 0.0
 
+    def test_ridge_escalates_once_past_a_small_negative_eigenvalue(self):
+        # The first ridge, 1e-6 of the mean variance (~5e-7), leaves -1e-6 negative; ten times it does not.
+        stats = scene_stats_from_moments(np.zeros(2), np.diag([1.0, -1e-6]))
+        assert stats.ridge == pytest.approx(5e-6, rel=1e-5)
+
+    def test_covariance_beyond_the_maximum_ridge_is_a_compute_error(self):
+        with pytest.raises(ComputeError, match="even with maximum ridge"):
+            scene_stats_from_moments(np.zeros(2), np.diag([1.0, -1.0]))
+
     def test_matches_bruteforce_covariance(self):
         rng = np.random.default_rng(31)
         pixels = rng.random((50, 4)).astype(np.float32)

@@ -19,7 +19,8 @@ from specscan import (
     seg_metrics,
     serialize_detector_params,
 )
-from specscan.evaluation import error_report_to_dict, render_error_report
+from specscan.cube import _json_default
+from specscan.evaluation import render_error_report
 from conftest import random_cube
 from oracles import confusion_loop
 
@@ -132,8 +133,8 @@ class TestComparePaths:
 
     def test_report_round_trips_to_json(self):
         scores = ScoreMap(data=np.ones((3, 3)), score_kind="SAM")
-        payload = error_report_to_dict(compare_paths(scores, scores))
-        parsed = json.loads(json.dumps(payload))
+        payload = asdict(compare_paths(scores, scores))
+        parsed = json.loads(json.dumps(payload, default=_json_default))
         assert parsed["n"] == 9
 
 

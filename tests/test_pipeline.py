@@ -280,6 +280,20 @@ class TestSummaryMessage:
         with pytest.raises(FormatError, match=message):
             parse_summary(tmp_path / "sum.json")
 
+    @pytest.mark.parametrize(
+        "boxes, message",
+        [([[i, 0, 1, 1] for i in range(17)], "at most 16"), ([[0, 0, 0, 1]], "invalid detection box")],
+        ids=["17-boxes", "zero-width"],
+    )
+    def test_boxes_must_be_possible(self, tmp_path, boxes, message):
+        with pytest.raises(DataError, match=message):
+            SummaryMessage(**{**vars(self.make_message()), "detection_boxes": boxes})
+        payload = json.loads(summary_to_bytes(self.make_message()))
+        payload["detection_boxes"] = boxes
+        (tmp_path / "sum.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=message):
+            parse_summary(tmp_path / "sum.json")
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_threshold_must_be_finite(self, tmp_path, threshold):
         with pytest.raises(DataError, match="threshold must be finite"):
@@ -482,6 +496,15 @@ class TestRunPipeline:
         run_pipeline(load_cube(tmp_path / "scene.json"), replace(config, output_dir=tmp_path / "cube"))
         run_pipeline(tmp_path / "scene.json", replace(config, output_dir=tmp_path / "path"))
         assert written_outputs(tmp_path / "path") == written_outputs(tmp_path / "cube")
+
+    @pytest.mark.parametrize("header", ["score.json", "mask.pgm"])
+    def test_outputs_over_the_cube_file_are_a_config_error(self, tmp_path, header):
+        cube = tmp_path / header
+        save_cube(water_scene(), cube)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(ConfigError, match=f"output .*{header} would overwrite the input"):
+            run_pipeline(cube, PipelineConfig(application="surface_water", output_dir=tmp_path))
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("broken", ["short-payload", "unknown-role"])
     def test_a_cube_file_that_cannot_be_read_is_a_format_error(self, tmp_path, broken):
