@@ -116,10 +116,12 @@ def _add_score_flags(parser) -> None:
 def _cmd_stretch(args) -> int:
     params = _from_flags(StretchParams, args)
     params.check_float32()
+    out = Path(args.out)
+    _check_spares_input(args.cube, [out, out.with_suffix(".raw")])
     cube = load_cube(args.cube)
-    stretched = stretch_cube(cube, params)
-    save_cube(stretched, args.out)
-    _emit(args, {"out": str(args.out), "width": cube.width, "height": cube.height, "bands": cube.bands})
+    stretched = stretch_cube(cube, params, out=cube.data)  # one cube in memory, not two
+    save_cube(stretched, out)
+    _emit(args, {"out": str(out), "width": stretched.width, "height": stretched.height, "bands": stretched.bands})
     return 0
 
 
@@ -131,6 +133,8 @@ def _parse_band(value: str):
 
 
 def _cmd_stats(args) -> int:
+    if args.out:
+        _check_spares_input(args.cube, [Path(args.out)])
     cube = load_cube(args.cube)
     payload = compute_scene_stats(cube).describe(covariance=args.full)
     if args.out:
@@ -193,6 +197,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_binarize(args) -> int:
+    _check_spares_input(args.scores, [Path(args.out)])
     scores = load_score_map(args.scores)
     mask = binarize(scores, args.threshold, polarity=args.polarity)
     save_mask(mask, args.out)
@@ -213,6 +218,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare_paths(args) -> int:
     _check_histogram_bins(args.bins)
+    if args.out:
+        for header in (args.a, args.b):
+            _check_spares_input(header, [Path(args.out)])
     map_a = load_score_map(args.a)
     map_b = load_score_map(args.b)
     report = compare_paths(map_a, map_b, bins=args.bins)
@@ -293,7 +301,7 @@ def _cmd_pipeline_run(args) -> int:
         output_dir = output_dirs[cube_path]
         item = {"scene_id": scene_id, "output_dir": str(output_dir)}
         try:
-            # Given the path, the run loads only the bands it scores and frees them once stretched.
+            # Given the path, the run loads only the bands it scores, stretches into them and frees them once scored.
             summary = run_pipeline(cube_path, replace(config, scene_id=scene_id, output_dir=output_dir)).summary
         except (SpecScanError, OSError) as exc:
             return {**item, "error": str(exc)}
@@ -324,6 +332,7 @@ def _cmd_pipeline_run(args) -> int:
 def _cmd_summary(args) -> int:
     _check_max_boxes(args.max_boxes)
     _check_finite("threshold", args.threshold)
+    _check_spares_input(args.mask, [Path(args.out)])
     mask = load_mask(args.mask)
     message = build_summary(
         mask,

@@ -396,7 +396,10 @@ def save_cube(cube: RasterCube, header_path: str | Path) -> Path:
 
 
 def _check_spares_input(header: str | Path, outputs: list[Path]) -> None:
-    """Raise ConfigError if one of `outputs` is the cube header at `header` or the payload it names."""
+    """Raise ConfigError if one of `outputs` is the cube header at `header` or the payload it names.
+
+    Any other input file, such as a mask, is compared alone.
+    """
     header = Path(header)
     try:
         inputs = [header, header.parent / str(json.loads(header.read_text(encoding="utf-8"))["payload"])]
@@ -405,7 +408,7 @@ def _check_spares_input(header: str | Path, outputs: list[Path]) -> None:
     inputs = [path for path in inputs if path.exists()]
     for output in outputs:
         if output.exists() and any(os.path.samefile(output, path) for path in inputs):
-            raise ConfigError(f"output {output} would overwrite the input cube {header} or its payload")
+            raise ConfigError(f"output {output} would overwrite the input {header} or its payload")
 
 
 def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None) -> RasterCube:

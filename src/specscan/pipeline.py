@@ -316,11 +316,15 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     stride = width + 1
     # Runs as row-major keys row * stride + column: along each zero-padded
     # row the value changes at a run's start and again one past its end.
+    # Each array is deleted once dead, so the per-run arrays alive at once
+    # stay few.
     padded = np.zeros((height, width + 2), dtype=bool)
     padded[:, 1:-1] = mask.data
     changes = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    del padded
     starts, stops = changes[0::2], changes[1::2]
-    rows, run_lefts = np.divmod(starts, stride)
+    # A row's runs are those between its first key and the next row's.
+    rows = np.repeat(np.arange(height), np.diff(np.searchsorted(starts, np.arange(height + 1) * stride)))
     # Runs lo .. hi - 1 of the row above overlap each run.
     lo = np.searchsorted(stops, starts - stride, side="right")
     hi = np.searchsorted(starts, stops - stride, side="left")
@@ -329,15 +333,23 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     parent = np.arange(starts.size)
     joined = hi > lo
     parent[joined] = lo[joined]
+    del joined
+    # A run that overlaps several runs above also joins their trees.
+    hi -= lo
+    bridges = np.flatnonzero(hi > 1)
+    extra = hi[bridges] - 1
+    first_above = lo[bridges] + 1
+    del lo, hi
     root = _find_roots(parent)
+    del parent
     is_root = root == np.arange(root.size)
     tree = (np.cumsum(is_root) - 1)[root]
-    # A run that overlaps several runs above also joins their trees.
-    bridges = np.flatnonzero(hi - lo > 1)
-    extra = hi[bridges] - lo[bridges] - 1
+    del root
     below = np.repeat(bridges, extra)
-    above = np.repeat(lo[bridges] + 1 - (np.cumsum(extra) - extra), extra) + np.arange(below.size)
+    above = np.repeat(first_above - (np.cumsum(extra) - extra), extra) + np.arange(below.size)
+    del bridges, extra, first_above
     u, v = tree[above], tree[below]
+    del above, below
     merged = np.arange(int(is_root.sum()))
     while True:
         apart = u != v
@@ -350,11 +362,12 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
         u, v = merged[u], merged[v]
     is_first = merged == np.arange(merged.size)
     component = (np.cumsum(is_first) - 1)[merged][tree]
+    del tree
     count = int(is_first.sum())
     sizes = np.bincount(component, weights=stops - starts, minlength=count).astype(np.intp)
     tops = rows[np.flatnonzero(is_root)[is_first]]
     lefts = np.full(count, width)
-    np.minimum.at(lefts, component, run_lefts)
+    np.minimum.at(lefts, component, starts - rows * stride)
     # Only components at least as large as the max_boxes-th largest can rank.
     ranked = np.arange(count)
     if max_boxes < count:
@@ -367,8 +380,9 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     owner = slot[component[in_ranked]]
     rights = np.zeros(ranked.size, dtype=np.intp)
     bottoms = np.zeros(ranked.size, dtype=np.intp)
-    np.maximum.at(rights, owner, (run_lefts + stops - starts)[in_ranked])
-    np.maximum.at(bottoms, owner, rows[in_ranked])
+    kept_rows = rows[in_ranked]
+    np.maximum.at(rights, owner, stops[in_ranked] - kept_rows * stride)
+    np.maximum.at(bottoms, owner, kept_rows)
     return [
         (int(lefts[c]), int(tops[c]), int(right - lefts[c]), int(bottom - tops[c] + 1))
         for c, right, bottom in zip(ranked, rights, bottoms)
@@ -464,8 +478,10 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
 
     `cube` is the scene or its header's path. A path is read band-selectively
     (:meth:`Application.select`): the run holds only the bands it scores, and
-    the validity of every band. Past the selection the run keeps no reference
-    to `cube`, so a stretch frees the bands it read once it has replaced them.
+    the validity of every band. The stretch then writes over the bands the
+    run loaded, and the run drops the stretched scene once it is scored, so a
+    run holds one scene-sized buffer, and none past scoring. A `cube` passed
+    as a :class:`RasterCube` is never modified: its stretch is a new array.
 
     When ``config.output_dir`` is set, writes ``score.json``/``score.raw``,
     ``mask.pgm``, ``summary.json``, and ``report.json`` into a ``.staging-*``
@@ -485,7 +501,10 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
         scene, config = app.select(cube, config)
     except DataError as exc:
         raise StageError("score", str(exc)) from exc
-    del cube  # the scene is all the run reads, so the stretch can free it
+    # A scene the run loaded is its own to stretch in place; a caller's cube,
+    # which the scene may be a view of, is never written.
+    owned = not isinstance(cube, RasterCube)
+    del cube
 
     diagnostics: dict = {}
     stages: list[dict] = []
@@ -500,12 +519,13 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
     with stage("stretch"):
         use_stretch = config.stretch is not None and app.stretch
         if use_stretch:
-            scene = stretch_cube(scene, config.stretch)
+            scene = stretch_cube(scene, config.stretch, out=scene.data if owned else None)
         diagnostics["stretch_applied"] = use_stretch
         diagnostics["stretched_bands"] = [meta.name for meta in scene.band_meta] if use_stretch else []
 
     with stage("score"):
         scores, algorithm = app.score(scene, config, diagnostics)
+    del scene  # no later stage reads it
 
     with stage("threshold"):
         mask, threshold, suffix = app.label(scores, config, diagnostics)

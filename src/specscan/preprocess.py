@@ -142,7 +142,8 @@ def stretch_band(
     The map is computed in float64, a few rows at a time, and returned as a
     new float64 array, or written into `out`, an array of the plane's
     shape, rounded to its dtype. Either way each value has the bits that
-    mapping the whole plane at once, then rounding it, would give.
+    mapping the whole plane at once, then rounding it, would give. `out`
+    may be `plane` itself: each chunk of rows is copied before it is written.
     """
     if q_high < q_low:
         raise ComputeError(f"q_high ({q_high}) below q_low ({q_low})")
@@ -186,7 +187,7 @@ def stretch_band(
     return out
 
 
-def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
+def stretch_cube(cube: RasterCube, params: StretchParams, out: NDArray[np.float32] | None = None) -> RasterCube:
     """Stretch every band of `cube` independently, each with its own quantiles.
 
     A band's quantiles come from its own values and the cube's validity
@@ -200,16 +201,28 @@ def stretch_cube(cube: RasterCube, params: StretchParams) -> RasterCube:
     declares nodata, invalid pixels are written as ``params.nodata`` and the
     output declares that value as its nodata.
 
+    The stretched bands go into a new array, or into `out`, a float32 array
+    of ``cube.data``'s shape, which may be ``cube.data`` itself: every
+    quantile is taken before any band is written, so the bits are the same
+    either way, and the result holds `out`. A `cube` stretched into its own
+    data is spent: its data holds the stretched values, which its nodata no
+    longer describes, so only the result may be used afterwards.
+
     Raises:
         ConfigError: float32 cannot hold the stretched range or the nodata
             value (:meth:`StretchParams.check_float32`).
+        DataError: `out` is not a float32 array of ``cube.data``'s shape.
     """
     params.check_float32()
+    if out is not None and (np.shape(out) != cube.data.shape or getattr(out, "dtype", None) != np.float32):
+        raise DataError(f"out must be a float32 array of the cube's shape {cube.data.shape}")
     fractions = (params.q_low_fraction, params.q_high_fraction)
     # All quantiles first: each takes a copy of one band's valid values,
-    # which is freed before the output is allocated.
+    # which is freed before the output is allocated, and none reads a band
+    # already written when `out` is the cube's data.
     quantiles = [band_quantiles(cube.plane(i), cube.validity, fractions) for i in range(cube.bands)]
-    out = np.empty(cube.data.shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(cube.data.shape, dtype=np.float32)
     nodata = None if cube.nodata is None else params.nodata
     invalid = None if nodata is None else ~cube.validity
     for i in range(cube.bands):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -183,6 +184,19 @@ class TestStretch:
                      "--v-min", "33554432", "--v-max", "33554440"])
         assert code == 0
         assert valid_pixel_count(load_cube(out)) == valid_pixel_count(load_cube(source)) == 64 * 58
+
+    def test_stretches_into_the_cube_it_loaded(self, tmp_path):
+        # One cube in memory, not the loaded one and a stretched copy.
+        source = tmp_path / "scene.json"
+        cube = RasterCube(data=np.random.default_rng(6).random((8, 512, 512), dtype=np.float32))
+        save_cube(cube, source)
+        tracemalloc.start()
+        try:
+            assert main(["stretch", "--cube", str(source), "--out", str(tmp_path / "stretched.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube.data.nbytes + cube.data[0].nbytes + 2 * 2**20
 
 
 class TestLabel:
@@ -833,7 +847,7 @@ def test_cli_scores_agree_with_the_application_table(application, tmp_path):
 
 
 class TestOutputsSpareTheInput:
-    """A command that would write over its input cube's header or payload exits 1 and writes nothing."""
+    """A command that would write over its input (a cube header, its payload, a mask) exits 1 and writes nothing."""
 
     @pytest.mark.parametrize("header, payload", [("score.json", None), ("cube.json", "mask.pgm")],
                              ids=["header", "payload"])
@@ -881,5 +895,69 @@ class TestOutputsSpareTheInput:
             save_cube(water_scene(), cube)
         before = snapshot(tmp_path)
         assert main(argv + ["--cube", str(cube), "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err.startswith("specscan: error: output ")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "payload, out",
+        [(None, "e.json"), ("e.raw", "e.json"), ("e.json", "e.json")],
+        ids=["header", "payload", "header-over-payload"],
+    )
+    def test_stretch(self, capsys, tmp_path, payload, out):
+        cube = tmp_path / ("c.json" if payload else "e.json")
+        if payload:
+            save_cube_with_payload(water_scene(), cube, payload)
+        else:
+            save_cube(water_scene(), cube)
+        before = snapshot(tmp_path)
+        assert main(["stretch", "--cube", str(cube), "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.startswith("specscan: error: output ")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("payload, out", [(None, "n.json"), ("m.pgm", "m.pgm")], ids=["header", "payload"])
+    def test_binarize(self, capsys, tmp_path, payload, out):
+        scores = tmp_path / "n.json"
+        score_map = ScoreMap(data=np.linspace(-1.0, 1.0, 64).reshape(8, 8), score_kind="NDWI")
+        if payload:
+            save_score_map(score_map, scores).rename(tmp_path / payload)
+            scores.write_text(json.dumps({**json.loads(scores.read_text()), "payload": payload}))
+        else:
+            save_score_map(score_map, scores)
+        before = snapshot(tmp_path)
+        argv = ["binarize", "--scores", str(scores), "--threshold", "0", "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("specscan: error: output ")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("payload", [None, "o.json"], ids=["header", "payload"])
+    def test_stats(self, capsys, tmp_path, payload):
+        cube = tmp_path / ("c.json" if payload else "o.json")
+        if payload:
+            save_cube_with_payload(water_scene(), cube, payload)
+        else:
+            save_cube(water_scene(), cube)
+        before = snapshot(tmp_path)
+        assert main(["stats", "--cube", str(cube), "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.startswith("specscan: error: output ")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("out", ["a.json", "b.raw"])
+    def test_compare_paths(self, capsys, tmp_path, out):
+        for name in ("a", "b"):
+            save_score_map(ScoreMap(data=np.linspace(-1.0, 1.0, 64).reshape(8, 8), score_kind="NDWI"),
+                           tmp_path / f"{name}.json")
+        before = snapshot(tmp_path)
+        argv = ["compare-paths", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("specscan: error: output ")
+        assert snapshot(tmp_path) == before
+
+    def test_summary(self, capsys, tmp_path):
+        save_mask(BinaryMask(data=np.eye(8, dtype=np.uint8)), tmp_path / "m.pgm")
+        before = snapshot(tmp_path)
+        argv = ["summary", "--mask", str(tmp_path / "m.pgm"), "--scene-id", "s", "--application", "a",
+                "--out", str(tmp_path / "." / "m.pgm")]
+        assert main(argv) == 1
         assert capsys.readouterr().err.startswith("specscan: error: output ")
         assert snapshot(tmp_path) == before

@@ -136,6 +136,26 @@ class TestConnectedBoxes:
             oracle = [box for _, box in flood_fill_boxes(data)][:16]
             assert boxes == oracle
 
+    @pytest.mark.parametrize("shape", ["noise", "comb"])
+    def test_peak_is_a_few_arrays_per_run(self, shape):
+        # Each per-run array is freed once dead: the peak stays below eleven
+        # 8-byte values per run, the mask's own bool planes included.
+        if shape == "noise":
+            data = (np.random.default_rng(65).random((512, 512)) < 0.5).astype(np.uint8)
+        else:
+            data = np.zeros((256, 512), dtype=np.uint8)
+            data[:, ::2] = 1
+            data[-1] = 1  # one component, chains of runs 255 deep
+        mask = BinaryMask(data=data)
+        runs = int(np.count_nonzero(np.diff(data, axis=1, prepend=0, append=0) == 1))
+        tracemalloc.start()
+        try:
+            connected_boxes(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 8 * runs
+
     def test_truncation_keeps_largest(self):
         data = np.zeros((5, 12), dtype=np.uint8)
         data[0, 0:4] = 1    # 4 px
@@ -523,23 +543,42 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         "application, scorer", [("surface_water", "ndwi"), ("vegetation_rx", "compute_scene_stats")]
     )
-    def test_raw_bands_are_freed_once_stretched(self, monkeypatch, tmp_path, application, scorer):
+    def test_one_scene_buffer(self, monkeypatch, tmp_path, application, scorer):
+        # Given a path, the stretch writes over the bands the run loaded, and
+        # the stretched scene is dropped once the score step returns.
         save_cube(bordered_scene(), tmp_path / "scene.json")
-        raw, alive = [], []
-        stretch, score = pipeline.stretch_cube, getattr(pipeline, scorer)
+        loaded, shared, scored, alive = [], [], [], []
+        load, score, otsu = pipeline.load_cube, getattr(pipeline, scorer), pipeline.otsu_threshold
 
-        def spy_stretch(cube, params):
-            raw.append(weakref.ref(cube.data))
-            return stretch(cube, params)
+        def spy_load(*args, **kwargs):
+            cube = load(*args, **kwargs)
+            loaded.append(weakref.ref(cube.data))
+            return cube
 
         def spy_score(scene, *args, **kwargs):
-            alive.append(raw[0]() is not None)
+            shared.append(np.shares_memory(scene.data, loaded[0]()))
+            scored.extend([weakref.ref(scene), weakref.ref(scene.data)])
             return score(scene, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "stretch_cube", spy_stretch)
+        def spy_otsu(*args, **kwargs):
+            alive.append([ref() is not None for ref in scored])
+            return otsu(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_cube", spy_load)
         monkeypatch.setattr(pipeline, scorer, spy_score)
+        monkeypatch.setattr(pipeline, "otsu_threshold", spy_otsu)
         run_pipeline(tmp_path / "scene.json", app_config(application))
-        assert alive == [False]
+        assert shared == [True]
+        assert alive == [[False, False]]
+
+    @pytest.mark.parametrize("application", list(APPLICATIONS))
+    def test_a_cube_object_is_never_modified(self, application):
+        # surface_water and thermal score a view of the cube (evenly spaced
+        # bands); the detectors score the cube itself.
+        cube = bordered_scene()
+        before = cube.data.tobytes()
+        run_pipeline(cube, app_config(application))
+        assert cube.data.tobytes() == before
 
     def test_mf_application_with_target(self):
         rng = np.random.default_rng(21)

@@ -211,6 +211,39 @@ class TestStretchCube:
         with pytest.raises(DataError, match=message):
             stretch_cube(cube.select(bands), StretchParams())
 
+    @pytest.mark.parametrize("nodata", [None, -9999.0])
+    @pytest.mark.parametrize("shape", [(1, 300, 300), (48, 260, 260)], ids=["1-band", "48-band"])
+    @pytest.mark.parametrize(
+        "params", [StretchParams(), StretchParams(v_min=-0.0, v_max=3.0, q_low_fraction=0.2, q_high_fraction=0.7)],
+        ids=["default", "pinned-low"],
+    )
+    def test_stretch_into_its_own_data_equals_a_fresh_output(self, nodata, shape, params):
+        # Bands larger than one row chunk of stretch_band, so the chunks
+        # written back precede chunks still to be read.
+        data = np.random.default_rng(63).gamma(2.0, size=shape).astype(np.float32)
+        if nodata is not None:
+            data[:, :5] = nodata
+        cube = RasterCube(data=data, nodata=nodata)
+        fresh = stretch_cube(cube, params)
+        in_place = stretch_cube(cube, params, out=cube.data)
+        assert in_place.data is cube.data
+        assert in_place.data.tobytes() == fresh.data.tobytes()
+        assert (in_place.nodata, in_place.band_meta) == (fresh.nodata, fresh.band_meta)
+        assert in_place.validity is fresh.validity
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.zeros((2, 4, 4), dtype=np.float32), np.zeros((3, 4, 5), dtype=np.float32),
+         np.zeros((3, 4, 4), dtype=np.float64), np.zeros((3, 4, 4)).tolist()],
+        ids=["bands", "width", "float64", "list"],
+    )
+    def test_out_must_be_float32_of_the_cube_shape(self, out):
+        cube = RasterCube(data=np.random.default_rng(64).random((3, 4, 4), dtype=np.float32))
+        before = cube.data.tobytes()
+        with pytest.raises(DataError, match="out must be a float32 array"):
+            stretch_cube(cube, StretchParams(), out=out)
+        assert cube.data.tobytes() == before
+
 
 def _cube_512x512x4(nodata):
     data = np.random.default_rng(61).random((4, 512, 512), dtype=np.float32)
@@ -231,6 +264,20 @@ def test_stretch_cube_peaks_below_the_output_and_one_band(nodata):
     finally:
         tracemalloc.stop()
     assert peak < out.data.nbytes + cube.data[0].nbytes
+
+
+@pytest.mark.parametrize("nodata", [None, -9999.0])
+def test_stretch_into_its_own_data_peaks_below_one_band(nodata):
+    # A band's valid values for its quantiles, or the invalid-pixel plane and
+    # stretch_band's row chunks: never a second cube.
+    cube = _cube_512x512x4(nodata)
+    tracemalloc.start()
+    try:
+        stretch_cube(cube, StretchParams(), out=cube.data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.data[0].nbytes + 2**20
 
 
 def test_stretch_cube_faults_no_more_pages_than_writing_its_output():
