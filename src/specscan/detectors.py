@@ -19,12 +19,11 @@ mirror accelerator arithmetic against a double-precision reference path.
 
 The cube is band-sequential, so its data reshaped to (bands, pixels) is
 already the band matrix the kernels read. Statistics and maps walk it in
-fixed-order column tiles of ``_TILE_PIXELS`` pixels. The statistics,
-``sam`` and ``rx`` work in memory bounded by the tile; ``mf`` keeps the
-whitened scene for one matrix-vector product. Each tile goes through the
-triangular solve, sum of squares and matrix-vector product that a whole
-scene would, so a tile boundary can move a score only in the last bits of
-a BLAS call. Scalar ``mf`` and ``rx`` are one-pixel float64
+fixed-order column tiles of ``_TILE_PIXELS`` pixels. The statistics and
+all three detectors work in memory bounded by the tile. Each tile goes
+through the triangular solve, sum of squares and matrix-vector product that
+a whole scene would, so a tile boundary can move a score only in the last
+bits of a BLAS call. Scalar ``mf`` and ``rx`` are one-pixel float64
 calls of the map kernel.
 Scalar ``sam`` is the reference the SAM map is tested against: the map's
 pixel norms can differ from ``np.linalg.norm`` in the last bit, so it does
@@ -53,7 +52,7 @@ _RIDGE_BASE_FRACTION = 1e-6
 _RIDGE_MAX_FRACTION = 1e-2
 _RIDGE_ABS_FLOOR = 1e-12  # engaged only when trace(cov) == 0 (constant scene)
 # Pixels per column tile of the (bands, pixels) matrix; the working memory
-# of the statistics, sam and rx grows with it.
+# of the statistics and the detectors grows with it.
 _TILE_PIXELS = 1 << 14
 
 
@@ -236,13 +235,9 @@ def _whitened_scores(
     if not t_dev.any():
         raise ComputeError("matched filter is undefined when the target equals the scene mean")
     whitened_t = solve_triangular(factor, t_dev, lower=True)
-    whitened = np.empty(matrix.shape, dtype=dtype, order="F")
-    for cols, tile in tiles:
-        whitened[:, cols] = tile
-    # One matrix-vector product after all the solves: numpy's BLAS and
-    # scipy's keep separate thread pools, and alternating the two tile by
-    # tile made mf slower than the whole-scene kernel.
-    scores[:] = (whitened_t @ whitened) / np.dot(whitened_t, whitened_t)
+    norm = np.dot(whitened_t, whitened_t)
+    for cols, whitened in tiles:
+        scores[cols] = (whitened_t @ whitened) / norm
     return scores
 
 

@@ -60,6 +60,9 @@ from .preprocess import StretchParams, stretch_cube
 SUMMARY_MAX_BYTES = 2048
 MAX_DETECTION_BOXES = 16
 _RUN_OUTPUTS = ("score.json", "score.raw", "mask.pgm", "summary.json", "report.json")  # what a run writes
+# Bytes of the change plane that _run_edges fills per block of mask rows:
+# small against a mask, so connected_boxes makes no mask-sized plane.
+_EDGE_BLOCK_BYTES = 1 << 18
 
 
 def _check_max_boxes(max_boxes: int) -> None:
@@ -298,6 +301,28 @@ def _find_roots(parent: np.ndarray) -> np.ndarray:
         parent = grand
 
 
+def _run_edges(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of a 2-D mask's row runs, as row-major keys row * (width + 1) + column.
+
+    Along each row, read as zero-padded, the value changes at a run's start
+    and again one past its end. The changes are found a block of rows at a
+    time, so no mask-sized plane is made.
+    """
+    height, width = data.shape
+    stride = width + 1
+    block_rows = max(1, _EDGE_BLOCK_BYTES // stride)
+    edges = np.empty((min(block_rows, height), stride), dtype=bool)
+    found = []
+    for top in range(0, height, block_rows):
+        block = data[top : top + block_rows]
+        edge = edges[: block.shape[0]]
+        edge[:, 0] = block[:, 0]
+        np.not_equal(block[:, 1:], block[:, :-1], out=edge[:, 1:-1])
+        edge[:, -1] = block[:, -1]
+        found.append(np.flatnonzero(edge) + top * stride)
+    return np.concatenate([keys[0::2] for keys in found]), np.concatenate([keys[1::2] for keys in found])
+
+
 def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> list[tuple[int, int, int, int]]:
     """Bounding boxes (x, y, w, h) of 4-connected label-1 components.
 
@@ -314,15 +339,9 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
         raise ConfigError(f"max_boxes must be at least 1, got {max_boxes}")
     height, width = mask.data.shape
     stride = width + 1
-    # Runs as row-major keys row * stride + column: along each zero-padded
-    # row the value changes at a run's start and again one past its end.
     # Each array is deleted once dead, so the per-run arrays alive at once
     # stay few.
-    padded = np.zeros((height, width + 2), dtype=bool)
-    padded[:, 1:-1] = mask.data
-    changes = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
-    del padded
-    starts, stops = changes[0::2], changes[1::2]
+    starts, stops = _run_edges(mask.data)
     # A row's runs are those between its first key and the next row's.
     rows = np.repeat(np.arange(height), np.diff(np.searchsorted(starts, np.arange(height + 1) * stride)))
     # Runs lo .. hi - 1 of the row above overlap each run.

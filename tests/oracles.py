@@ -302,3 +302,24 @@ def sam_map_whole(cube, target, dtype):
     scores = 2.0 * np.arctan2(away, toward)
     scores[zero] = np.pi
     return np.clip(scores.astype(np.float64), 0.0, math.pi), zero
+
+
+def mf_map_whole(cube, target, stats, dtype, tile):
+    """Matched-filter map from one F-order (B, N) whitened copy of the scene and one product.
+
+    Each `tile`-column block is centred and whitened by its own triangular
+    solve into the copy; the scores are then a single vector-matrix product
+    over all of it. Returns the float64 scores, flat.
+    """
+    from scipy.linalg import solve_triangular
+
+    matrix = cube.data.reshape(cube.bands, -1)
+    factor = stats.factor_lower.astype(dtype)
+    mean = stats.mean.astype(dtype)
+    whitened = np.empty(matrix.shape, dtype=dtype, order="F")
+    for start in range(0, matrix.shape[1], tile):
+        cols = slice(start, start + tile)
+        whitened[:, cols] = solve_triangular(factor, matrix[:, cols] - mean[:, np.newaxis], lower=True)
+    t_dev = (np.asarray(target, dtype=np.float64) - stats.mean).astype(dtype)
+    whitened_t = solve_triangular(factor, t_dev, lower=True)
+    return ((whitened_t @ whitened) / np.dot(whitened_t, whitened_t)).astype(np.float64)

@@ -461,11 +461,17 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
-def test_rx_map_peaks_below_the_cube_size():
-    cube = random_cube(np.random.default_rng(96), bands=32, height=256, width=256, roles=False)
+@pytest.mark.parametrize("detector", ["rx", "mf"])
+def test_map_peaks_below_the_cube_size(detector):
+    rng = np.random.default_rng(96)
+    cube = random_cube(rng, bands=32, height=256, width=256, roles=False)
+    target = rng.random(32) if detector == "mf" else None
+    # The first whitening call imports scipy.linalg; import it here so the peak is the map's alone.
+    import scipy.linalg  # noqa: F401
+
     tracemalloc.start()
     try:
-        detect_map(cube, "rx")
+        detect_map(cube, detector, target=target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

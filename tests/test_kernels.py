@@ -17,6 +17,7 @@ from specscan import (
     RasterCube,
     StretchParams,
     band_quantiles,
+    compute_scene_stats,
     detect_map,
     fit_clear_sky_line,
     hot,
@@ -24,11 +25,13 @@ from specscan import (
     stretch_band,
 )
 from specscan import labeling, preprocess
+from specscan.detectors import _TILE_PIXELS
 from specscan.labeling import _OTSU_CHUNK, _otsu_bins, _otsu_chunk_bins
 from conftest import cube_from_planes
 from oracles import (
     clear_sky_line_argsort,
     hot_float64,
+    mf_map_whole,
     ndwi_where,
     otsu_bins_searchsorted,
     quantiles_numpy,
@@ -452,3 +455,19 @@ class TestSamMap:
         got = detect_map(cube, "sam", target=target)
         assert got.flags is None
         assert_same_bits(got.data.ravel(), sam_map_whole(cube, target, np.float32)[0])
+
+
+class TestMfMap:
+    @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
+    def test_tiled_products_equal_one_whole_scene_product(self, precision, dtype):
+        # 65,536 pixels: four whole tiles, so every tile's product covers the
+        # same columns as a block of the whole-scene product
+        rng = np.random.default_rng(75)
+        data = rng.normal(0.5, 0.1, size=(48, 256, 256)).astype(np.float32)
+        data[:, :, :8] = -1.0
+        cube = RasterCube(data=data, nodata=-1.0)
+        assert cube.height * cube.width % _TILE_PIXELS == 0
+        target = rng.random(48)
+        stats = compute_scene_stats(cube)
+        got = detect_map(cube, "mf", target=target, stats=stats, precision=precision)
+        assert_same_bits(got.data.ravel(), mf_map_whole(cube, target, stats, dtype, _TILE_PIXELS))

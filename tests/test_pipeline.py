@@ -156,6 +156,34 @@ class TestConnectedBoxes:
             tracemalloc.stop()
         assert peak < 11 * 8 * runs
 
+    @pytest.mark.parametrize("block_bytes", [1, 40, 100])
+    def test_row_blocks_do_not_change_the_boxes(self, monkeypatch, block_bytes):
+        # 1 byte still takes one row per block; 40 and 100 split 16-wide rows
+        # into blocks of 2 and 5 rows
+        monkeypatch.setattr("specscan.pipeline._EDGE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(28)
+        masks = [(rng.random((13, 16)) > 0.6).astype(np.uint8) for _ in range(10)]
+        for data in masks + structured_masks():
+            boxes = connected_boxes(BinaryMask(data=data), max_boxes=16)
+            assert boxes == [box for _, box in flood_fill_boxes(data)][:16]
+
+    def test_few_runs_peak_well_below_one_mask_plane(self):
+        # Run edges are found a block of rows at a time, so a 2048 x 2048 mask
+        # of three blobs peaks below an eighth of its own bytes.
+        data = np.zeros((2048, 2048), dtype=np.uint8)
+        data[100:400, 200:900] = 1
+        data[1500:, :] = 1
+        data[1000, 1000] = 1
+        mask = BinaryMask(data=data)
+        tracemalloc.start()
+        try:
+            boxes = connected_boxes(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boxes == [(0, 1500, 2048, 548), (200, 100, 700, 300), (1000, 1000, 1, 1)]
+        assert peak < data.nbytes // 8
+
     def test_truncation_keeps_largest(self):
         data = np.zeros((5, 12), dtype=np.uint8)
         data[0, 0:4] = 1    # 4 px
