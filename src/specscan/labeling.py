@@ -24,7 +24,7 @@ CLEAR_SKY_SUBSET_FRACTION = 0.0015
 CLEAR_SKY_BIN_COUNT = 20
 CLEAR_SKY_POINTS_PER_BIN = 20
 
-_OTSU_CHUNK = 1 << 16  # values ndwi scores and otsu_threshold bins per step
+_CHUNK = 1 << 16  # values ndwi scores, otsu_threshold bins and fit_clear_sky_line scans per step
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ def ndwi(cube: RasterCube) -> ScoreMap:
     scores = np.empty(green.shape, dtype=np.float64)
     zero = np.empty(green.shape, dtype=bool)
     green, nir, flat_scores, flat_zero = (a.reshape(-1) for a in (green, nir, scores, zero))
-    total = np.empty(min(_OTSU_CHUNK, green.size), dtype=np.float64)
+    total = np.empty(min(_CHUNK, green.size), dtype=np.float64)
     # A zero total divides to an infinity or NaN that the flag then overwrites.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, green.size, _OTSU_CHUNK):
-            g, n = green[start : start + _OTSU_CHUNK], nir[start : start + _OTSU_CHUNK]
+        for start in range(0, green.size, _CHUNK):
+            g, n = green[start : start + _CHUNK], nir[start : start + _CHUNK]
             out, at_zero = flat_scores[start : start + g.size], flat_zero[start : start + g.size]
             sums = total[: g.size]
             np.add(g, n, out=sums, dtype=np.float64)
@@ -89,7 +89,9 @@ def fit_clear_sky_line(cube: RasterCube) -> ClearSkyLine:
     range, keep the 20 highest-red points of each bin, and fit red on blue
     by ordinary least squares over the retained points. Ties in blue or red
     are broken by lower linear pixel index, so identical scenes yield
-    bit-identical fits.
+    bit-identical fits. The subset is found 65,536 pixels at a time, so the
+    fit holds no scene-sized scratch: at most two subsets and one chunk of
+    candidate values.
     """
     blue = cube.plane("blue").ravel()
     red = cube.plane("red").ravel()
@@ -97,20 +99,8 @@ def fit_clear_sky_line(cube: RasterCube) -> ClearSkyLine:
     n_valid = blue.size if valid is None else int(np.count_nonzero(valid))
     if n_valid < 2:
         raise ComputeError(f"clear-sky fit needs at least 2 valid pixels, have {n_valid}")
-
-    # The subset is the subset_count smallest valid blue values, ties at the
-    # cut taken in pixel-index order: every valid pixel below the cut value,
-    # then the first pixels equal to it. The float32 cut compares with the
-    # float32 plane, so no value is rounded.
     subset_count = max(2, int(CLEAR_SKY_SUBSET_FRACTION * n_valid))
-    cut = np.partition(blue if valid is None else blue[valid], subset_count - 1)[subset_count - 1]
-    below = blue < cut
-    at_cut = blue == cut
-    if valid is not None:
-        below &= valid
-        at_cut &= valid
-    below = np.flatnonzero(below)
-    subset = np.concatenate([below, np.flatnonzero(at_cut)[: subset_count - below.size]])
+    subset = _darkest_blue(blue, valid, subset_count)
     blue_sub = blue[subset].astype(np.float64)
 
     lo = float(blue_sub.min())
@@ -142,6 +132,42 @@ def fit_clear_sky_line(cube: RasterCube) -> ClearSkyLine:
     residuals = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(residuals * residuals)))
     return ClearSkyLine(slope=slope, intercept=intercept, n_fit_points=int(points.size), fit_residual_rms=rms)
+
+
+def _darkest_blue(blue: np.ndarray, valid: np.ndarray | None, count: int) -> np.ndarray:
+    """Indices of the valid pixels below the cut, the `count`-th smallest valid value, then the first at it.
+
+    Each chunk's valid values below the bound join the candidates, which are
+    partitioned back to the `count` smallest whenever they pass ``2 * count``.
+    The float32 cut compares with the float32 plane, so no value is rounded.
+    """
+    flags = np.empty(min(_CHUNK, blue.size), dtype=bool)
+
+    def marked(compare, start, value):  # flags of the chunk's valid pixels where compare(blue, value)
+        values = blue[start : start + _CHUNK]
+        flag = compare(values, value, out=flags[: values.size])
+        if valid is not None:
+            flag &= valid[start : start + values.size]
+        return flag
+
+    candidates, bound = blue[:0], np.inf
+    for start in range(0, blue.size, _CHUNK):
+        # The bound is the count-th smallest candidate: no value at or above it lowers the cut.
+        candidates = np.concatenate([candidates, blue[start : start + _CHUNK][marked(np.less, start, bound)]])
+        if candidates.size > 2 * count:
+            candidates.partition(count - 1)
+            candidates, bound = candidates[:count], candidates[count - 1]
+    cut = np.partition(candidates, count - 1)[count - 1]
+
+    # Fewer than count pixels lie below the cut; no more than count at it are needed.
+    below, at_cut, taken = [], [], 0
+    for start in range(0, blue.size, _CHUNK):
+        below.append(np.flatnonzero(marked(np.less, start, cut)) + start)
+        if taken < count:
+            at_cut.append(np.flatnonzero(marked(np.equal, start, cut))[: count - taken] + start)
+            taken += at_cut[-1].size
+    below = np.concatenate(below)
+    return np.concatenate([below, np.concatenate(at_cut)[: count - below.size]])
 
 
 def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written") -> ScoreMap:
@@ -213,7 +239,7 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
 def _otsu_bins(values: np.ndarray, edges: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Each bin's count and sum of `values`, binned by :func:`_otsu_chunk_bins`.
 
-    Values are binned ``_OTSU_CHUNK`` at a time into reused buffers, so no
+    Values are binned ``_CHUNK`` at a time into reused buffers, so no
     per-value index of the whole map is kept. Each chunk is counted, which
     integer counts allow exactly under any split, and added into the sums
     value by value with ``np.add.at``: each bin's sum adds its values in
@@ -222,9 +248,9 @@ def _otsu_bins(values: np.ndarray, edges: np.ndarray, lo: float, hi: float) -> t
     bins = edges.size - 1
     counts = np.zeros(bins, dtype=np.intp)
     sums = np.zeros(bins, dtype=np.float64)
-    buffers = _otsu_buffers(min(_OTSU_CHUNK, values.size))
-    for start in range(0, values.size, _OTSU_CHUNK):
-        v = values[start : start + _OTSU_CHUNK]
+    buffers = _otsu_buffers(min(_CHUNK, values.size))
+    for start in range(0, values.size, _CHUNK):
+        v = values[start : start + _CHUNK]
         idx = _otsu_chunk_bins(v, edges, lo, hi, buffers)
         counts += np.bincount(idx, minlength=bins)
         np.add.at(sums, idx, v)

@@ -504,8 +504,9 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
 
     When ``config.output_dir`` is set, writes ``score.json``/``score.raw``,
     ``mask.pgm``, ``summary.json``, and ``report.json`` into a ``.staging-*``
-    directory inside it and renames them into place only once all five are
-    written. A run that fails therefore leaves the directory as it was: empty
+    directory inside it and, once all five are written, moves the previous
+    run's files aside and the five into place, undoing the moves if a rename
+    fails. A run that fails therefore leaves the directory as it was: empty
     or absent for a first run, the previous run's files for a re-run. A header path
     that one of the five would overwrite, or whose payload it would, is a ConfigError.
     """
@@ -571,7 +572,16 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
                 emit_summary(summary, staging / "summary.json")
                 report["outputs"] = {"score": "score.json", "mask": "mask.pgm", "summary": "summary.json"}
                 _write_json(staging / "report.json", report)
-                for path in sorted(staging.iterdir()):
-                    os.replace(path, out_dir / path.name)
+                # The previous run's files move aside, then this run's in; a failed rename undoes the others.
+                moves = [(out_dir / name, staging / f"previous-{name}") for name in _RUN_OUTPUTS]
+                moves = [move for move in moves if move[0].is_file()]
+                moves += [(staging / name, out_dir / name) for name in _RUN_OUTPUTS]
+                for done, (src, dst) in enumerate(moves):
+                    try:
+                        os.replace(src, dst)
+                    except OSError:
+                        for undo in reversed(moves[:done]):
+                            os.replace(*undo[::-1])
+                        raise
 
     return PipelineResult(mask=mask, scores=scores, summary=summary, report=report)

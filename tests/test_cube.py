@@ -271,11 +271,11 @@ class TestBandSelectiveLoad:
         with pytest.raises(FormatError, match=f"holds {16 + extra} bytes, header implies 16"):
             load_cube(tmp_path / "m.json", bands=(7,))
 
-    def test_holds_the_kept_bands_and_one_spare_plane(self, tmp_path):
-        data = np.random.default_rng(6).random((8, 256, 256), dtype=np.float32)
+    def test_holds_the_kept_bands_and_the_validity(self, tmp_path):
+        # A band left out is read a chunk at a time, not into a spare plane.
+        data = np.random.default_rng(6).random((8, 512, 512), dtype=np.float32)
         data[:, :, :4] = -9999.0
         save_cube(RasterCube(data=data, nodata=-9999.0), tmp_path / "wide.json")
-        plane = data[0].nbytes
         tracemalloc.start()
         try:
             cube = load_cube(tmp_path / "wide.json", bands=(2, 5))
@@ -283,8 +283,53 @@ class TestBandSelectiveLoad:
         finally:
             tracemalloc.stop()
         assert cube.bands == 2
-        # Two kept bands, one spare plane, the validity and one plane of flags.
-        assert peak < 3 * plane + 2 * cube.validity.nbytes + plane // 4
+        assert peak < cube.data.nbytes + cube.validity.nbytes + (1 << 20)
+
+
+def chunked_file(tmp_path, nodata=None):
+    """A saved 3-band 11 x 2 cube: at 7 pixels a chunk, three rows, so its last chunk is partial."""
+    data = np.random.default_rng(18).random((3, 11, 2), dtype=np.float32)
+    save_cube(RasterCube(data=data, nodata=nodata), tmp_path / "chunked.json")
+    return tmp_path / "chunked.json"
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, None], ids=["chunk-1", "chunk-3", "chunk-7", "default"])
+class TestScanChunks:
+    """The finiteness and nodata scan gives the same answer at any chunk size."""
+
+    @pytest.fixture(autouse=True)
+    def set_chunk(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr("specscan.cube._CHUNK", chunk)
+
+    @pytest.mark.parametrize("band", [0, 1])
+    def test_non_finite_sample_in_the_last_chunk_of_a_band_left_out(self, tmp_path, band):
+        path = chunked_file(tmp_path)
+        payload = np.fromfile(path.with_suffix(".raw"), dtype="<f4")
+        payload[22 * band + 21] = np.nan
+        payload.tofile(path.with_suffix(".raw"))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_cube(path, bands=(2,))
+
+    def test_nodata_only_in_bands_left_out(self, tmp_path):
+        path = chunked_file(tmp_path, nodata=-1.0)
+        payload = np.fromfile(path.with_suffix(".raw"), dtype="<f4")
+        payload[[0, 5, 6, 13, 21, 22 + 2, 22 + 14, 22 + 21]] = -1.0
+        payload.tofile(path.with_suffix(".raw"))
+        cube = load_cube(path, bands=(2,))
+        assert cubes_equal(cube, load_cube(path).select((2,)))
+        assert np.count_nonzero(~cube.validity) == 7  # pixel 21 holds nodata in both bands
+
+    def test_a_built_cube_scans_its_strided_planes(self):
+        data = np.random.default_rng(20).random((3, 22, 6), dtype=np.float32)
+        data[1, 20, 3] = data[0, 6, 0] = data[2, 21, 5] = -1.0  # the last is not in the view
+        strided = data[:, ::2, ::3]
+        cube = RasterCube(data=strided, nodata=-1.0)
+        assert np.array_equal(cube.validity, ~np.any(strided == np.float32(-1.0), axis=0))
+        assert np.count_nonzero(~cube.validity) == 2
+        data[2, 20, 3] = np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            RasterCube(data=strided)
 
 
 class TestBandAccess:
@@ -365,10 +410,10 @@ class TestInvariants:
         assert cube.validity.tolist() == [[True, False], [True, True]]
         assert valid_pixel_count(cube) == 3
 
-    def test_nodata_validity_holds_one_band_of_flags(self):
-        # Scanned band by band: the plane and one band's comparison, not a
-        # (bands, height, width) array of them.
-        data = np.random.default_rng(5).random((8, 512, 512), dtype=np.float32)
+    def test_nodata_validity_holds_one_chunk_of_flags(self):
+        # Scanned a chunk at a time: the validity and one chunk's comparison,
+        # not a plane or a (bands, height, width) array of them.
+        data = np.random.default_rng(5).random((4, 1024, 1024), dtype=np.float32)
         data[:, :, :8] = -9999.0
         tracemalloc.start()
         try:
@@ -377,7 +422,7 @@ class TestInvariants:
         finally:
             tracemalloc.stop()
         assert cube.validity.tolist() == (~np.any(data == np.float32(-9999.0), axis=0)).tolist()
-        assert peak < 3 * cube.validity.nbytes
+        assert peak < cube.validity.nbytes + (1 << 18)
 
     def test_non_numeric_nodata_is_data_error(self):
         with pytest.raises(DataError, match="nodata 'abc' must be a number"):
@@ -553,6 +598,19 @@ class TestScoreMapIO:
         save_cube(cube, tmp_path / "two.json")
         with pytest.raises(FormatError, match="1 band"):
             load_score_map(tmp_path / "two.json")
+
+    def test_holds_the_float64_map_and_one_float32_plane(self, tmp_path):
+        # The float32 plane is dropped once converted and the clip is in place.
+        values = np.random.default_rng(19).uniform(-1.0, 1.0, size=(1024, 1024))
+        save_score_map(ScoreMap(data=values, score_kind="NDWI"), tmp_path / "ndwi.json")
+        tracemalloc.start()
+        try:
+            loaded = load_score_map(tmp_path / "ndwi.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.data, values.astype(np.float32).astype(np.float64))
+        assert peak < values.nbytes + values.nbytes // 2 + (1 << 20)
 
     def test_sam_map_clipped_after_f32(self, tmp_path):
         scores = ScoreMap(data=np.full((2, 2), np.pi), score_kind="SAM")

@@ -26,7 +26,7 @@ from specscan import (
 )
 from specscan import labeling, preprocess
 from specscan.detectors import _TILE_PIXELS
-from specscan.labeling import _OTSU_CHUNK, _otsu_bins, _otsu_chunk_bins
+from specscan.labeling import _CHUNK, _otsu_bins, _otsu_chunk_bins
 from conftest import cube_from_planes
 from oracles import (
     clear_sky_line_argsort,
@@ -212,13 +212,13 @@ class TestOtsuBins:
 
     def test_chunks_cover_every_value(self):
         rng = np.random.default_rng(31)
-        values = rng.normal(size=3 * _OTSU_CHUNK + 123)
+        values = rng.normal(size=3 * _CHUNK + 123)
         lo, hi = float(values.min()), float(values.max())
         edges = np.linspace(lo, hi, 257)
-        values[[0, _OTSU_CHUNK - 1, _OTSU_CHUNK, 2 * _OTSU_CHUNK, values.size - 1]] = edges[[5, 100, 101, 200, 256]]
+        values[[0, _CHUNK - 1, _CHUNK, 2 * _CHUNK, values.size - 1]] = edges[[5, 100, 101, 200, 256]]
         assert_otsu_bins(values, edges, lo, hi)
 
-    @pytest.mark.parametrize("size", [1, _OTSU_CHUNK - 1, _OTSU_CHUNK + 1, 3 * _OTSU_CHUNK + 5])
+    @pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])
     def test_chunked_sums_add_in_pixel_order(self, size):
         # Values of many magnitudes, so a bin's sum depends on the order its
         # values are added in.
@@ -236,11 +236,11 @@ class TestOtsuBins:
         assert np.shares_memory(idx, buffers[0])
         assert_same_bits(idx, otsu_bins_searchsorted(values, edges))
 
-    @pytest.mark.parametrize("chunk, size", [(1, 200), (3, 500), (7, 1000), (64, 5000), (_OTSU_CHUNK, 2 * _OTSU_CHUNK + 77)])
+    @pytest.mark.parametrize("chunk, size", [(1, 200), (3, 500), (7, 1000), (64, 5000), (_CHUNK, 2 * _CHUNK + 77)])
     def test_values_on_edges_across_chunks(self, monkeypatch, chunk, size):
         # An NDWI map's clipped -1 and +1 and the 0 of its zero-sum pixels sit
         # on edges; here most values do, in runs that cross chunk boundaries.
-        monkeypatch.setattr(labeling, "_OTSU_CHUNK", chunk)
+        monkeypatch.setattr(labeling, "_CHUNK", chunk)
         rng = np.random.default_rng(32)
         values = np.repeat(rng.choice([-1.0, 0.0, 1.0], size=size // 5 + 1), 5)[:size]
         off_edges = rng.random(size) < 0.2
@@ -341,7 +341,7 @@ class TestNdwi:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 5000])
     def test_chunk_boundaries(self, monkeypatch, chunk):
-        monkeypatch.setattr(labeling, "_OTSU_CHUNK", chunk)
+        monkeypatch.setattr(labeling, "_CHUNK", chunk)
         rng = np.random.default_rng(53)
         green = rng.uniform(-1.0, 1.0, size=(37, 64)).astype(np.float32)
         nir = rng.uniform(-1.0, 1.0, size=(37, 64)).astype(np.float32)

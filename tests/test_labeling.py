@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from specscan import (
     otsu_threshold,
     run_pipeline,
 )
-from conftest import score_map
-from oracles import clear_sky_fit, otsu_exhaustive
+from conftest import cube_from_planes, score_map
+from oracles import clear_sky_fit, clear_sky_line_argsort, otsu_exhaustive
 
 
 class TestNdwi:
@@ -148,6 +150,62 @@ class TestClearSkyLine:
         )
         assert first.n_fit_points == n_points
         assert first.slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("nodata", [None, -1.0], ids=["all-valid", "nodata"])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, None], ids=["chunk-1", "chunk-3", "chunk-7", "default"])
+    def test_ties_straddling_chunk_boundaries(self, monkeypatch, chunk, nodata):
+        # 3600 px -> a subset of 5: the three lows, then the first valid
+        # pixels of forty tied at the cut, placed on both sides of chunk
+        # boundaries; some of the tied pixels and one low are nodata.
+        if chunk is not None:
+            monkeypatch.setattr("specscan.labeling._CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        blue = 0.5 + 0.4 * rng.random(3600)
+        blue[[1500, 8, 2999]] = [0.05, 0.1, 0.15]
+        tied = np.sort(np.concatenate([[6, 7, 20, 21], rng.choice(np.arange(22, 3600), 36, replace=False)]))
+        tied = tied[~np.isin(tied, [1500, 8, 2999])]
+        blue[tied] = 0.25
+        nir = np.ones(3600)
+        if nodata is not None:
+            nir[[7, 20, 1500]] = nodata
+        planes = {name: plane.reshape(60, 60) for name, plane in (("blue", blue), ("red", rng.random(3600)), ("nir", nir))}
+        cube = cube_from_planes(planes, nodata=nodata)
+        line = fit_clear_sky_line(cube)
+        expected = clear_sky_line_argsort(cube.plane("blue"), cube.plane("red"), cube.validity)
+        assert (line.slope, line.intercept, line.n_fit_points, line.fit_residual_rms) == expected
+        slope, intercept, n_points, _ = clear_sky_fit(cube.plane("blue"), cube.plane("red"), cube.validity)
+        assert line.n_fit_points == n_points == 5
+        assert line.slope == pytest.approx(slope, rel=1e-10)
+        assert line.intercept == pytest.approx(intercept, rel=1e-10)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1000], ids=["chunk-1", "chunk-3", "chunk-7", "chunk-1000"])
+    def test_random_scenes_at_any_chunk(self, monkeypatch, chunk):
+        # The darkest pixels fall in any chunk, before or after the candidate
+        # buffer is first cut back.
+        monkeypatch.setattr("specscan.labeling._CHUNK", chunk)
+        rng = np.random.default_rng(25)
+        for size in [(60, 60), (40, 91), (100, 137), (7, 3000)]:
+            planes = {"blue": rng.random(size), "red": rng.random(size)}
+            cube = cube_from_planes(planes)
+            line = fit_clear_sky_line(cube)
+            expected = clear_sky_line_argsort(cube.plane("blue"), cube.plane("red"))
+            assert (line.slope, line.intercept, line.n_fit_points, line.fit_residual_rms) == expected
+
+    def test_peaks_below_one_megabyte(self):
+        # The subset is found a chunk at a time: no copy or flag plane of
+        # the 2048 x 2048 scene.
+        rng = np.random.default_rng(24)
+        planes = {role: rng.random((2048, 2048), dtype=np.float32) for role in ("blue", "red", "nir")}
+        planes["nir"][:, :3] = -1.0
+        cube = cube_from_planes(planes, nodata=-1.0)
+        tracemalloc.start()
+        try:
+            line = fit_clear_sky_line(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert line.n_fit_points == 400
+        assert peak < 1 << 20
 
     def test_fit_point_cap(self):
         # 400_000 pixels -> subset of 600, 20 bins x 20 points cap = 400

@@ -499,6 +499,32 @@ class TestRunPipeline:
         assert excinfo.value.stage == "write"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first
 
+    @pytest.mark.parametrize(
+        "rerun, failing_call", [(True, call) for call in range(1, 11)] + [(False, call) for call in range(1, 6)]
+    )
+    def test_a_failed_rename_leaves_one_run_or_nothing(self, tmp_path, monkeypatch, rerun, failing_call):
+        # A re-run moves the five previous files aside and the five new ones
+        # in, a first run just the new ones: whichever rename fails, the
+        # directory holds the previous run, or nothing.
+        out = tmp_path / "run"
+        if rerun:
+            run_pipeline(water_scene(seed=11), PipelineConfig(application="surface_water", output_dir=out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()} if rerun else {}
+        real_replace, calls = pipeline.os.replace, []
+
+        def flaky_replace(src, dst):
+            calls.append(src)
+            if len(calls) == failing_call:
+                raise OSError("rename failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", flaky_replace)
+        config = PipelineConfig(application="surface_water", scene_id="b", output_dir=out)
+        with pytest.raises(StageError, match="rename failed") as excinfo:
+            run_pipeline(water_scene(seed=12), config)
+        assert excinfo.value.stage == "write"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_stage_attribution(self):
         # A band the score step reads but the cube lacks fails in the score
         # stage, although a run stretches only the bands the score step reads.
