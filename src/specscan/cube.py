@@ -26,6 +26,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, replace
@@ -472,7 +473,7 @@ def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None)
     if min(width, height, count) < 1:
         raise FormatError(f"cube dimensions must be >= 1, got {width}x{height}x{count}")
 
-    meta_entries = header.get("bands_meta") or []
+    meta_entries = [] if header.get("bands_meta") is None else header["bands_meta"]
     if not isinstance(meta_entries, list):
         raise FormatError(f"bands_meta in {header_path} must be a list")
     if meta_entries and len(meta_entries) != count:
@@ -537,6 +538,10 @@ def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None)
 # ---------------------------------------------------------------------------
 # Binary mask (PGM) I/O
 
+# Four optional header fields, so a bad magic is reported before a missing one. Each is a run of
+# non-space bytes, kept whole by (?!\S), after whitespace and '#' comments that run to '\n' or the end.
+_PGM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)(?!\S))?" * 4)
+
 
 def save_mask(mask: BinaryMask, path: str | Path) -> None:
     """Write `mask` as binary PGM: 0 for label 0, 255 for label 1."""
@@ -551,24 +556,6 @@ def save_mask(mask: BinaryMask, path: str | Path) -> None:
         raise FormatError(f"cannot write mask to {path}: {exc}") from exc
 
 
-def _pgm_tokens(buf: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    pos = 0
-    while True:
-        while pos < len(buf) and buf[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(buf) and buf[pos : pos + 1] == b"#":
-            while pos < len(buf) and buf[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(buf) and not buf[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            return
-        yield buf[start:pos], pos
-
-
 def load_mask(path: str | Path) -> BinaryMask:
     """Load a binary mask from PGM written by :func:`save_mask`."""
     path = Path(path)
@@ -576,22 +563,19 @@ def load_mask(path: str | Path) -> BinaryMask:
         buf = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read mask {path}: {exc}") from exc
-    tokens = _pgm_tokens(buf)
+    header = _PGM_HEADER.match(buf)
+    magic, *fields = header.groups()
+    if magic not in (None, b"P5"):
+        raise FormatError(f"{path} is not binary PGM (magic {magic!r})")
     try:
-        magic, _ = next(tokens)
-        if magic != b"P5":
-            raise FormatError(f"{path} is not binary PGM (magic {magic!r})")
-        width, _ = next(tokens)
-        height, _ = next(tokens)
-        maxval, end = next(tokens)
-        width, height, maxval = int(width), int(height), int(maxval)
-    except (StopIteration, ValueError) as exc:
+        width, height, maxval = map(int, fields)
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed PGM header in {path}") from exc
     if maxval != 255:
         raise FormatError(f"mask PGM must use maxval 255, got {maxval}")
     if min(width, height) < 1:
         raise FormatError(f"mask dimensions must be >= 1, got {width}x{height}")
-    payload = buf[end + 1 :]
+    payload = buf[header.end() + 1 :]
     if len(payload) != width * height:
         raise FormatError(
             f"mask payload holds {len(payload)} bytes, header implies {width * height}"
@@ -669,6 +653,16 @@ def load_spectral_library(
             f"{','.join(_LIBRARY_COLUMNS)!r}, got {','.join(header)!r}"
         )
 
+    # A numeric cell as a finite float; its errors name the row being read (`lineno`, `label`).
+    def number(cell: str, name: str, quantity: str) -> float:
+        try:
+            parsed = float(cell)
+        except ValueError as exc:
+            raise FormatError(f"{csv_path}:{lineno}: non-numeric {name} {cell!r}") from exc
+        if not math.isfinite(parsed):
+            raise FormatError(f"{csv_path}:{lineno}: non-finite {quantity} for {label!r}")
+        return parsed
+
     records: dict[str, list[tuple[float | None, float]]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -678,22 +672,8 @@ def load_spectral_library(
         label, wl_cell, value_cell = (cell.strip() for cell in row)
         if not label:
             raise FormatError(f"{csv_path}:{lineno}: empty label")
-        try:
-            value = float(value_cell)
-        except ValueError as exc:
-            raise FormatError(f"{csv_path}:{lineno}: non-numeric value {value_cell!r}") from exc
-        if not math.isfinite(value):
-            raise FormatError(f"{csv_path}:{lineno}: non-finite reflectance for {label!r}")
-        wavelength: float | None = None
-        if wl_cell:
-            try:
-                wavelength = float(wl_cell)
-            except ValueError as exc:
-                raise FormatError(
-                    f"{csv_path}:{lineno}: non-numeric wavelength {wl_cell!r}"
-                ) from exc
-            if not math.isfinite(wavelength):
-                raise FormatError(f"{csv_path}:{lineno}: non-finite wavelength for {label!r}")
+        value = number(value_cell, "value", "reflectance")
+        wavelength = number(wl_cell, "wavelength", "wavelength") if wl_cell else None
         records.setdefault(label, []).append((wavelength, value))
 
     if not records:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import tempfile
 import time
 from contextlib import contextmanager
@@ -507,7 +508,9 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
     directory inside it and, once all five are written, moves the previous
     run's files aside and the five into place, undoing the moves if a rename
     fails. A run that fails therefore leaves the directory as it was: empty
-    or absent for a first run, the previous run's files for a re-run. A header path
+    or absent for a first run, the previous run's files for a re-run. If an
+    undo fails too, the error names the ``.previous-*`` directory that keeps
+    the previous files not yet moved back. A header path
     that one of the five would overwrite, or whose payload it would, is a ConfigError.
     """
     app = APPLICATIONS[config.application]
@@ -573,15 +576,21 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
                 report["outputs"] = {"score": "score.json", "mask": "mask.pgm", "summary": "summary.json"}
                 _write_json(staging / "report.json", report)
                 # The previous run's files move aside, then this run's in; a failed rename undoes the others.
-                moves = [(out_dir / name, staging / f"previous-{name}") for name in _RUN_OUTPUTS]
-                moves = [move for move in moves if move[0].is_file()]
+                # Set aside in a directory of their own, they outlive the staging directory if an undo fails.
+                aside = Path(tempfile.mkdtemp(dir=out_dir, prefix=".previous-"))
+                moves = [(out_dir / name, aside / name) for name in _RUN_OUTPUTS if (out_dir / name).is_file()]
                 moves += [(staging / name, out_dir / name) for name in _RUN_OUTPUTS]
                 for done, (src, dst) in enumerate(moves):
                     try:
                         os.replace(src, dst)
-                    except OSError:
-                        for undo in reversed(moves[:done]):
-                            os.replace(*undo[::-1])
+                    except OSError as exc:
+                        try:
+                            for undo in reversed(moves[:done]):
+                                os.replace(*undo[::-1])
+                        except OSError as undo_exc:
+                            raise OSError(f"{exc}; undo failed: {undo_exc}; previous run kept in {aside}") from exc
+                        aside.rmdir()
                         raise
+                shutil.rmtree(aside)
 
     return PipelineResult(mask=mask, scores=scores, summary=summary, report=report)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -18,6 +21,7 @@ from specscan import (
     save_cube,
     save_mask,
     save_score_map,
+    __version__,
 )
 from specscan.cli import main
 from specscan.detectors import DETECTORS
@@ -58,6 +62,12 @@ def save_cube_with_payload(cube, header, payload_name):
 
 
 class TestExitCodes:
+    def test_python_m_specscan_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "specscan", "--version"], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, f"specscan {__version__}\n")
+
     def test_unknown_flag_is_usage_error(self, capsys, scene_path):
         code = main(["stretch", "--cube", str(scene_path), "--out", "x.json", "--bogus"])
         assert code == 1

@@ -20,6 +20,7 @@ from specscan import (
     save_mask,
     save_score_map,
 )
+from specscan import cube as cube_module
 from conftest import RGBN, random_cube
 from oracles import valid_pixel_count
 
@@ -206,6 +207,21 @@ class TestCubeRoundTrip:
         (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
         with pytest.raises(FormatError, match=message):
             load_cube(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("meta", [{}, 0, "", False, 3, "ab"], ids=repr)
+    def test_bands_meta_other_than_a_list_is_format_error(self, tmp_path, meta):
+        # Checked by type: an empty or false value is not a list either.
+        (tmp_path / "m.json").write_text(json.dumps({**HEADER, "bands_meta": meta}))
+        (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match=r"^bands_meta in .*m\.json must be a list$"):
+            load_cube(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("header", [HEADER, {**HEADER, "bands_meta": None}, {**HEADER, "bands_meta": []}],
+                             ids=["absent", "null", "empty"])
+    def test_absent_null_or_empty_bands_meta_gives_default_names(self, tmp_path, header):
+        (tmp_path / "m.json").write_text(json.dumps(header))
+        (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+        assert [meta.name for meta in load_cube(tmp_path / "m.json").band_meta] == ["band_0", "band_1"]
 
 
 def five_band_file(tmp_path, nodata=-9999.0):
@@ -495,6 +511,39 @@ class TestInvariants:
         with pytest.raises(DataError, match="label"):
             TargetSpectrum(label="", values=np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: RasterCube(data=np.zeros((2, 2))), DataError,
+             "cube data must be 3-D (bands, height, width), got shape (2, 2)"),
+            (lambda: RasterCube(data=np.zeros((1, 0, 2))), DataError, "cube dimensions must all be >= 1, got (1, 0, 2)"),
+            (lambda: RasterCube(data=np.zeros((2, 1, 1)), band_meta=[BandMeta("a")]), DataError,
+             "band_meta has 1 entries for 2 bands"),
+            (lambda: ScoreMap(data=np.zeros(3), score_kind="HOT"), DataError,
+             "score data must be 2-D and non-empty, got shape (3,)"),
+            (lambda: ScoreMap(data=np.zeros((1, 1)), score_kind="NIR"), DataError,
+             "unknown score kind 'NIR'; expected one of ('NDWI', 'HOT', 'SAM', 'MF', 'RX', 'BandValue')"),
+            (lambda: ScoreMap(data=np.zeros((2, 2)), score_kind="HOT", flags=np.zeros((1, 2), dtype=bool)),
+             DataError, "flags shape must match score data shape"),
+            (lambda: TargetSpectrum("t", []), DataError, "target spectrum must be a non-empty 1-D vector"),
+            (lambda: TargetSpectrum("t", [[0.1, 0.2]]), DataError, "target spectrum must be a non-empty 1-D vector"),
+            (lambda: TargetSpectrum("t", [0.1, np.inf]), DataError, "target 't' contains non-finite values"),
+            (lambda: TargetSpectrum("t", [0.1, 0.2], wavelengths_nm=[500.0]), DataError,
+             "wavelength grid must match spectrum length"),
+            (lambda: TargetSpectrum("t", [0.1, 0.2], wavelengths_nm=[500.0, 500.0]).on_bands(np.array([500.0]), None),
+             DataError, "target 't' repeats a wavelength"),
+            (lambda: json.dumps({"x": object()}, default=cube_module._json_default), TypeError,
+             "object is not JSON serializable"),
+        ],
+        ids=["cube-not-3d", "cube-zero-size", "cube-meta-count", "score-not-2d", "score-unknown-kind",
+             "score-flags-shape", "target-empty", "target-2d", "target-non-finite", "target-grid-length",
+             "target-repeated-wavelength", "json-unsupported-type"],
+    )
+    def test_each_check_raises_its_error(self, build, error, message):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
 
 class TestMaskPgm:
     def test_round_trip(self, tmp_path):
@@ -551,6 +600,47 @@ class TestMaskPgm:
         (tmp_path / "bad.pgm").write_bytes(header + bytes([0, 255]))
         with pytest.raises(FormatError, match=match):
             load_mask(tmp_path / "bad.pgm")
+
+    @pytest.mark.parametrize(
+        "file, expected",
+        [
+            (b"P5\t2\t1\t255\t\x00\xff", [[0, 1]]),
+            (b"P5\x0b2\x0b1\x0b255\x0b\x00\xff", [[0, 1]]),
+            (b"P5\x0c2\x0c1\x0c255\x0c\x00\xff", [[0, 1]]),
+            (b"P5\r2\r1\r255\r\x00\xff", [[0, 1]]),
+            (b"P5\n2 1\n255\r\n\x00\xff", "mask payload holds 3 bytes, header implies 2"),
+            (b"#0\nP5 #1\n2 #2\n1 #3\n255\n\x00\xff", [[0, 1]]),
+            (b"#0\nP5#1\n2#2\n1#3\n255\n\x00\xff", "{path} is not binary PGM (magic b'P5#1')"),
+            (b"P5#c\n2 1\n255\n\x00\xff", "{path} is not binary PGM (magic b'P5#c')"),
+            (b"P2\n2", "{path} is not binary PGM (magic b'P2')"),
+            (b"P6", "{path} is not binary PGM (magic b'P6')"),
+            (b"P5\n2#x 1\n255\n\x00\xff", "malformed PGM header in {path}"),
+            (b"P5 2 1 255#\n\x00\xff", "malformed PGM header in {path}"),
+            (b"P5\n2 1\n#c", "malformed PGM header in {path}"),
+            (b"P5 2 1 #c\n", "malformed PGM header in {path}"),
+            (b"P5 #c\r2 1 255\n\x00\xff", "malformed PGM header in {path}"),
+            (b"# lead\nP5\n2 1\n255\n\x00\xff", [[0, 1]]),
+            (b"P5 +2 1 2_55\n\x00\xff", [[0, 1]]),
+            (b"", "malformed PGM header in {path}"),
+            (b"# nothing\n", "malformed PGM header in {path}"),
+        ],
+        ids=["tab", "vertical-tab", "form-feed", "carriage-return", "crlf-after-maxval", "comment-between-fields",
+             "comment-inside-fields", "comment-inside-magic", "wrong-magic-two-fields", "wrong-magic-alone",
+             "comment-inside-width", "comment-inside-maxval", "comment-at-end", "comment-before-maxval",
+             "comment-ends-at-newline-only", "leading-comment", "int-spellings", "empty", "comment-only"],
+    )
+    def test_header_edge_cases(self, tmp_path, file, expected):
+        # Fields are separated by any ASCII whitespace; a comment starts a
+        # field's place with '#' and runs to '\n' only; int() spellings count;
+        # the payload starts one byte after maxval, so a CR LF there leaves one too many.
+        path = tmp_path / "m.pgm"
+        path.write_bytes(file)
+        if isinstance(expected, list):
+            assert load_mask(path).data.tolist() == expected
+        else:
+            with pytest.raises(FormatError) as excinfo:
+                load_mask(path)
+            assert str(excinfo.value) == expected.format(path=path)
 
     def test_header_that_ends_before_maxval(self, tmp_path):
         (tmp_path / "short.pgm").write_bytes(b"P5\n4 4\n")

@@ -11,6 +11,7 @@ from specscan import (
     ComputeError,
     DataError,
     RasterCube,
+    SceneStats,
     TargetSpectrum,
     compute_scene_stats,
     detect_map,
@@ -338,6 +339,38 @@ class TestDetectMap:
             assert mf_map[i] == pytest.approx(mf(spectra[i], target, stats), rel=1e-12, abs=1e-12)
             assert rx_map[i] == pytest.approx(rx(spectra[i], stats), rel=1e-12, abs=1e-12)
             assert sam_map[i] == pytest.approx(sam(spectra[i], target), rel=1e-12, abs=1e-12)
+
+
+# Two-band statistics of 5 pixels, and a 3-band cube they do not fit.
+_STATS2 = SceneStats(mean=np.zeros(2), covariance=np.eye(2), factor_lower=np.eye(2), ridge=0.0, pixel_count=5)
+_CUBE3 = RasterCube(data=np.arange(1, 13, dtype=np.float32).reshape(3, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SceneStats(np.zeros(2), np.eye(3), np.eye(3), 0.0, 5), DataError,
+         "stats shapes disagree: mean (B,), covariance and factor (B, B)"),
+        (lambda: SceneStats(np.zeros(2), np.eye(2), np.eye(2), 0.0, 1), DataError,
+         "scene statistics need >= 2 pixels, got 1"),
+        (lambda: SceneStats(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), 0.0, 5), DataError,
+         "covariance is not symmetric"),
+        (lambda: SceneStats(np.zeros(2), np.eye(2), 2 * np.eye(2), 0.0, 5), DataError,
+         "factor does not reproduce the regularized covariance"),
+        (lambda: rx(np.zeros(3), _STATS2), DataError, "spectrum length (3,) must match the 2-band statistics"),
+        (lambda: detect_map(_CUBE3, "rx", precision="half"), DataError,
+         "unknown precision 'half'; expected one of ('single', 'double')"),
+        (lambda: detect_map(_CUBE3, "sam", target=np.zeros(3)), ComputeError,
+         "spectral angle is undefined for a zero target"),
+        (lambda: detect_map(_CUBE3, "rx", stats=_STATS2), DataError, "statistics cover 2 bands, cube has 3"),
+    ],
+    ids=["stats-shapes", "stats-one-pixel", "stats-asymmetric", "stats-factor", "rx-length",
+         "map-unknown-precision", "map-zero-sam-target", "map-stats-bands"],
+)
+def test_each_check_raises_its_error(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def nodata_scene(rng, bands, height, width, invalid=()):

@@ -9,7 +9,9 @@ from specscan import (
     BinaryMask,
     ConfigError,
     DataError,
+    ErrorReport,
     ScoreMap,
+    SegMetrics,
     TargetSpectrum,
     bench_detector,
     compare_paths,
@@ -222,6 +224,32 @@ class TestBench:
         payload = asdict(record)
         assert payload["model"] == "RX"
         assert payload["repetitions"] == 3
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: compare_paths(ScoreMap(np.zeros((2, 2)), "HOT"), ScoreMap(np.zeros((2, 3)), "HOT")),
+         "score shapes disagree: (2, 2) vs (2, 3)"),
+        (lambda: serialize_detector_params("ndwi"), "unknown detector 'ndwi'"),
+        (lambda: serialize_detector_params("mf", target=np.ones(3)), "mf serialization requires statistics"),
+        (lambda: SegMetrics(1, 0, -1, 0, 1.0, 1.0, 1.0), "confusion counts must be nonnegative"),
+        (lambda: SegMetrics(1, 0, 0, 1, 1.0, 1.5, 1.0), "derived metrics must lie in [0, 1]"),
+        (lambda: ErrorReport(0.5, 0.25, np.zeros(2), np.array([4]), 4), "mean absolute error cannot exceed the max"),
+        (lambda: ErrorReport(0.0, 0.0, np.zeros(2), np.array([3]), 4), "histogram counts must sum to the sample count"),
+    ],
+    ids=["compare-shapes", "serialize-unknown", "serialize-mf-without-stats", "seg-negative-count",
+         "seg-metric-range", "error-mean-above-max", "error-histogram-count"],
+)
+def test_each_check_raises_a_data_error(build, message):
+    with pytest.raises(DataError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_bench_table_prints_megabytes():
+    record = BenchRecord("a/mf", "a", "MF", 3 * 1024 * 1024 + 512 * 1024, 0.25, "4x4x3", 3)
+    assert render_bench_table([record]).splitlines()[1].split() == ["a", "MF", "3.5", "MB", "0.2500"]
 
 
 class TestMetricsTable:

@@ -220,6 +220,21 @@ class TestClearSkyLine:
         assert line.n_fit_points <= 400
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((float("nan"), 0.0, 5, 0.0), "clear-sky line parameters must be finite"),
+        ((1.0, float("inf"), 5, 0.0), "clear-sky line parameters must be finite"),
+        ((1.0, 0.0, 1, 0.0), "clear-sky line needs at least 2 fit points"),
+    ],
+    ids=["nan-slope", "infinite-intercept", "one-fit-point"],
+)
+def test_clear_sky_line_checks_its_fields(fields, message):
+    with pytest.raises(DataError) as excinfo:
+        ClearSkyLine(*fields)
+    assert str(excinfo.value) == message
+
+
 class TestHot:
     def line(self, slope, intercept):
         return ClearSkyLine(slope=slope, intercept=intercept, n_fit_points=2, fit_residual_rms=0.0)

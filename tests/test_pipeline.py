@@ -525,6 +525,46 @@ class TestRunPipeline:
         assert excinfo.value.stage == "write"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize("forward, undo", [(f, f + k) for f in range(1, 11) for k in range(1, 12)])
+    def test_a_failed_undo_keeps_the_previous_run(self, tmp_path, monkeypatch, forward, undo):
+        # Rename call `forward` of a re-run fails, and so does call `undo`
+        # when the rollback gets that far (it makes forward - 1 calls). Each
+        # previous file is then back in place or in the directory the error
+        # names; after a clean rollback the directory holds the previous run alone.
+        out = tmp_path / "run"
+        run_pipeline(water_scene(seed=11), PipelineConfig(application="surface_water", output_dir=out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        real_replace, calls = pipeline.os.replace, []
+
+        def flaky_replace(src, dst):
+            calls.append(src)
+            if len(calls) in (forward, undo):
+                raise OSError(f"rename {len(calls)} failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", flaky_replace)
+        config = PipelineConfig(application="surface_water", scene_id="b", output_dir=out)
+        with pytest.raises(StageError, match=f"rename {forward} failed") as excinfo:
+            run_pipeline(water_scene(seed=12), config)
+        assert excinfo.value.stage == "write"
+        if undo >= 2 * forward:
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+            return
+        assert f"rename {undo} failed" in str(excinfo.value)
+        kept = out / str(excinfo.value).rpartition("previous run kept in ")[2]
+        assert kept.parent == out and kept.is_dir()
+        found = {name: (kept / name if (kept / name).exists() else out / name).read_bytes() for name in before}
+        assert found == before
+        assert sorted(path.name for path in out.iterdir() if path.is_dir()) == [kept.name]
+
+    def test_a_rerun_leaves_its_five_files_and_nothing_else(self, tmp_path):
+        out = tmp_path / "run"
+        for seed, scene_id in [(11, "a"), (12, "b")]:
+            config = PipelineConfig(application="surface_water", scene_id=scene_id, output_dir=out)
+            run_pipeline(water_scene(seed=seed), config)
+        assert sorted(path.name for path in out.iterdir()) == sorted(pipeline._RUN_OUTPUTS)
+        assert parse_summary(out / "summary.json").scene_id == "b"
+
     def test_stage_attribution(self):
         # A band the score step reads but the cube lacks fails in the score
         # stage, although a run stretches only the bands the score step reads.

@@ -116,6 +116,24 @@ class TestStretchBand:
             assert at_low == v_min and at_high == v_max
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: band_quantiles(np.ones((2, 2)), fractions=(0.9, 0.1)), DataError,
+         "fractions must satisfy 0 <= low <= high <= 1, got (0.9, 0.1)"),
+        (lambda: band_quantiles(np.ones((2, 2)), fractions=(-0.5, 0.5)), DataError,
+         "fractions must satisfy 0 <= low <= high <= 1, got (-0.5, 0.5)"),
+        (lambda: stretch_band(np.ones((2, 2)), StretchParams(), 0.5, 0.25), ComputeError,
+         "q_high (0.25) below q_low (0.5)"),
+    ],
+    ids=["quantiles-reversed", "quantiles-negative", "stretch-reversed"],
+)
+def test_each_check_raises_its_error(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 class TestStretchCube:
     def test_constant_cube_goes_to_v_min(self, make_cube):
         cube = make_cube({"blue": np.full((3, 3), 0.6)})
