@@ -20,7 +20,7 @@ from specscan import (
     save_mask,
     save_score_map,
 )
-from specscan import cube as cube_module
+from specscan.cube import _json_default
 from conftest import RGBN, random_cube
 from oracles import valid_pixel_count
 
@@ -532,7 +532,7 @@ class TestInvariants:
              "wavelength grid must match spectrum length"),
             (lambda: TargetSpectrum("t", [0.1, 0.2], wavelengths_nm=[500.0, 500.0]).on_bands(np.array([500.0]), None),
              DataError, "target 't' repeats a wavelength"),
-            (lambda: json.dumps({"x": object()}, default=cube_module._json_default), TypeError,
+            (lambda: json.dumps({"x": object()}, default=_json_default), TypeError,
              "object is not JSON serializable"),
         ],
         ids=["cube-not-3d", "cube-zero-size", "cube-meta-count", "score-not-2d", "score-unknown-kind",
