@@ -480,19 +480,21 @@ def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None)
         raise FormatError(
             f"bands_meta has {len(meta_entries)} entries for {count} bands in {header_path}"
         )
-    try:
-        band_meta = [
-            BandMeta(
-                name=str(entry.get("name", f"band_{i}")),
-                role=entry.get("role", "other"),
-                wavelength_nm=entry.get("wavelength_nm"),
-            )
-            for i, entry in enumerate(meta_entries)
-        ]
-    except AttributeError as exc:
-        raise FormatError(f"bands_meta entries must be objects in {header_path}") from exc
-    except (TypeError, ValueError, DataError) as exc:
-        raise FormatError(f"malformed bands_meta entry in {header_path}: {exc}") from exc
+    band_meta = []
+    for i, entry in enumerate(meta_entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"bands_meta entries must be objects in {header_path}")
+        name, wavelength = entry.get("name"), entry.get("wavelength_nm")
+        try:
+            # JSON types only: a string wavelength is not a number, nor a number a name.
+            if not isinstance(name, (str, type(None))):
+                raise DataError(f"name must be a string or null, got {name!r}")
+            if wavelength is not None and (isinstance(wavelength, bool) or not isinstance(wavelength, numbers.Real)):
+                raise DataError(f"wavelength_nm must be a number or null, got {wavelength!r}")
+            name = f"band_{i}" if name is None else name
+            band_meta.append(BandMeta(name=name, role=entry.get("role", "other"), wavelength_nm=wavelength))
+        except (OverflowError, DataError) as exc:
+            raise FormatError(f"malformed bands_meta entry in {header_path}: {exc}") from exc
     try:
         band_meta, nodata = _checked_meta(band_meta, count, header.get("nodata"))
     except DataError as exc:

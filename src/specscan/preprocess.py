@@ -18,6 +18,8 @@ from .cube import RasterCube
 from .errors import ComputeError, ConfigError, DataError
 
 _STRETCH_PIXELS = 1 << 16  # pixels stretch_band maps per step; its 576 KB of buffers fit a 2 MB L2 cache
+_SAMPLE_STEP = 61  # band_quantiles samples every 61st pixel: a prime, so no column period aliases it
+_TAIL_MIN_VALUES = 1 << 14  # fewer valid values than this are copied whole for their quantiles
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,26 @@ def band_quantiles(
 
     Linear interpolation between the two closest order statistics, Hyndman &
     Fan (1996) type 7, equal to ``np.quantile(values.astype(np.float64),
-    fractions, method="linear")``. The valid values are copied once, in their
-    own dtype, and partitioned in place at the order statistics that method
-    reads; the interpolation is numpy's, in float64.
+    fractions, method="linear")``; the interpolation is numpy's, in float64.
+
+    The order statistics are selected exactly from the band's two tails, as
+    in Floyd & Rivest's (1975) sampled selection. A sorted sample of every
+    61st valid pixel gives a bracket four binomial standard deviations (plus
+    two) beyond each wanted rank. The valid values ``<= b`` hold the
+    smallest ranks, and those not ``< a``, NaN included, the largest; they
+    are gathered 65,536 pixels at a time and partitioned in place. A count
+    proves that each tail holds its ranks; where it does not, or below
+    16,384 valid values, every valid value is copied once, in its own dtype.
+    The high span always reads the high tail, so a NaN gives NaN for both,
+    as ``np.quantile`` does; a low span in the upper half reads it too. A
+    zero at a selected rank may come back with the other sign.
     """
     low_f, high_f = fractions
     if not 0.0 <= low_f <= high_f <= 1.0:
         raise DataError(f"fractions must satisfy 0 <= low <= high <= 1, got {fractions}")
-    plane = np.asarray(plane)
-    values = plane[validity] if validity is not None else plane.ravel().copy()
-    n = values.size
+    flat = np.asarray(plane).ravel()
+    valid = None if validity is None else np.asarray(validity).ravel()
+    n = flat.size if valid is None else int(np.count_nonzero(valid))
     if n == 0:
         raise ComputeError("no valid pixels to take quantiles over")
     # numpy's linear method: the virtual index (n - 1) * q lies between the
@@ -98,26 +110,60 @@ def band_quantiles(
         else:
             below = math.floor(position)
             spans.append((below, below + 1, position - below))
-    (low_below, _, _), (high_below, _, _) = spans
-    # Two single-index partitions put both floors in sorted place, so
-    # values[:low_below] <= values[low_below] <= values[low_below + 1:high_below]
-    # <= values[high_below] <= values[high_below + 1:]. The statistic one past
-    # a floor is then the least value up to the next floor placed.
-    values.partition(high_below)
-    if low_below < high_below:
-        values[:high_below].partition(low_below)
-
-    def statistic(k):
-        if k in (low_below, high_below):
-            return float(values[k])
-        return float(values[k : high_below + 1 if k <= high_below else n].min())
-
-    q_low, q_high = (_lerp(statistic(below), statistic(above), t) for below, above, t in spans)
-    # A NaN sorts last, so it reaches the high statistics; np.quantile then
-    # gives NaN for both.
+    (low_below, low_above, _), (high_below, _, _) = spans
+    split = 2 * low_below < n - 1  # the low span lies in the lower half
+    low, high = _tails(flat, valid, n, low_above if split else -1, high_below if split else low_below) or (
+        (flat.copy() if valid is None else flat[valid],) * 2  # every valid value, copied once for both spans
+    )
+    q_low = _quantile(low, 0, *spans[0]) if split else _quantile(high, n - high.size, *spans[0])
+    q_high = _quantile(high, n - high.size, *spans[1])
+    # A NaN sorts last, into the high tail; np.quantile then gives NaN for both.
     if math.isnan(q_high):
         return math.nan, math.nan
     return q_low, q_high
+
+
+def _tails(flat, valid, n, low_rank, high_rank):
+    """The valid values ``<= b`` and those not ``< a``, if they hold ranks ``<= low_rank`` and ``>= high_rank``.
+
+    `b` and `a` are sample values, of the band's dtype; no low tail is
+    gathered for a negative `low_rank`. None if no bracket is proven.
+    """
+    sample = flat[::_SAMPLE_STEP].copy() if valid is None else flat[::_SAMPLE_STEP][valid[::_SAMPLE_STEP]]
+    sample.sort()
+    m = sample.size
+
+    def margin(p):  # four binomial standard deviations of the sample's count below rank p * n, plus two
+        return 4.0 * math.sqrt(m * p * (1.0 - p)) + 2.0
+
+    top = math.ceil(m * (low_rank + 1) / n + margin((low_rank + 1) / n)) if low_rank >= 0 else -1
+    bottom = math.floor(m * high_rank / n - margin(high_rank / n))
+    if n < _TAIL_MIN_VALUES or top >= m or bottom < 0:
+        return None
+    b, a = sample[top], sample[bottom]
+    del sample  # freed before the tails are gathered
+    flag = np.empty(min(flat.size, _STRETCH_PIXELS), dtype=bool)
+    lows, highs = [flat[:0]], []
+    for start in range(0, flat.size, _STRETCH_PIXELS):
+        chunk = flat[start : start + _STRETCH_PIXELS]
+        at = flag[: chunk.size]
+        ok = True if valid is None else valid[start : start + _STRETCH_PIXELS]
+        if top >= 0:
+            np.less_equal(chunk, b, out=at)
+            lows.append(chunk[at if valid is None else np.logical_and(at, ok, out=at)])
+        np.less(chunk, a, out=at)
+        highs.append(chunk[np.greater(ok, at, out=at)])  # valid and not below a
+    lows = np.concatenate(lows)  # each tail's steps freed before the next is joined
+    highs = np.concatenate(highs)
+    return None if lows.size <= low_rank or n - highs.size > high_rank else (lows, highs)
+
+
+def _quantile(values, offset, below, above, t):
+    """A span's quantile from `values`, which holds the ranks it reads from rank `offset` on."""
+    # One partition puts the floor in sorted place; the statistic one past it
+    # is then the least value after it.
+    values.partition(below - offset)
+    return _lerp(float(values[below - offset]), float(values[above - offset :].min()), t)
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -202,11 +248,12 @@ def stretch_cube(cube: RasterCube, params: StretchParams, out: NDArray[np.float3
     output declares that value as its nodata.
 
     The stretched bands go into a new array, or into `out`, a float32 array
-    of ``cube.data``'s shape, which may be ``cube.data`` itself: every
-    quantile is taken before any band is written, so the bits are the same
-    either way, and the result holds `out`. A `cube` stretched into its own
-    data is spent: its data holds the stretched values, which its nodata no
-    longer describes, so only the result may be used afterwards.
+    of ``cube.data``'s shape, which may be ``cube.data`` itself: each band's
+    quantiles come from that band alone, taken before it is written, so the
+    bits are the same either way, and the result holds `out`. A `cube`
+    stretched into its own data is spent: its data holds the stretched
+    values, which its nodata no longer describes, so only the result may be
+    used afterwards.
 
     Raises:
         ConfigError: float32 cannot hold the stretched range or the nodata
@@ -217,18 +264,16 @@ def stretch_cube(cube: RasterCube, params: StretchParams, out: NDArray[np.float3
     if out is not None and (np.shape(out) != cube.data.shape or getattr(out, "dtype", None) != np.float32):
         raise DataError(f"out must be a float32 array of the cube's shape {cube.data.shape}")
     fractions = (params.q_low_fraction, params.q_high_fraction)
-    # All quantiles first: each takes a copy of one band's valid values,
-    # which is freed before the output is allocated, and none reads a band
-    # already written when `out` is the cube's data.
-    quantiles = [band_quantiles(cube.plane(i), cube.validity, fractions) for i in range(cube.bands)]
     if out is None:
         out = np.empty(cube.data.shape, dtype=np.float32)
     nodata = None if cube.nodata is None else params.nodata
     invalid = None if nodata is None else ~cube.validity
     for i in range(cube.bands):
-        # stretch_band clamps to [v_min, v_max]; rounding to float32 is
-        # monotonic, so the stored band stays within the rounded bounds.
-        stretch_band(cube.plane(i), params, *quantiles[i], out=out[i])
+        # A band's quantiles are taken from it before it is written, when
+        # `out` is the cube's data. stretch_band clamps to [v_min, v_max];
+        # rounding to float32 is monotonic, so the stored band stays within
+        # the rounded bounds.
+        stretch_band(cube.plane(i), params, *band_quantiles(cube.plane(i), cube.validity, fractions), out=out[i])
         if invalid is not None:
             np.copyto(out[i], np.float32(nodata), where=invalid)
     # Valid pixels lie in [v_min, v_max] and nodata below v_min, all finite

@@ -216,6 +216,43 @@ class TestCubeRoundTrip:
         with pytest.raises(FormatError, match=r"^bands_meta in .*m\.json must be a list$"):
             load_cube(tmp_path / "m.json")
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"wavelength_nm": "500"}, "wavelength_nm must be a number or null, got '500'"),
+            ({"wavelength_nm": True}, "wavelength_nm must be a number or null, got True"),
+            ({"wavelength_nm": [500]}, "wavelength_nm must be a number or null, got [500]"),
+            ({"wavelength_nm": {}}, "wavelength_nm must be a number or null, got {}"),
+            ({"name": 5}, "name must be a string or null, got 5"),
+            ({"name": False}, "name must be a string or null, got False"),
+            ({"name": 1.5}, "name must be a string or null, got 1.5"),
+            ({"name": ["b"]}, "name must be a string or null, got ['b']"),
+            ({"wavelength_nm": 10**400}, "int too large to convert to float"),
+        ],
+        ids=["string-wavelength", "bool-wavelength", "list-wavelength", "object-wavelength",
+             "int-name", "bool-name", "float-name", "list-name", "huge-int-wavelength"],
+    )
+    def test_bands_meta_entry_fields_are_checked_by_type(self, tmp_path, entry, message):
+        # A string wavelength is not read as a number, nor a number or null name as a string.
+        (tmp_path / "m.json").write_text(json.dumps({**HEADER, "bands_meta": [{"name": "a"}, entry]}))
+        (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+        with pytest.raises(FormatError) as excinfo:
+            load_cube(tmp_path / "m.json")
+        assert str(excinfo.value) == f"malformed bands_meta entry in {tmp_path / 'm.json'}: {message}"
+
+    @pytest.mark.parametrize(
+        "entry, name, wavelength",
+        [({}, "band_1", None), ({"name": None, "wavelength_nm": None}, "band_1", None),
+         ({"name": "", "wavelength_nm": 500}, "", 500.0), ({"name": "b", "wavelength_nm": 860.5}, "b", 860.5)],
+        ids=["absent", "null", "int-wavelength", "float-wavelength"],
+    )
+    def test_bands_meta_entry_fields_absent_null_or_typed_load(self, tmp_path, entry, name, wavelength):
+        (tmp_path / "m.json").write_text(json.dumps({**HEADER, "bands_meta": [{"name": "a"}, entry]}))
+        (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+        meta = load_cube(tmp_path / "m.json").band_meta[1]
+        assert (meta.name, meta.wavelength_nm) == (name, wavelength)
+        assert type(meta.wavelength_nm) is (float if wavelength is not None else type(None))
+
     @pytest.mark.parametrize("header", [HEADER, {**HEADER, "bands_meta": None}, {**HEADER, "bands_meta": []}],
                              ids=["absent", "null", "empty"])
     def test_absent_null_or_empty_bands_meta_gives_default_names(self, tmp_path, header):

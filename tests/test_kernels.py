@@ -40,6 +40,9 @@ from oracles import (
 )
 
 FRACTIONS = [(0.01, 0.99), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.013, 0.9871)]
+TAIL_FRACTIONS = [*FRACTIONS, (0.0, 0.01), (0.99, 1.0), (0.6, 0.9)]
+TAIL_PARAMS = [StretchParams(), StretchParams(v_min=-0.0, v_max=3.0, q_low_fraction=0.2, q_high_fraction=0.7)]
+TAIL_LAYOUTS = ["normal", "sorted", "cauchy", "striped", "ties", "signed-zeros"]
 
 
 def assert_same_bits(got, expected):
@@ -54,6 +57,26 @@ def float32_neighbours(values):
     return np.concatenate(
         [values, np.nextafter(values, np.float32(-np.inf)), np.nextafter(values, np.float32(np.inf))]
     )
+
+
+def fuzz_plane(rng, layout, shape=(160, 256)):
+    """A float32 band of one layout, large enough for band_quantiles' tail path."""
+    if layout == "normal":
+        return rng.normal(size=shape).astype(np.float32)
+    if layout == "sorted":
+        return np.sort(rng.normal(size=shape[0] * shape[1])).reshape(shape).astype(np.float32)
+    if layout == "cauchy":
+        return rng.standard_cauchy(size=shape).astype(np.float32)
+    if layout == "striped":  # columns repeat every 64 pixels, as a 64-periodic sensor pattern would
+        stripes = np.tile(rng.normal(size=64), (shape[0], shape[1] // 64))
+        return (stripes + rng.normal(0.0, 1e-3, shape)).astype(np.float32)
+    if layout == "ties":  # a few integer levels, so each bracket value is tied many times
+        return rng.integers(0, 5, size=shape).astype(np.float32)
+    # mixed signed zeros, with a few ones either side
+    plane = np.where(rng.random(shape) < 0.5, np.float32(0.0), np.float32(-0.0))
+    plane[rng.random(shape) < 0.03] = 1.0
+    plane[rng.random(shape) < 0.03] = -1.0
+    return plane
 
 
 class TestBandQuantiles:
@@ -119,6 +142,29 @@ class TestBandQuantiles:
         plane[0, 17] = np.nan
         assert np.isnan(quantiles_numpy(plane)).all()
         assert np.isnan(band_quantiles(plane)).all()
+
+    @pytest.mark.parametrize("nan_rate", [0.0, 0.001, 0.05, 0.5])
+    @pytest.mark.parametrize("with_validity", [False, True], ids=["all-valid", "validity"])
+    @pytest.mark.parametrize("layout", TAIL_LAYOUTS)
+    def test_tails_match_np_quantile(self, monkeypatch, layout, with_validity, nan_rate):
+        """Above 16,384 valid values the statistics come from the band's two tails; they stay numpy's."""
+        rng = np.random.default_rng(TAIL_LAYOUTS.index(layout))
+        plane = fuzz_plane(rng, layout)
+        plane[rng.random(plane.shape) < nan_rate] = np.nan
+        validity = rng.random(plane.shape) < 0.7 if with_validity else None
+        tails, real_tails = [], preprocess._tails
+        monkeypatch.setattr(preprocess, "_tails", lambda *args: tails.append(real_tails(*args)) or tails[-1])
+        for fractions in TAIL_FRACTIONS:
+            got = band_quantiles(plane, validity, fractions)
+            expected = quantiles_numpy(plane, validity, fractions)
+            assert got == expected or (np.isnan(got).all() and np.isnan(expected).all()), fractions
+            for params in TAIL_PARAMS:
+                assert_same_bits(stretch_band(plane, params, *got), stretch_band(plane, params, *expected))
+        if nan_rate < 0.5:
+            # The default pair takes the tails. (0, 0) needs every value in its
+            # high tail, and (0, 0.01) a bracket below rank 1% that a sample of
+            # a few hundred values cannot give, so those two copy every value.
+            assert tails[0] is not None and sum(tail is None for tail in tails) <= 2
 
 
 class TestClearSkyLine:

@@ -15,7 +15,8 @@ from specscan import (
     stretch_band,
     stretch_cube,
 )
-from oracles import quantile_sorted, valid_pixel_count
+from specscan import preprocess
+from oracles import quantile_sorted, quantiles_numpy, valid_pixel_count
 
 
 class TestStretchParams:
@@ -296,6 +297,45 @@ def test_stretch_into_its_own_data_peaks_below_one_band(nodata):
     finally:
         tracemalloc.stop()
     assert peak < cube.data[0].nbytes + 2**20
+
+
+def test_band_quantiles_peaks_below_an_eighth_of_the_band():
+    # Two tails and one flag step of the band, not a copy of its valid values.
+    plane = np.random.default_rng(65).random((2048, 2048), dtype=np.float32)
+    validity = np.zeros(plane.shape, dtype=bool)
+    validity[8:-8, 8:-8] = True
+    plane[~validity] = -9999.0
+    tracemalloc.start()
+    try:
+        quantiles = band_quantiles(plane, validity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < plane.nbytes / 8
+    assert quantiles == quantiles_numpy(plane, validity)
+
+
+def structured_cube(rng, bands=8, size=512, border=8):
+    """Smooth fields, discs and sensor noise per band, inside a nodata border."""
+    y, x = np.mgrid[0:size, 0:size] / size
+    data = np.empty((bands, size, size), dtype=np.float32)
+    for band in data:
+        field = sum(np.cos(2 * np.pi * (fy * y + fx * x) + phase) for fy, fx, phase in rng.uniform(0.5, 3.0, (4, 3)))
+        for cy, cx, radius, value in zip(*rng.uniform(0.1, 0.9, (2, 12)), rng.uniform(0.01, 0.06, 12), rng.random(12)):
+            field[(y - cy) ** 2 + (x - cx) ** 2 < radius**2] = value
+        band[...] = 0.1 * field + rng.normal(0.0, 0.004, field.shape)
+    data[:, :border] = data[:, -border:] = data[:, :, :border] = data[:, :, -border:] = -9999.0
+    return RasterCube(data=data, nodata=-9999.0)
+
+
+def test_structured_bands_take_the_tails(monkeypatch):
+    # The copy of every valid value is the fallback, not the path a scene takes.
+    results, real_tails = [], preprocess._tails
+    monkeypatch.setattr(preprocess, "_tails", lambda *args: results.append(real_tails(*args)) or results[-1])
+    cube = structured_cube(np.random.default_rng(66))
+    stretch_cube(cube, StretchParams())
+    assert len(results) == cube.bands
+    assert sum(result is None for result in results) == 0
 
 
 def test_stretch_cube_faults_no_more_pages_than_writing_its_output():
