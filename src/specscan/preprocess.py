@@ -19,7 +19,6 @@ from .errors import ComputeError, ConfigError, DataError
 
 _STRETCH_PIXELS = 1 << 16  # pixels stretch_band maps per step; its 576 KB of buffers fit a 2 MB L2 cache
 _SAMPLE_STEP = 61  # band_quantiles samples every 61st pixel: a prime, so no column period aliases it
-_TAIL_MIN_VALUES = 1 << 14  # fewer valid values than this are copied whole for their quantiles
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,9 @@ def band_quantiles(
     two) beyond each wanted rank. The valid values ``<= b`` hold the
     smallest ranks, and those not ``< a``, NaN included, the largest; they
     are gathered 65,536 pixels at a time and partitioned in place. A count
-    proves that each tail holds its ranks; where it does not, or below
-    16,384 valid values, every valid value is copied once, in its own dtype.
+    proves that each tail holds its ranks. Where it does not, the brackets
+    overlap, or ties fill the tails past half the valid values, every valid
+    value is copied once, in its own dtype: no band holds more than that.
     The high span always reads the high tail, so a NaN gives NaN for both,
     as ``np.quantile`` does; a low span in the upper half reads it too. A
     zero at a selected rank may come back with the other sign.
@@ -94,6 +94,8 @@ def band_quantiles(
     low_f, high_f = fractions
     if not 0.0 <= low_f <= high_f <= 1.0:
         raise DataError(f"fractions must satisfy 0 <= low <= high <= 1, got {fractions}")
+    if validity is not None and np.shape(validity) != np.shape(plane):
+        raise DataError(f"validity shape {np.shape(validity)} does not match the plane's {np.shape(plane)}")
     flat = np.asarray(plane).ravel()
     valid = None if validity is None else np.asarray(validity).ravel()
     n = flat.size if valid is None else int(np.count_nonzero(valid))
@@ -127,7 +129,8 @@ def _tails(flat, valid, n, low_rank, high_rank):
     """The valid values ``<= b`` and those not ``< a``, if they hold ranks ``<= low_rank`` and ``>= high_rank``.
 
     `b` and `a` are sample values, of the band's dtype; no low tail is
-    gathered for a negative `low_rank`. None if no bracket is proven.
+    gathered for a negative `low_rank`. None if no bracket is proven, or
+    once the tails hold half the valid values: joined, they hold no more.
     """
     sample = flat[::_SAMPLE_STEP].copy() if valid is None else flat[::_SAMPLE_STEP][valid[::_SAMPLE_STEP]]
     sample.sort()
@@ -138,12 +141,12 @@ def _tails(flat, valid, n, low_rank, high_rank):
 
     top = math.ceil(m * (low_rank + 1) / n + margin((low_rank + 1) / n)) if low_rank >= 0 else -1
     bottom = math.floor(m * high_rank / n - margin(high_rank / n))
-    if n < _TAIL_MIN_VALUES or top >= m or bottom < 0:
+    if top >= m or bottom < 0 or (top >= 0 and not sample[top] < sample[bottom]):  # overlapping brackets
         return None
     b, a = sample[top], sample[bottom]
     del sample  # freed before the tails are gathered
     flag = np.empty(min(flat.size, _STRETCH_PIXELS), dtype=bool)
-    lows, highs = [flat[:0]], []
+    lows, highs, held = [flat[:0]], [], 0
     for start in range(0, flat.size, _STRETCH_PIXELS):
         chunk = flat[start : start + _STRETCH_PIXELS]
         at = flag[: chunk.size]
@@ -153,6 +156,9 @@ def _tails(flat, valid, n, low_rank, high_rank):
             lows.append(chunk[at if valid is None else np.logical_and(at, ok, out=at)])
         np.less(chunk, a, out=at)
         highs.append(chunk[np.greater(ok, at, out=at)])  # valid and not below a
+        held += lows[-1].size + highs[-1].size
+        if 2 * held > n:
+            return None
     lows = np.concatenate(lows)  # each tail's steps freed before the next is joined
     highs = np.concatenate(highs)
     return None if lows.size <= low_rank or n - highs.size > high_rank else (lows, highs)
@@ -160,8 +166,7 @@ def _tails(flat, valid, n, low_rank, high_rank):
 
 def _quantile(values, offset, below, above, t):
     """A span's quantile from `values`, which holds the ranks it reads from rank `offset` on."""
-    # One partition puts the floor in sorted place; the statistic one past it
-    # is then the least value after it.
+    # One partition puts the floor in place; the statistic one past it is the least value after it.
     values.partition(below - offset)
     return _lerp(float(values[below - offset]), float(values[above - offset :].min()), t)
 
@@ -249,11 +254,10 @@ def stretch_cube(cube: RasterCube, params: StretchParams, out: NDArray[np.float3
 
     The stretched bands go into a new array, or into `out`, a float32 array
     of ``cube.data``'s shape, which may be ``cube.data`` itself: each band's
-    quantiles come from that band alone, taken before it is written, so the
-    bits are the same either way, and the result holds `out`. A `cube`
-    stretched into its own data is spent: its data holds the stretched
-    values, which its nodata no longer describes, so only the result may be
-    used afterwards.
+    quantiles come from that band alone, before it is written, so the bits
+    are the same either way, and the result holds `out`. A `cube` stretched
+    into its own data is spent: its data holds the stretched values, which
+    its nodata no longer describes, so only the result may be used afterwards.
 
     Raises:
         ConfigError: float32 cannot hold the stretched range or the nodata
@@ -269,10 +273,8 @@ def stretch_cube(cube: RasterCube, params: StretchParams, out: NDArray[np.float3
     nodata = None if cube.nodata is None else params.nodata
     invalid = None if nodata is None else ~cube.validity
     for i in range(cube.bands):
-        # A band's quantiles are taken from it before it is written, when
-        # `out` is the cube's data. stretch_band clamps to [v_min, v_max];
-        # rounding to float32 is monotonic, so the stored band stays within
-        # the rounded bounds.
+        # stretch_band clamps to [v_min, v_max]; rounding to float32 is
+        # monotonic, so the stored band stays within the rounded bounds.
         stretch_band(cube.plane(i), params, *band_quantiles(cube.plane(i), cube.validity, fractions), out=out[i])
         if invalid is not None:
             np.copyto(out[i], np.float32(nodata), where=invalid)

@@ -124,10 +124,12 @@ class TestStretchBand:
          "fractions must satisfy 0 <= low <= high <= 1, got (0.9, 0.1)"),
         (lambda: band_quantiles(np.ones((2, 2)), fractions=(-0.5, 0.5)), DataError,
          "fractions must satisfy 0 <= low <= high <= 1, got (-0.5, 0.5)"),
+        (lambda: band_quantiles(np.ones((2, 3)), np.ones((3, 2), dtype=bool)), DataError,
+         "validity shape (3, 2) does not match the plane's (2, 3)"),
         (lambda: stretch_band(np.ones((2, 2)), StretchParams(), 0.5, 0.25), ComputeError,
          "q_high (0.25) below q_low (0.5)"),
     ],
-    ids=["quantiles-reversed", "quantiles-negative", "stretch-reversed"],
+    ids=["quantiles-reversed", "quantiles-negative", "quantiles-validity-shape", "stretch-reversed"],
 )
 def test_each_check_raises_its_error(build, error, message):
     with pytest.raises(error) as excinfo:
@@ -313,6 +315,29 @@ def test_band_quantiles_peaks_below_an_eighth_of_the_band():
         tracemalloc.stop()
     assert peak < plane.nbytes / 8
     assert quantiles == quantiles_numpy(plane, validity)
+
+
+@pytest.mark.parametrize("layout", ["constant", "mostly-zero", "mostly-zero-negative"])
+@pytest.mark.parametrize("fractions", [(0.01, 0.99), (0.5, 0.5), (0.6, 0.9)])
+def test_tied_band_quantiles_peak_below_one_copy(layout, fractions):
+    # A band whose ties fill its tails takes no more than the one copy of its
+    # valid values that the whole-copy fallback holds.
+    rng = np.random.default_rng(67)
+    plane = np.zeros((1024, 1024), dtype=np.float32)
+    if layout != "constant":
+        rest = rng.random(plane.shape) < 0.05
+        plane[rest] = rng.random(int(rest.sum()), dtype=np.float32) * (1 if layout == "mostly-zero" else -1)
+    validity = np.zeros(plane.shape, dtype=bool)
+    validity[8:-8, 8:-8] = True
+    plane[~validity] = -9999.0
+    tracemalloc.start()
+    try:
+        quantiles = band_quantiles(plane, validity, fractions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < plane.nbytes + 2**20
+    assert quantiles == quantiles_numpy(plane, validity, fractions)
 
 
 def structured_cube(rng, bands=8, size=512, border=8):
