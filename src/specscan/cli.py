@@ -177,7 +177,8 @@ def _cmd_score(args) -> int:
         _check_spares_input(args.cube, [score_header, score_header.with_suffix(".raw"), mask_path])
     scene, config = app.select(args.cube, config)
     diagnostics: dict = {}
-    scores, _ = app.score(scene, config, diagnostics)
+    scores, _ = app.score(scene, config, diagnostics, out=scene.data)  # the scene was loaded here: spend it
+    del scene
     if app.band_window:
         mask, _, _ = app.label(scores, config, diagnostics)
         save_mask(mask, mask_path)

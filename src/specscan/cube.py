@@ -182,9 +182,11 @@ def _checked_meta(band_meta: list[BandMeta], bands: int, nodata) -> tuple[list[B
     if nodata is not None:
         if isinstance(nodata, bool) or not isinstance(nodata, numbers.Real):
             raise DataError(f"nodata {nodata!r} must be a number")
-        nodata = float(nodata)
-        if not math.isfinite(nodata):
-            raise DataError("nodata value must be finite")
+        # Float32 samples cannot match a value beyond float32, nor an integer beyond every float.
+        nodata = float(nodata) if abs(nodata) < 2.0**128 else math.inf
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(nodata)):
+                raise DataError("nodata must be a finite float32 value")
     return band_meta, nodata
 
 
@@ -391,23 +393,31 @@ def save_cube(cube: RasterCube, header_path: str | Path) -> Path:
     Raises:
         FormatError: a file cannot be written, or the header is named ``*.raw`` and nothing is written.
     """
+    payload = np.ascontiguousarray(cube.data, dtype="<f4")
+    return _write_cube(header_path, cube.data.shape, cube.nodata, cube.band_meta, [payload])
+
+
+def _write_cube(header_path: str | Path, shape: tuple, nodata: float | None, band_meta: list, blocks: Iterable) -> Path:
+    """:func:`save_cube` of a `shape` cube whose payload is `blocks`, C-contiguous ``<f4`` arrays, in turn."""
     header_path = Path(header_path)
     payload_path = header_path.parent / f"{header_path.stem}.raw"
     if payload_path == header_path:
         raise FormatError(f"cube header {header_path} would be overwritten by its payload; name it other than *.raw")
+    bands, height, width = shape
     header = {
-        "width": cube.width,
-        "height": cube.height,
-        "bands": cube.bands,
+        "width": width,
+        "height": height,
+        "bands": bands,
         **_LAYOUT,
         "payload": payload_path.name,
-        "nodata": cube.nodata,
-        "bands_meta": [asdict(m) for m in cube.band_meta],
+        "nodata": nodata,
+        "bands_meta": [asdict(m) for m in band_meta],
     }
-    payload = np.ascontiguousarray(cube.data, dtype="<f4")
     try:
         _write_json(header_path, header)
-        payload.tofile(payload_path)
+        with open(payload_path, "wb") as payload:
+            for block in blocks:
+                payload.write(block)
     except OSError as exc:
         raise FormatError(f"cannot write cube to {header_path}: {exc}") from exc
     return payload_path
@@ -594,12 +604,24 @@ def load_mask(path: str | Path) -> BinaryMask:
 
 
 def save_score_map(scores: ScoreMap, header_path: str | Path) -> Path:
-    """Write a score map as a single-band cube whose band name is its kind; return what :func:`save_cube` does."""
-    cube = RasterCube(
-        data=scores.data.astype(np.float32)[np.newaxis, :, :],
-        band_meta=[BandMeta(name=scores.score_kind, role="other")],
+    """Write a score map as a single-band cube whose band name is its kind; return what :func:`save_cube` does.
+
+    The scores are rounded to float32 and written 131,072 at a time.
+
+    Raises:
+        DataError: float32 cannot hold both ends of ``scores.value_range``, so
+            (rounding being monotone) not every score; no file is written.
+        FormatError: as :func:`save_cube`.
+    """
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32(scores.value_range)).all():
+            raise DataError(f"score map range {scores.value_range} does not fit float32")
+    # Row-major, whatever the map's strides, rounded into one reused buffer of _CHUNK values.
+    blocks = np.nditer(
+        scores.data, ["external_loop", "buffered"], op_dtypes=["<f4"], casting="same_kind", buffersize=_CHUNK, order="C"
     )
-    return save_cube(cube, header_path)
+    meta = [BandMeta(name=scores.score_kind, role="other")]
+    return _write_cube(header_path, (1, *scores.data.shape), None, meta, blocks)
 
 
 def load_score_map(header_path: str | Path) -> ScoreMap:

@@ -24,7 +24,7 @@ CLEAR_SKY_SUBSET_FRACTION = 0.0015
 CLEAR_SKY_BIN_COUNT = 20
 CLEAR_SKY_POINTS_PER_BIN = 20
 
-_CHUNK = 1 << 16  # values ndwi scores, otsu_threshold bins and fit_clear_sky_line scans per step
+_CHUNK = 1 << 16  # values ndwi and hot score, otsu_threshold bins and fit_clear_sky_line scans per step
 
 
 @dataclass(frozen=True)
@@ -53,32 +53,62 @@ class OtsuResult:
     degenerate: bool = False
 
 
-def ndwi(cube: RasterCube) -> ScoreMap:
+def ndwi(cube: RasterCube, out: np.ndarray | None = None) -> ScoreMap:
     """(green - nir) / (green + nir) per pixel.
 
     Pixels with green + nir == 0 score 0 by convention and are flagged.
     Scores are clipped into [-1, 1]. The map is computed in float64,
-    65,536 pixels at a time, straight into the score and flag planes.
+    65,536 pixels at a time, into a new array or, with `out` the data of a
+    two-band `cube`, over it (:func:`_band_pair_map`), which spends the
+    cube; the bits are the same either way.
     """
-    green = cube.plane("green")
-    nir = cube.plane("nir")
-    scores = np.empty(green.shape, dtype=np.float64)
-    zero = np.empty(green.shape, dtype=bool)
-    green, nir, flat_scores, flat_zero = (a.reshape(-1) for a in (green, nir, scores, zero))
-    total = np.empty(min(_CHUNK, green.size), dtype=np.float64)
+    flags = np.empty((cube.height, cube.width), dtype=bool)
+    total = np.empty(min(_CHUNK, flags.size), dtype=np.float64)
+
+    def kernel(green, nir, scores, pixels):
+        sums, at_zero = total[: scores.size], flags.reshape(-1)[pixels]
+        np.add(green, nir, out=sums, dtype=np.float64)
+        np.equal(sums, 0.0, out=at_zero)
+        np.subtract(green, nir, out=scores, dtype=np.float64)
+        scores /= sums
+        np.copyto(scores, 0.0, where=at_zero)
+        np.clip(scores, -1.0, 1.0, out=scores)
+
     # A zero total divides to an infinity or NaN that the flag then overwrites.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, green.size, _CHUNK):
-            g, n = green[start : start + _CHUNK], nir[start : start + _CHUNK]
-            out, at_zero = flat_scores[start : start + g.size], flat_zero[start : start + g.size]
-            sums = total[: g.size]
-            np.add(g, n, out=sums, dtype=np.float64)
-            np.equal(sums, 0.0, out=at_zero)
-            np.subtract(g, n, out=out, dtype=np.float64)
-            out /= sums
-            np.copyto(out, 0.0, where=at_zero)
-            np.clip(out, -1.0, 1.0, out=out)
-    return ScoreMap(data=scores, score_kind="NDWI", flags=zero if zero.any() else None)
+        scores = _band_pair_map(cube, ("green", "nir"), kernel, out)
+    return ScoreMap(data=scores, score_kind="NDWI", flags=flags if flags.any() else None)
+
+
+def _band_pair_map(cube: RasterCube, bands: tuple[str, str], kernel, out: np.ndarray | None) -> np.ndarray:
+    """The float64 map that ``kernel(x, y, scores, pixels)`` writes, `pixels` of two `bands` at a time.
+
+    `pixels` is a slice of ``_CHUNK`` or fewer flat pixels. With `out` None the map is a new
+    array. Else `out` is ``cube.data``, two bands, C-contiguous, and map pixel ``p`` takes samples
+    ``2p`` and ``2p + 1``. Band 1's first ``half = ceil(N / 2)`` samples are set aside; the pixels
+    from `half` on (in band 1) go first, in ascending chunks, then the rest in descending chunks,
+    reading band 1 from the copy. No chunk writes what a later one reads; one that overwrites its
+    own inputs (the last upper chunk, the one at pixel 0) goes through a buffer.
+    """
+    x, y = (cube.plane(band).reshape(-1) for band in bands)
+    if out is None:
+        scores, half, lower = np.empty(x.size), 0, (x, y)
+    elif out is cube.data and cube.bands == 2 and out.flags.c_contiguous:
+        scores, half = out.reshape(-1).view(np.float64), (x.size + 1) // 2
+        saved = [out[0].reshape(-1), out[1].reshape(-1)[:half].copy()]
+        lower = [saved[cube.band_index(band)] for band in bands]
+    else:
+        raise DataError("out must be the data of a two-band cube, C-contiguous")
+    chunks = [(slice(start, min(start + _CHUNK, x.size)), x, y) for start in range(half, x.size, _CHUNK)]
+    chunks += [(slice(start, min(start + _CHUNK, half)), *lower) for start in reversed(range(0, half, _CHUNK))]
+    buffer = np.empty(min(_CHUNK, x.size))
+    for pixels, xs, ys in chunks:
+        xs, ys, target = xs[pixels], ys[pixels], scores[pixels]
+        shared = np.may_share_memory(target, xs) or np.may_share_memory(target, ys)
+        kernel(xs, ys, buffer[: target.size] if shared else target, pixels)
+        if shared:
+            target[...] = buffer[: target.size]
+    return scores.reshape(cube.height, cube.width)
 
 
 def fit_clear_sky_line(cube: RasterCube) -> ClearSkyLine:
@@ -170,26 +200,30 @@ def _darkest_blue(blue: np.ndarray, valid: np.ndarray | None, count: int) -> np.
     return np.concatenate([below, np.concatenate(at_cut)[: count - below.size]])
 
 
-def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written") -> ScoreMap:
+def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written", out: np.ndarray | None = None) -> ScoreMap:
     """Haze optimized transform of the blue and red planes against `line`.
 
     ``as_written`` scores |slope*blue - red| + intercept/sqrt(1 + slope^2).
     ``point_line_distance`` scores |slope*blue - red + intercept| /
     sqrt(1 + slope^2), the textbook distance from the pixel to the line.
+    The map is computed as :func:`ndwi`'s is, with `out` as it takes it.
     """
     if mode not in HOT_MODES:
         raise ConfigError(f"unknown HOT mode {mode!r}; expected one of {HOT_MODES}")
     norm = math.sqrt(1.0 + line.slope * line.slope)
-    scores = np.multiply(cube.plane("blue"), line.slope, dtype=np.float64)
-    scores -= cube.plane("red")
-    if mode == "as_written":
-        np.abs(scores, out=scores)
-        scores += line.intercept / norm
-    else:
-        scores += line.intercept
-        np.abs(scores, out=scores)
-        scores /= norm
-    return ScoreMap(data=scores, score_kind="HOT")
+
+    def kernel(blue, red, scores, pixels):
+        np.multiply(blue, line.slope, out=scores, dtype=np.float64)
+        scores -= red
+        if mode == "as_written":
+            np.abs(scores, out=scores)
+            scores += line.intercept / norm
+        else:
+            scores += line.intercept
+            np.abs(scores, out=scores)
+            scores /= norm
+
+    return ScoreMap(data=_band_pair_map(cube, ("blue", "red"), kernel, out), score_kind="HOT")
 
 
 def _check_otsu_bins(bins: int) -> None:

@@ -80,9 +80,10 @@ def _check_finite(name: str, value: float | None) -> None:
 class Application:
     """How one application turns a scene into a mask.
 
-    ``score(scene, config, diagnostics)`` returns the score map and the
-    algorithm name recorded in the summary; it may add entries to the run
-    report's diagnostics. :meth:`label` thresholds that map. ``command``
+    ``score(scene, config, diagnostics, out=None)`` returns the score map and
+    the algorithm name recorded in the summary; it may add entries to the run
+    report's diagnostics, and spend the scene when `out` is ``scene.data``
+    (see :func:`ndwi`). :meth:`label` thresholds that map. ``command``
     names the ``specscan label`` or ``specscan detect`` subcommand that
     computes the same score.
 
@@ -92,7 +93,7 @@ class Application:
     :meth:`select`): a run loads and stretches only them.
     """
 
-    score: Callable[[RasterCube, PipelineConfig, dict], tuple[ScoreMap, str]]
+    score: Callable[..., tuple[ScoreMap, str]]
     command: str
     bands: Callable[[PipelineConfig], tuple[int | str, ...]] | None = None
     polarity: str = "above"
@@ -143,24 +144,24 @@ class Application:
         return binarize(scores, threshold, polarity=self.polarity), threshold, suffix
 
 
-def _score_haze(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
+def _score_haze(scene: RasterCube, config: PipelineConfig, diagnostics: dict, out=None) -> tuple[ScoreMap, str]:
     line = fit_clear_sky_line(scene)
     diagnostics["clear_sky_line"] = asdict(line)
-    return hot(scene, line, mode=config.hot_mode), f"hot[{config.hot_mode}]"
+    return hot(scene, line, mode=config.hot_mode, out=out), f"hot[{config.hot_mode}]"
 
 
-def _score_water(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
-    return ndwi(scene), "ndwi"
+def _score_water(scene: RasterCube, config: PipelineConfig, diagnostics: dict, out=None) -> tuple[ScoreMap, str]:
+    return ndwi(scene, out=out), "ndwi"
 
 
-def _score_band(scene: RasterCube, config: PipelineConfig, diagnostics: dict) -> tuple[ScoreMap, str]:
+def _score_band(scene: RasterCube, config: PipelineConfig, diagnostics: dict, out=None) -> tuple[ScoreMap, str]:
     # The scene holds the one band the entry reads, config.thermal_band.
     plane = scene.plane(0).astype(np.float64)
     return ScoreMap(data=plane, score_kind="BandValue"), "band_threshold"
 
 
 def _score_detector(
-    detector: str, scene: RasterCube, config: PipelineConfig, diagnostics: dict
+    detector: str, scene: RasterCube, config: PipelineConfig, diagnostics: dict, out=None
 ) -> tuple[ScoreMap, str]:
     stats = None
     if detector in STATS_DETECTORS:
@@ -499,9 +500,11 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
     `cube` is the scene or its header's path. A path is read band-selectively
     (:meth:`Application.select`): the run holds only the bands it scores, and
     the validity of every band. The stretch then writes over the bands the
-    run loaded, and the run drops the stretched scene once it is scored, so a
-    run holds one scene-sized buffer, and none past scoring. A `cube` passed
-    as a :class:`RasterCube` is never modified: its stretch is a new array.
+    run loaded, so a run holds one scene-sized buffer. The score step may
+    spend a scene the run loaded or stretched into a new array: :func:`ndwi`
+    and :func:`hot` write their float64 map over its two float32 bands. The
+    run drops the scene once scored. A `cube` passed as a :class:`RasterCube`
+    is never modified: its stretch is a new array, and unstretched it is only read.
 
     When ``config.output_dir`` is set, writes ``score.json``/``score.raw``,
     ``mask.pgm``, ``summary.json``, and ``report.json`` into a ``.staging-*``
@@ -524,8 +527,8 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
         scene, config = app.select(cube, config)
     except DataError as exc:
         raise StageError("score", str(exc)) from exc
-    # A scene the run loaded is its own to stretch in place; a caller's cube,
-    # which the scene may be a view of, is never written.
+    # The run may stretch a scene it loaded in place, and spend one it loaded or
+    # stretched; a caller's cube, which the scene may be a view of, is never written.
     owned = not isinstance(cube, RasterCube)
     del cube
 
@@ -547,7 +550,7 @@ def run_pipeline(cube: RasterCube | str | Path, config: PipelineConfig) -> Pipel
         diagnostics["stretched_bands"] = [meta.name for meta in scene.band_meta] if use_stretch else []
 
     with stage("score"):
-        scores, algorithm = app.score(scene, config, diagnostics)
+        scores, algorithm = app.score(scene, config, diagnostics, out=scene.data if owned or use_stretch else None)
     del scene  # no later stage reads it
 
     with stage("threshold"):

@@ -114,6 +114,14 @@ class TestExitCodes:
         assert main(["label", "ndwi", "--cube", str(scene_path), "--out", str(tmp_path / "n")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodata", [10**400, 1e308], ids=["401-digit-int", "1e308"])
+    def test_nodata_float32_cannot_hold_is_exit_two(self, capsys, scene_path, tmp_path, nodata):
+        header = json.loads(scene_path.read_text())
+        scene_path.write_text(json.dumps({**header, "nodata": nodata}))
+        assert main(["stretch", "--cube", str(scene_path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "nodata must be a finite float32 value" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["label", "ndwi"], ["label", "ndwi", "--otsu"], ["label", "hot", "--otsu"], ["detect", "rx", "--otsu"]],

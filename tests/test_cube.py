@@ -124,6 +124,23 @@ class TestCubeRoundTrip:
                 save_score_map(ScoreMap(data=np.zeros((4, 4)), score_kind="HOT"), tmp_path / "y.raw")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("nodata", [10**400, 1e308, -3.5e38], ids=["401-digit-int", "1e308", "below-float32"])
+    def test_nodata_float32_cannot_hold_is_format_error(self, tmp_path, nodata):
+        # No float32 sample can hold it, so it would match none.
+        (tmp_path / "m.json").write_text(json.dumps({**HEADER, "nodata": nodata}))
+        (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="invalid: nodata must be a finite float32 value"):
+            load_cube(tmp_path / "m.json")
+        with pytest.raises(DataError, match="nodata must be a finite float32 value"):
+            RasterCube(data=np.zeros((2, 1, 2), dtype=np.float32), nodata=nodata)
+
+    def test_map_float32_cannot_hold_is_refused_before_any_write(self, tmp_path):
+        with pytest.raises(DataError, match="does not fit float32"):
+            save_score_map(ScoreMap(data=[[1e39, 0.0]], score_kind="RX"), tmp_path / "s.json")
+        with pytest.raises(DataError, match="does not fit float32"):
+            save_score_map(ScoreMap(data=[[0.0, -1e39]], score_kind="HOT"), tmp_path / "s.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_header(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.raises(FormatError, match="malformed"):
@@ -700,6 +717,30 @@ class TestPayloadBytes:
     def test_score_map(self, tmp_path):
         scores = ScoreMap(data=np.random.default_rng(6).normal(size=(5, 3)), score_kind="HOT")
         save_score_map(scores, tmp_path / "s.json")
+        assert (tmp_path / "s.raw").read_bytes() == scores.data.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 131073), (300, 1000), (131073, 1)])
+    def test_score_map_in_row_blocks(self, tmp_path, shape):
+        # Written a block of rows at a time: one-row blocks, rows wider than a block, and a last short block.
+        scores = ScoreMap(data=np.random.default_rng(8).normal(size=shape) * 1e30, score_kind="RX")
+        save_score_map(scores, tmp_path / "s.json")
+        assert (tmp_path / "s.raw").read_bytes() == scores.data.astype("<f4").tobytes()
+
+    def test_score_map_of_a_strided_map(self, tmp_path):
+        values = np.random.default_rng(9).normal(size=(40, 30))
+        save_score_map(ScoreMap(data=values.T, score_kind="HOT"), tmp_path / "s.json")
+        assert (tmp_path / "s.raw").read_bytes() == values.T.astype("<f4").tobytes()
+
+    def test_score_map_streams_through_one_buffer(self, tmp_path):
+        # No float32 copy of the map: a 1024 x 1024 map's is 4 MB.
+        scores = ScoreMap(data=np.random.default_rng(10).normal(size=(1024, 1024)), score_kind="HOT")
+        tracemalloc.start()
+        try:
+            save_score_map(scores, tmp_path / "s.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         assert (tmp_path / "s.raw").read_bytes() == scores.data.astype("<f4").tobytes()
 
     def test_mask(self, tmp_path):

@@ -446,6 +446,82 @@ class TestHot:
         assert_same_bits(cube.data, before)
 
 
+SPENT_SHAPES = [(1, 1), (1, 3), (3, 5), (257, 255), (256, 256), (301, 701), (300, 700)]
+
+
+def two_band_cube(rng, shape, roles, nodata=None):
+    """Two float32 planes in `roles` order, with zero sums on every 7th pixel and 0 + 0 on every 11th."""
+    x, y = rng.uniform(-1.0, 1.0, size=(2, *shape)).astype(np.float32)
+    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+    flat_y[::7] = -flat_x[::7]
+    flat_x[::11] = flat_y[::11] = 0.0
+    if nodata is not None:
+        flat_x[3::13] = flat_y[3::13] = nodata
+    return cube_from_planes(dict(zip(roles, (x, y))), nodata=nodata)
+
+
+def spent_map(cube, score):
+    """`score` of `cube` into a new array, then over `cube`'s own data; the two maps."""
+    fresh = score(cube)
+    before = cube.data.copy()
+    spent = score(cube, out=cube.data)
+    assert np.shares_memory(spent.data, cube.data)
+    return fresh, spent, before
+
+
+class TestMapOverItsBands:
+    """ndwi and hot written over their two-band cube give a fresh map's bits."""
+
+    @pytest.mark.parametrize("nodata", [None, -9999.0], ids=["no-nodata", "nodata"])
+    @pytest.mark.parametrize("roles", [("green", "nir"), ("nir", "green")], ids="-".join)
+    @pytest.mark.parametrize("shape", SPENT_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_ndwi(self, shape, roles, nodata):
+        cube = two_band_cube(np.random.default_rng(71), shape, roles, nodata)
+        fresh, spent, before = spent_map(cube, ndwi)
+        green, nir = before[roles.index("green")], before[roles.index("nir")]
+        expected, zero = ndwi_where(green, nir)
+        assert zero.any()
+        assert_same_bits(fresh.data, expected)
+        assert_same_bits(spent.data, expected)
+        assert_same_bits(spent.flags, fresh.flags)
+        assert spent.value_range == fresh.value_range
+
+    @pytest.mark.parametrize("mode", ["as_written", "point_line_distance"])
+    @pytest.mark.parametrize("roles", [("blue", "red"), ("red", "blue")], ids="-".join)
+    @pytest.mark.parametrize("shape", SPENT_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_hot(self, shape, roles, mode):
+        cube = two_band_cube(np.random.default_rng(72), shape, roles)
+        line = ClearSkyLine(slope=-3.7, intercept=0.125, n_fit_points=2, fit_residual_rms=0.0)
+        fresh, spent, before = spent_map(cube, lambda cube, out=None: hot(cube, line, mode, out=out))
+        expected = hot_float64(before[roles.index("blue")], before[roles.index("red")], -3.7, 0.125, mode)
+        assert_same_bits(fresh.data, expected)
+        assert_same_bits(spent.data, expected)
+        assert spent.flags is None
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 5), (16, 16), (37, 64)], ids=lambda s: "x".join(map(str, s)))
+    def test_every_chunk_order(self, monkeypatch, chunk, shape):
+        # Small chunks put chunk edges at the middle pixel, the last upper
+        # chunk and pixel 0 in every arrangement.
+        monkeypatch.setattr(labeling, "_CHUNK", chunk)
+        for roles in [("green", "nir"), ("nir", "green")]:
+            fresh, spent, _ = spent_map(two_band_cube(np.random.default_rng(73), shape, roles), ndwi)
+            assert_same_bits(spent.data, fresh.data)
+            assert_same_bits(spent.flags, fresh.flags)
+
+    def test_out_must_be_the_data_of_a_two_band_cube(self):
+        rng = np.random.default_rng(74)
+        line = ClearSkyLine(slope=1.0, intercept=0.0, n_fit_points=2, fit_residual_rms=0.0)
+        pair = two_band_cube(rng, (4, 6), ("blue", "red"))
+        four = cube_from_planes({role: rng.random((4, 6)) for role in ("blue", "green", "red", "nir")})
+        strided = four.select(["blue", "red"])  # every other band: a view, not contiguous
+        for cube, out in [(pair, pair.data.copy()), (four, four.data), (strided, strided.data)]:
+            before = cube.data.copy()
+            with pytest.raises(DataError, match="two-band cube"):
+                hot(cube, line, out=out)
+            assert_same_bits(cube.data, before)
+
+
 class TestSamMap:
     @staticmethod
     def scene(rng, bands, height, width):

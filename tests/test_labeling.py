@@ -58,6 +58,24 @@ class TestNdwi:
             ndwi(cube)
 
 
+@pytest.mark.parametrize("score", ["ndwi", "hot"])
+def test_map_over_its_bands_peaks_below_six_tenths_of_them(score):
+    # Band 1's saved first half (a quarter of the bytes), NDWI's flag plane
+    # and two chunk buffers: a new float64 map would take all of them.
+    rng = np.random.default_rng(75)
+    roles = ("green", "nir") if score == "ndwi" else ("blue", "red")
+    cube = cube_from_planes({role: rng.random((1024, 1024), dtype=np.float32) for role in roles})
+    line = ClearSkyLine(slope=0.8, intercept=0.05, n_fit_points=2, fit_residual_rms=0.0)
+    tracemalloc.start()
+    try:
+        scores = ndwi(cube, out=cube.data) if score == "ndwi" else hot(cube, line, out=cube.data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.data.shape == (1024, 1024)
+    assert peak < 0.6 * cube.data.nbytes
+
+
 def scene_with_planted_line(
     height=50, width=80, slope=2.0, intercept=0.0625, n_planted=6, seed=0
 ):

@@ -14,6 +14,7 @@ from specscan import (
     FormatError,
     PipelineConfig,
     RasterCube,
+    ScoreMap,
     StageError,
     StretchParams,
     SummaryMessage,
@@ -29,7 +30,7 @@ from specscan import (
     save_score_map,
     stretch_cube,
 )
-from specscan import pipeline
+from specscan import labeling, pipeline
 from specscan.pipeline import (
     APPLICATIONS,
     MAX_DETECTION_BOXES,
@@ -499,6 +500,22 @@ class TestRunPipeline:
         assert excinfo.value.stage == "write"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first
 
+    def test_a_map_float32_cannot_hold_fails_the_write_and_keeps_the_previous_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        run_pipeline(water_scene(seed=11), PipelineConfig(application="surface_water", output_dir=out))
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def beyond_float32(scene, out=None):
+            data = np.zeros((scene.height, scene.width))
+            data[0, 0] = 1e39
+            return ScoreMap(data=data, score_kind="HOT")
+
+        monkeypatch.setattr(pipeline, "ndwi", beyond_float32)
+        with pytest.raises(StageError, match="does not fit float32") as excinfo:
+            run_pipeline(water_scene(seed=12), PipelineConfig(application="surface_water", output_dir=out))
+        assert excinfo.value.stage == "write"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
     @pytest.mark.parametrize(
         "rerun, failing_call", [(True, call) for call in range(1, 11)] + [(False, call) for call in range(1, 6)]
     )
@@ -639,7 +656,8 @@ class TestRunPipeline:
     )
     def test_one_scene_buffer(self, monkeypatch, tmp_path, application, scorer):
         # Given a path, the stretch writes over the bands the run loaded, and
-        # the stretched scene is dropped once the score step returns.
+        # the stretched scene is dropped once the score step returns. NDWI
+        # writes its map over that buffer, which then outlives the scene.
         save_cube(bordered_scene(), tmp_path / "scene.json")
         loaded, shared, scored, alive = [], [], [], []
         load, score, otsu = pipeline.load_cube, getattr(pipeline, scorer), pipeline.otsu_threshold
@@ -661,9 +679,13 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "load_cube", spy_load)
         monkeypatch.setattr(pipeline, scorer, spy_score)
         monkeypatch.setattr(pipeline, "otsu_threshold", spy_otsu)
-        run_pipeline(tmp_path / "scene.json", app_config(application))
+        result = run_pipeline(tmp_path / "scene.json", app_config(application))
         assert shared == [True]
-        assert alive == [[False, False]]
+        if scorer == "ndwi":
+            assert alive == [[False, True]]
+            assert np.shares_memory(result.scores.data, loaded[0]())
+        else:
+            assert alive == [[False, False]]
 
     @pytest.mark.parametrize("application", list(APPLICATIONS))
     def test_a_cube_object_is_never_modified(self, application):
@@ -673,6 +695,29 @@ class TestRunPipeline:
         before = cube.data.tobytes()
         run_pipeline(cube, app_config(application))
         assert cube.data.tobytes() == before
+
+    @pytest.mark.parametrize("application", ["surface_water", "clouds"])
+    def test_an_unstretched_cube_object_is_never_modified(self, application):
+        # Unstretched, the scene is a view of the caller's cube: the map is a new array.
+        cube = bordered_scene()
+        before = cube.data.tobytes()
+        result = run_pipeline(cube, app_config(application, stretch=None))
+        assert cube.data.tobytes() == before
+        assert not np.shares_memory(result.scores.data, cube.data)
+
+    @pytest.mark.parametrize("stretch", [StretchParams(), None], ids=["stretched", "unstretched"])
+    @pytest.mark.parametrize("application", ["surface_water", "clouds"])
+    def test_a_spent_scene_gives_the_bits_of_a_fresh_map(self, monkeypatch, tmp_path, application, stretch):
+        # From a path the map is written over the loaded bands, from a cube
+        # object into a new array; 7-pixel chunks make many of either.
+        monkeypatch.setattr(labeling, "_CHUNK", 7)
+        save_cube(bordered_scene(height=41, width=47), tmp_path / "scene.json")
+        config = app_config(application, stretch=stretch)
+        spent = run_pipeline(tmp_path / "scene.json", replace(config, output_dir=tmp_path / "path"))
+        fresh = run_pipeline(load_cube(tmp_path / "scene.json"), replace(config, output_dir=tmp_path / "cube"))
+        assert written_outputs(tmp_path / "path") == written_outputs(tmp_path / "cube")
+        assert spent.scores.data.tobytes() == fresh.scores.data.tobytes()
+        assert spent.report["diagnostics"] == fresh.report["diagnostics"]
 
     def test_mf_application_with_target(self):
         rng = np.random.default_rng(21)
@@ -755,7 +800,7 @@ class TestRunPipeline:
     def test_other_exceptions_leave_the_stage_unwrapped(self, monkeypatch):
         import specscan.pipeline as pipeline_module
 
-        def broken(scene):
+        def broken(scene, out=None):
             raise ValueError("not a package error")
 
         monkeypatch.setattr(pipeline_module, "ndwi", broken)
