@@ -15,8 +15,8 @@ File conventions used throughout the package:
 * **Spectral library** -- long-form CSV with the exact header
   ``label,wavelength_nm,value``, one row per band sample per target.
 
-Cubes are immutable once loaded: every operation that changes pixels returns
-a new object, so cubes are safe to share across threads for reading.
+Cubes are not changed once loaded unless passed their own data as `out`
+(``stretch_cube``, ``ndwi``, ``hot``), which spends them, so they are safe to share for reading.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written", out: np.
     ``as_written`` scores |slope*blue - red| + intercept/sqrt(1 + slope^2).
     ``point_line_distance`` scores |slope*blue - red + intercept| /
     sqrt(1 + slope^2), the textbook distance from the pixel to the line.
-    The map is computed as :func:`ndwi`'s is, with `out` as it takes it.
+    The map is computed, and `out` taken, as in :func:`ndwi`.
     """
     if mode not in HOT_MODES:
         raise ConfigError(f"unknown HOT mode {mode!r}; expected one of {HOT_MODES}")

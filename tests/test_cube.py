@@ -720,8 +720,9 @@ class TestPayloadBytes:
         assert (tmp_path / "s.raw").read_bytes() == scores.data.astype("<f4").tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 131073), (300, 1000), (131073, 1)])
-    def test_score_map_in_row_blocks(self, tmp_path, shape):
-        # Written a block of rows at a time: one-row blocks, rows wider than a block, and a last short block.
+    def test_score_map_in_chunks(self, tmp_path, shape):
+        # Written 131,072 values at a time, in row-major order: one value, a chunk and one more, and
+        # several chunks with a remainder, in one row, one column or many of each.
         scores = ScoreMap(data=np.random.default_rng(8).normal(size=shape) * 1e30, score_kind="RX")
         save_score_map(scores, tmp_path / "s.json")
         assert (tmp_path / "s.raw").read_bytes() == scores.data.astype("<f4").tobytes()
