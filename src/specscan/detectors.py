@@ -20,7 +20,12 @@ mirror accelerator arithmetic against a double-precision reference path.
 The cube is band-sequential, so its data reshaped to (bands, pixels) is
 already the band matrix the kernels read. Statistics and maps walk it in
 fixed-order column tiles of ``_TILE_PIXELS`` pixels. The statistics and
-all three detectors work in memory bounded by the tile. Each tile goes
+all three detectors work in memory bounded by the tile: each call centres
+every tile into one reused buffer. ``mf`` and ``rx`` whiten it there, in
+place, by BLAS ``trsm`` on a Fortran-order buffer: the call that scipy's
+``solve_triangular`` reaches through OpenBLAS's ``trtrs``, without its
+finiteness scan or its copy of the tile. ``sam`` forms each tile's
+difference from the target ``_SAM_BLOCK`` columns at a time. Each tile goes
 through the triangular solve, sum of squares and matrix-vector product that
 a whole scene would, so a tile boundary can move a score only in the last
 bits of a BLAS call. Scalar ``mf`` and ``rx`` are one-pixel float64
@@ -54,6 +59,9 @@ _RIDGE_ABS_FLOOR = 1e-12  # engaged only when trace(cov) == 0 (constant scene)
 # Pixels per column tile of the (bands, pixels) matrix; the working memory
 # of the statistics and the detectors grows with it.
 _TILE_PIXELS = 1 << 14
+# Columns per block of a SAM tile's difference from the target (at least 2,
+# see _sam_tile).
+_SAM_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -147,15 +155,16 @@ def _centered_tiles(
     offset: NDArray[np.floating],
     dtype: type,
     valid: NDArray[np.bool_] | None = None,
+    order: str = "C",
 ):
     """Yield (columns, tile) over the column tiles of a (B, N) matrix, in order.
 
     Each tile is its columns minus `offset`, in `dtype`, with the columns
-    that `valid` marks False set to zero. The tiles share one buffer, so each
-    is overwritten by the next.
+    that `valid` marks False set to zero. The tiles share one buffer, laid
+    out in `order`, so each is overwritten by the next.
     """
     n_pixels = matrix.shape[1]
-    buffer = np.empty((matrix.shape[0], min(n_pixels, _TILE_PIXELS)), dtype=dtype)
+    buffer = np.empty((matrix.shape[0], min(n_pixels, _TILE_PIXELS)), dtype=dtype, order=order)
     for start in range(0, n_pixels, _TILE_PIXELS):
         cols = slice(start, min(start + _TILE_PIXELS, n_pixels))
         tile = buffer[:, : cols.stop - start]
@@ -216,15 +225,34 @@ def _whitened_scores(
     stats: SceneStats,
     dtype: type,
 ) -> NDArray[np.float64]:
-    """``mf`` or ``rx`` scores of the columns of a (B, N) matrix of spectra, computed in `dtype`."""
+    """``mf`` or ``rx`` scores of the columns of a (B, N) matrix of spectra, computed in `dtype`.
+
+    Each tile is centred into one Fortran-order buffer and whitened there,
+    in place, by the BLAS call that scipy's ``solve_triangular`` reaches
+    through OpenBLAS's ``trtrs`` (``trsv`` for one column, else ``trsm``, on
+    ``factor.T`` read as upper and transposed), so the bits are the same.
+    ``trtrs`` refuses an exact zero on the factor's diagonal, and so does this.
+    """
     # Imported here, not at module level, so that the applications that never
     # whiten (clouds, surface_water, thermal, *_sam) never load scipy.
-    from scipy.linalg import solve_triangular
+    from scipy.linalg import get_blas_funcs
 
     factor = stats.factor_lower.astype(dtype)
+    if not np.diag(factor).all():
+        precision = "single" if dtype == np.float32 else "double"
+        raise ComputeError(f"covariance factor is singular in {precision} precision")
+    trsm, trsv = get_blas_funcs(("trsm", "trsv"), (factor,))
+
+    def whiten(block):
+        """Solve L x = block in place; `block` is a Fortran-order (B, k) array in `dtype`."""
+        if block.shape[1] == 1:
+            trsv(factor.T, block[:, 0], lower=0, trans=1, overwrite_x=1)
+            return block
+        return trsm(1.0, factor.T, block, lower=0, trans_a=1, overwrite_b=1)
+
     tiles = (
-        (cols, solve_triangular(factor, centered, lower=True))
-        for cols, centered in _centered_tiles(matrix, stats.mean.astype(dtype), dtype)
+        (cols, whiten(centered))
+        for cols, centered in _centered_tiles(matrix, stats.mean.astype(dtype), dtype, order="F")
     )
     scores = np.empty(matrix.shape[1])
     if detector == "rx":
@@ -234,7 +262,7 @@ def _whitened_scores(
     t_dev = (_target_values(target) - stats.mean).astype(dtype)
     if not t_dev.any():
         raise ComputeError("matched filter is undefined when the target equals the scene mean")
-    whitened_t = solve_triangular(factor, t_dev, lower=True)
+    whitened_t = whiten(t_dev[:, np.newaxis])[:, 0]
     norm = np.dot(whitened_t, whitened_t)
     for cols, whitened in tiles:
         scores[cols] = (whitened_t @ whitened) / norm
@@ -324,15 +352,28 @@ def _sam_tile(
 
     The same two-argument arctangent as :func:`sam`, in the tile's dtype,
     with each pixel's sums taken over the bands in order; zero-norm pixels
-    score pi. The tile is overwritten.
+    score pi. The tile is overwritten; its difference from the target is
+    formed ``_SAM_BLOCK`` columns at a time in one reused buffer.
     """
     norms = np.sqrt(np.einsum("ij,ij->j", unit, unit))
     zero = norms == 0.0
     unit /= np.where(zero, unit.dtype.type(1.0), norms)
-    diff = unit - unit_target[:, np.newaxis]
+    n_bands, n_pixels = unit.shape
+    away = np.empty(n_pixels, dtype=unit.dtype)
+    # Each block is a view of one buffer, so a last block of one column keeps
+    # the buffer's row stride and einsum sums its bands in order, as it does
+    # each column of a wider one; a contiguous column sums in another order.
+    buffer = np.empty((n_bands, min(n_pixels, _SAM_BLOCK)), dtype=unit.dtype)
+    for start in range(0, n_pixels, _SAM_BLOCK):
+        cols = slice(start, min(start + _SAM_BLOCK, n_pixels))
+        diff = buffer[:, : cols.stop - start]
+        np.subtract(unit[:, cols], unit_target[:, np.newaxis], out=diff)
+        away[cols] = np.einsum("ij,ij->j", diff, diff)
+    np.sqrt(away, out=away)
     unit += unit_target[:, np.newaxis]
-    away = np.sqrt(np.einsum("ij,ij->j", diff, diff))
     toward = np.sqrt(np.einsum("ij,ij->j", unit, unit))
-    scores = 2.0 * np.arctan2(away, toward)
-    scores[zero] = np.pi
-    return np.clip(scores.astype(np.float64), 0.0, math.pi), zero
+    angles = np.arctan2(away, toward, out=away)
+    angles *= 2.0
+    angles[zero] = np.pi
+    scores = angles.astype(np.float64)
+    return np.clip(scores, 0.0, math.pi, out=scores), zero

@@ -323,3 +323,30 @@ def mf_map_whole(cube, target, stats, dtype, tile):
     t_dev = (np.asarray(target, dtype=np.float64) - stats.mean).astype(dtype)
     whitened_t = solve_triangular(factor, t_dev, lower=True)
     return ((whitened_t @ whitened) / np.dot(whitened_t, whitened_t)).astype(np.float64)
+
+
+def whitened_scores_solve_triangular(matrix, detector, target, stats, dtype, tile):
+    """``mf`` or ``rx`` scores of a (B, N) matrix, each `tile`-column block whitened by ``solve_triangular``.
+
+    Each block is centred in a new C-order array and solved by scipy's
+    ``solve_triangular``, which copies it to Fortran order for LAPACK's
+    ``trtrs``; ``rx`` sums the squares of each whitened column and ``mf``
+    divides each block's product with the whitened target by the target's
+    squared norm. Returns the float64 scores, flat.
+    """
+    from scipy.linalg import solve_triangular
+
+    factor = stats.factor_lower.astype(dtype)
+    mean = stats.mean.astype(dtype)
+    if detector == "mf":
+        t_dev = (np.asarray(target, dtype=np.float64) - stats.mean).astype(dtype)
+        whitened_t = solve_triangular(factor, t_dev, lower=True)
+    scores = np.empty(matrix.shape[1])
+    for start in range(0, matrix.shape[1], tile):
+        cols = slice(start, start + tile)
+        whitened = solve_triangular(factor, matrix[:, cols] - mean[:, np.newaxis], lower=True)
+        if detector == "rx":
+            scores[cols] = np.einsum("ij,ij->j", whitened, whitened)
+        else:
+            scores[cols] = (whitened_t @ whitened) / np.dot(whitened_t, whitened_t)
+    return scores

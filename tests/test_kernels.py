@@ -21,11 +21,13 @@ from specscan import (
     detect_map,
     fit_clear_sky_line,
     hot,
+    mf,
     ndwi,
+    rx,
     stretch_band,
 )
 from specscan import labeling, preprocess
-from specscan.detectors import _TILE_PIXELS
+from specscan.detectors import _SAM_BLOCK, _TILE_PIXELS
 from specscan.labeling import _CHUNK, _otsu_bins, _otsu_chunk_bins
 from conftest import cube_from_planes
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     quantiles_numpy,
     sam_map_whole,
     stretch_band_masks,
+    whitened_scores_solve_triangular,
 )
 
 FRACTIONS = [(0.01, 0.99), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.25, 0.75), (0.013, 0.9871)]
@@ -572,6 +575,26 @@ class TestSamMap:
             assert_same_bits(got.data.ravel(), expected)
             assert_same_bits(got.flags.ravel(), zero)
 
+    # Tiles of 7 and 64 end in a one-column block of 2 and 7, once per tile.
+    @pytest.mark.parametrize("tile, block", [(None, None), (None, 2), (None, 1000), (7, 2), (64, 7)])
+    def test_tile_not_a_multiple_of_the_block(self, monkeypatch, tile, block):
+        if tile is not None:
+            monkeypatch.setattr("specscan.detectors._TILE_PIXELS", tile)
+        if block is not None:
+            monkeypatch.setattr("specscan.detectors._SAM_BLOCK", block)
+        rng = np.random.default_rng(76)
+        # 3,131 pixels leave a partial last block of every block tried; 3,073
+        # and 3,131 leave one column at the default block and at 2.
+        assert (3131 % _SAM_BLOCK, 3073 % _SAM_BLOCK, 3131 % 2) == (59, 1, 1)
+        for height, width in [(31, 101), (7, 439)]:
+            cube = self.scene(rng, 48, height, width)
+            target = rng.normal(size=48)
+            for precision, dtype in [("single", np.float32), ("double", np.float64)]:
+                expected, zero = sam_map_whole(cube, target, dtype)
+                got = detect_map(cube, "sam", target=target, precision=precision)
+                assert_same_bits(got.data.ravel(), expected)
+                assert_same_bits(got.flags.ravel(), zero)
+
     def test_no_zero_norm_pixel_sets_no_flags(self):
         rng = np.random.default_rng(73)
         cube = RasterCube(data=rng.uniform(0.1, 1.0, size=(4, 10, 10)).astype(np.float32))
@@ -595,3 +618,69 @@ class TestMfMap:
         stats = compute_scene_stats(cube)
         got = detect_map(cube, "mf", target=target, stats=stats, precision=precision)
         assert_same_bits(got.data.ravel(), mf_map_whole(cube, target, stats, dtype, _TILE_PIXELS))
+
+
+def nodata_strip_scene(rng, height, width, bands=48):
+    """Normal spectra around 0.5 with the left 8 columns declared nodata."""
+    data = rng.normal(0.5, 0.1, size=(bands, height, width)).astype(np.float32)
+    data[:, :, :8] = -1.0
+    return RasterCube(data=data, nodata=-1.0)
+
+
+class TestInPlaceWhitening:
+    """Tiles centred and whitened in one reused buffer against one ``solve_triangular`` copy per tile."""
+
+    @pytest.mark.parametrize("precision, dtype", [("single", np.float32), ("double", np.float64)])
+    # 16,385 pixels end in a one-column tile, which OpenBLAS's trtrs solves by trsv
+    @pytest.mark.parametrize("height, width", [(101, 103), (300, 77), (129, 129), (512, 37), (5, 3277)])
+    def test_maps_equal_solve_triangular(self, precision, dtype, height, width):
+        rng = np.random.default_rng(height * width)
+        cube = nodata_strip_scene(rng, height, width)
+        target = rng.random(48)
+        stats = compute_scene_stats(cube)
+        matrix = cube.data.reshape(cube.bands, -1)
+        for detector in ("rx", "mf"):
+            got = detect_map(cube, detector, target=target, stats=stats, precision=precision)
+            expected = whitened_scores_solve_triangular(matrix, detector, target, stats, dtype, _TILE_PIXELS)
+            assert_same_bits(got.data.ravel(), expected)
+
+    def test_scalar_kernels_equal_solve_triangular(self):
+        rng = np.random.default_rng(77)
+        stats = compute_scene_stats(nodata_strip_scene(rng, 20, 30))
+        target = rng.random(48)
+        for x in rng.normal(0.5, 0.1, size=(5, 48)):
+            column = x[:, np.newaxis]
+            assert mf(x, target, stats) == whitened_scores_solve_triangular(column, "mf", target, stats, np.float64, 1)[0]
+            assert rx(x, stats) == whitened_scores_solve_triangular(column, "rx", None, stats, np.float64, 1)[0]
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_every_tile_is_solved_in_the_one_buffer(self, monkeypatch, precision):
+        import scipy.linalg
+
+        solved = []   # (right-hand side given, result) of every trsm and trsv call
+        get_blas_funcs = scipy.linalg.get_blas_funcs
+
+        def recording(names, arrays):
+            def record(func, position):
+                def call(*args, **kwargs):
+                    result = func(*args, **kwargs)
+                    solved.append((args[position], result))
+                    return result
+                return call
+            return tuple(record(func, 2 if name == "trsm" else 1) for func, name in zip(get_blas_funcs(names, arrays), names))
+
+        monkeypatch.setattr(scipy.linalg, "get_blas_funcs", recording)
+        rng = np.random.default_rng(78)
+        cube = nodata_strip_scene(rng, 3, 10923, bands=8)   # 32,769 pixels: two whole tiles and one column
+        stats = compute_scene_stats(cube)
+        detect_map(cube, "rx", stats=stats, precision=precision)
+        detect_map(cube, "mf", target=rng.random(8), stats=stats, precision=precision)
+        # rx's three tiles, then mf's target and its three tiles
+        assert len(solved) == 7
+        for given, result in solved:
+            assert np.shares_memory(given, result)
+        rx_tiles, mf_tiles = solved[:3], solved[4:]
+        for tiles in (rx_tiles, mf_tiles):
+            buffer = tiles[0][0]
+            assert buffer.flags.f_contiguous and buffer.shape == (8, _TILE_PIXELS)
+            assert all(np.shares_memory(given, buffer) for given, _ in tiles)
