@@ -88,6 +88,8 @@ class SceneStats:
             raise DataError("stats shapes disagree: mean (B,), covariance and factor (B, B)")
         if self.pixel_count < 2:
             raise DataError(f"scene statistics need >= 2 pixels, got {self.pixel_count}")
+        # Every check below compares, and a NaN compares False.
+        _check_finite("scene statistics", mean, cov, factor, np.float64(self.ridge))
         scale = max(float(np.abs(cov).max()), 1.0)
         if float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
             raise DataError("covariance is not symmetric")
@@ -192,6 +194,15 @@ def compute_scene_stats(cube: RasterCube) -> SceneStats:
     return scene_stats_from_moments(mean, cross / n_pixels, n_pixels)
 
 
+def _check_finite(what: str, *arrays: NDArray[np.floating]) -> None:
+    """DataError naming `what` unless every value of `arrays` is finite.
+
+    The triangular solves check nothing, so a NaN or an infinity would come out as a score.
+    """
+    if not all(np.isfinite(values).all() for values in arrays):
+        raise DataError(f"{what} must be finite")
+
+
 def _target_values(target: TargetSpectrum | Spectrum) -> NDArray[np.float64]:
     values = target.values if isinstance(target, TargetSpectrum) else target
     return np.asarray(values, dtype=np.float64)
@@ -278,6 +289,8 @@ def mf(x: Spectrum, target: TargetSpectrum | Spectrum, stats: SceneStats) -> flo
     t = _target_values(target)
     if x.shape != (stats.n_bands,) or t.shape != (stats.n_bands,):
         raise DataError(f"spectrum lengths must match the {stats.n_bands}-band statistics")
+    _check_finite("spectrum", x)
+    _check_finite("target", t)
     return float(_whitened_scores(x[:, np.newaxis], "mf", t, stats, np.float64)[0])
 
 
@@ -286,6 +299,7 @@ def rx(x: Spectrum, stats: SceneStats) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (stats.n_bands,):
         raise DataError(f"spectrum length {x.shape} must match the {stats.n_bands}-band statistics")
+    _check_finite("spectrum", x)
     return float(_whitened_scores(x[:, np.newaxis], "rx", None, stats, np.float64)[0])
 
 
@@ -316,6 +330,7 @@ def detect_map(
         t = _target_values(target)
         if t.size != cube.bands:
             raise DataError(f"target has {t.size} bands, cube has {cube.bands}")
+        _check_finite("target", t)
     if detector in STATS_DETECTORS and stats is None:
         stats = compute_scene_stats(cube)
 

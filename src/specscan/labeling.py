@@ -56,38 +56,28 @@ class OtsuResult:
 def ndwi(cube: RasterCube, out: np.ndarray | None = None) -> ScoreMap:
     """(green - nir) / (green + nir) per pixel.
 
-    Pixels with green + nir == 0 score 0 by convention and are flagged; the
-    flag plane is made, after the map, only when a chunk finds one.
+    Pixels with green + nir == 0 score 0 by convention and are flagged.
     Scores are clipped into [-1, 1]. The map is computed in float64,
     65,536 pixels at a time, into a new array or, with `out` the data of a
     two-band `cube`, over it (:func:`_band_pair_map`), which spends the
     cube; the bits are the same either way.
     """
-    total = np.empty(min(_CHUNK, cube.height * cube.width), dtype=np.float64)
-    zero = np.empty(total.size, dtype=bool)
-    found = []     # (pixels, packed zero-total bits) of each chunk that finds one
+    flags = np.empty((cube.height, cube.width), dtype=bool)
+    total = np.empty(min(_CHUNK, flags.size), dtype=np.float64)
 
     def kernel(green, nir, scores, pixels):
-        sums, at_zero = total[: scores.size], zero[: scores.size]
+        sums, at_zero = total[: scores.size], flags.reshape(-1)[pixels]
         np.add(green, nir, out=sums, dtype=np.float64)
         np.equal(sums, 0.0, out=at_zero)
         np.subtract(green, nir, out=scores, dtype=np.float64)
         scores /= sums
-        if at_zero.any():
-            found.append((pixels, np.packbits(at_zero)))
-            np.copyto(scores, 0.0, where=at_zero)
+        np.copyto(scores, 0.0, where=at_zero)
         np.clip(scores, -1.0, 1.0, out=scores)
 
     # A zero total divides to an infinity or NaN that the flag then overwrites.
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = _band_pair_map(cube, ("green", "nir"), kernel, out)
-    if not found:
-        return ScoreMap(data=scores, score_kind="NDWI")
-    # Made after the map, so the plane never coexists with the saved half of band 1.
-    flags = np.zeros(scores.shape, dtype=bool)
-    for pixels, packed in found:
-        flags.reshape(-1)[pixels] = np.unpackbits(packed, count=pixels.stop - pixels.start)
-    return ScoreMap(data=scores, score_kind="NDWI", flags=flags)
+    return ScoreMap(data=scores, score_kind="NDWI", flags=flags if flags.any() else None)
 
 
 def _band_pair_map(cube: RasterCube, bands: tuple[str, str], kernel, out: np.ndarray | None) -> np.ndarray:

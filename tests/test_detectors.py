@@ -386,6 +386,28 @@ def test_each_check_raises_its_error(build, error, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda bad: rx(np.array([0.3, bad]), _STATS2), "spectrum must be finite"),
+        (lambda bad: mf(np.array([0.3, bad]), np.array([0.5, 0.1]), _STATS2), "spectrum must be finite"),
+        (lambda bad: mf(np.array([0.5, 0.1]), np.array([0.3, bad]), _STATS2), "target must be finite"),
+        (lambda bad: detect_map(_CUBE3, "mf", target=np.array([0.1, 0.2, bad])), "target must be finite"),
+        (lambda bad: detect_map(_CUBE3, "sam", target=np.array([0.1, 0.2, bad])), "target must be finite"),
+        (lambda bad: SceneStats(np.array([0.0, bad]), np.eye(2), np.eye(2), 0.0, 5), "scene statistics must be finite"),
+        (lambda bad: SceneStats(np.zeros(2), np.eye(2), np.diag([1.0, bad]), 0.0, 5),
+         "scene statistics must be finite"),
+    ],
+    ids=["rx-spectrum", "mf-spectrum", "mf-target", "map-mf-target", "map-sam-target", "stats-mean", "stats-factor"],
+)
+def test_a_non_finite_value_is_a_data_error(build, message, bad):
+    # The triangular solves check nothing: unchecked, a NaN would come out as a score.
+    with pytest.raises(DataError) as excinfo:
+        build(bad)
+    assert str(excinfo.value) == message
+
+
 def nodata_scene(rng, bands, height, width, invalid=()):
     """Random cube whose pixels at the flat indices `invalid` hold the nodata value."""
     pixels = rng.random((height * width, bands))
@@ -542,3 +564,22 @@ def test_map_peaks_below_the_cube_size(detector):
             tracemalloc.stop()
         tile_buffer = cube.bands * _TILE_PIXELS * itemsize
         assert peak < cube.height * cube.width * 8 + 1.5 * tile_buffer, precision
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("detector", ["rx", "mf"])
+def test_map_with_its_statistics_peaks_below_the_cube_size(detector, precision):
+    # The statistics are computed inside, so their float64 tiles count too:
+    # a float64 copy of the scene would take twice the cube.
+    rng = np.random.default_rng(96)
+    cube = random_cube(rng, bands=32, height=256, width=256, roles=False)
+    target = rng.random(32) if detector == "mf" else None
+    import scipy.linalg  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        detect_map(cube, detector, target=target, precision=precision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.data.nbytes

