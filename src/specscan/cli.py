@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +317,8 @@ def _cmd_pipeline_run(args) -> int:
     # A single scene or --jobs 1 runs on the main thread: running one scene on a
     # worker thread raised peak RSS by 11% (fragmented) and 19% (wide4) in perfbench.
     if args.jobs > 1 and len(args.cube) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: only a batch needs it
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_one, args.cube))
     else:
@@ -352,7 +354,9 @@ def _cmd_summary(args) -> int:
 # parser assembly
 
 
+@cache
 def build_parser() -> _Parser:
+    """The ``specscan`` parser, built once per process and shared by every :func:`main` call."""
     parser = _Parser(
         prog="specscan",
         description="Spectral scene analysis: stretching, labeling, detection, evaluation.",

@@ -215,11 +215,14 @@ def sam(x: Spectrum, y: Spectrum | TargetSpectrum) -> float:
     two-argument arctangent of the normalized sum/difference vectors. That
     identity returns exactly 0 for identical spectra and stays accurate for
     tiny angles, where the arccosine of a rounded cosine loses ~8 digits.
+    A NaN or an infinity in either spectrum is a DataError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = _target_values(y)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError(f"spectra must be 1-D and equal length, got {x.shape} and {y.shape}")
+    _check_finite("spectrum", x)
+    _check_finite("target", y)
     norm_x = float(np.linalg.norm(x))
     norm_y = float(np.linalg.norm(y))
     if norm_x == 0.0 or norm_y == 0.0:

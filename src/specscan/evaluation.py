@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -226,7 +225,7 @@ def _timed_median(fn: Callable[[], object], repetitions: int) -> float:
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
-    return float(statistics.median(samples))
+    return float(np.median(samples))
 
 
 def _check_repetitions(repetitions: int) -> None:

@@ -61,9 +61,13 @@ from .preprocess import StretchParams, stretch_cube
 SUMMARY_MAX_BYTES = 2048
 MAX_DETECTION_BOXES = 16
 _RUN_OUTPUTS = ("score.json", "score.raw", "mask.pgm", "summary.json", "report.json")  # what a run writes
-# Bytes of the change plane that _run_edges fills per block of mask rows:
+# Bytes of the change plane that _runs fills per block of mask rows:
 # small against a mask, so connected_boxes makes no mask-sized plane.
 _EDGE_BLOCK_BYTES = 1 << 18
+# A block of mask rows with at least one run edge per this many positions
+# finds the runs above its runs from a running count of its edges, a
+# sparser one by binary search (measured crossover).
+_COUNT_EDGE_POSITIONS = 7
 
 
 def _check_max_boxes(max_boxes: int) -> None:
@@ -303,26 +307,58 @@ def _find_roots(parent: np.ndarray) -> np.ndarray:
         parent = grand
 
 
-def _run_edges(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of a 2-D mask's row runs, as row-major keys row * (width + 1) + column.
+def _runs(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A 2-D mask's row runs: starts, stops, and the runs above each.
 
-    Along each row, read as zero-padded, the value changes at a run's start
-    and again one past its end. The changes are found a block of rows at a
-    time, so no mask-sized plane is made.
+    Starts and stops are row-major keys row * (width + 1) + column. Along
+    each row, read as zero-padded, the value changes at a run's start and
+    again one past its end. Runs lo .. hi - 1, in row-major order, are the
+    runs of the row above that overlap each run.
+
+    The changes are found a block of rows at a time, in a plane headed by
+    the block's row above, so no mask-sized plane is made. Edge k of the
+    mask starts run k // 2 when k is even and stops it when k is odd, so
+    ``lo`` counts the edges up to a run's start column in the row above,
+    halved, and ``hi`` those before its stop column, plus one, halved. A
+    block holding at least one edge per ``_COUNT_EDGE_POSITIONS``
+    positions reads those counts from a running count of its plane; a
+    sparser one finds them by binary search over its own edges.
     """
     height, width = data.shape
     stride = width + 1
     block_rows = max(1, _EDGE_BLOCK_BYTES // stride)
-    edges = np.empty((min(block_rows, height), stride), dtype=bool)
-    found = []
+    edges = np.zeros((min(block_rows, height) + 1, stride), dtype=bool)  # row 0: the row above the block
+    found = {"starts": [], "stops": [], "lo": [], "hi": []}  # each list freed once joined
+    above = first_above = 0  # the row above the block: its edges and its first run
     for top in range(0, height, block_rows):
         block = data[top : top + block_rows]
-        edge = edges[: block.shape[0]]
+        rows = block.shape[0]
+        edge = edges[1 : rows + 1]
         edge[:, 0] = block[:, 0]
         np.not_equal(block[:, 1:], block[:, :-1], out=edge[:, 1:-1])
         edge[:, -1] = block[:, -1]
-        found.append(np.flatnonzero(edge) + top * stride)
-    return np.concatenate([keys[0::2] for keys in found]), np.concatenate([keys[1::2] for keys in found])
+        keys = np.flatnonzero(edges[: rows + 1])
+        starts, stops = keys[above::2], keys[above + 1 :: 2]
+        if (keys.size - above) * _COUNT_EDGE_POSITIONS >= rows * stride:
+            # int32: a block holds far fewer than 2**31 positions.
+            counts = np.cumsum(edges[:rows], axis=None, dtype=np.int32)
+            lo = np.add(counts[starts - stride] >> 1, first_above, dtype=np.intp)
+            hi = np.add((counts[stops - stride - 1] + 1) >> 1, first_above, dtype=np.intp)
+            del counts
+        else:
+            lo = np.searchsorted(keys[1::2], starts - stride, side="right")
+            hi = np.searchsorted(keys[0::2], stops - stride, side="left")
+            lo += first_above
+            hi += first_above
+        keys += (top - 1) * stride  # to mask keys, and starts and stops with it
+        found["lo"].append(lo)
+        found["hi"].append(hi)
+        found["starts"].append(starts)
+        found["stops"].append(stops)
+        above = int(np.count_nonzero(edges[rows]))
+        first_above += (keys.size - above) // 2
+        edges[0] = edges[rows]
+    return tuple(np.concatenate(found.pop(name)) for name in ("starts", "stops", "lo", "hi"))
 
 
 def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> list[tuple[int, int, int, int]]:
@@ -343,18 +379,13 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     stride = width + 1
     # Each array is deleted once dead, so the per-run arrays alive at once
     # stay few.
-    starts, stops = _run_edges(mask.data)
+    starts, stops, lo, hi = _runs(mask.data)
     # A row's runs are those between its first key and the next row's.
     rows = np.repeat(np.arange(height), np.diff(np.searchsorted(starts, np.arange(height + 1) * stride)))
-    # Runs lo .. hi - 1 of the row above overlap each run.
-    lo = np.searchsorted(stops, starts - stride, side="right")
-    hi = np.searchsorted(starts, stops - stride, side="left")
     # Hooking each run to the first run it overlaps above gives a forest
     # whose roots are the runs with nothing above them.
     parent = np.arange(starts.size)
-    joined = hi > lo
-    parent[joined] = lo[joined]
-    del joined
+    np.copyto(parent, lo, where=hi > lo)
     # A run that overlaps several runs above also joins their trees.
     hi -= lo
     bridges = np.flatnonzero(hi > 1)

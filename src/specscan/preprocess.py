@@ -114,26 +114,30 @@ def band_quantiles(
             spans.append((below, below + 1, position - below))
     (low_below, low_above, _), (high_below, _, _) = spans
     split = 2 * low_below < n - 1  # the low span lies in the lower half
-    low, high = _tails(flat, valid, n, low_above if split else -1, high_below if split else low_below) or (
+    sample = flat[::_SAMPLE_STEP].copy() if valid is None else flat[::_SAMPLE_STEP][valid[::_SAMPLE_STEP]]
+    sample.sort()
+    # A NaN sorts last, into the sample's end and the high tail; one valid
+    # NaN makes np.quantile give NaN for both.
+    if sample.size and math.isnan(sample[-1]):
+        return math.nan, math.nan
+    low, high = _tails(flat, valid, n, sample, low_above if split else -1, high_below if split else low_below) or (
         (flat.copy() if valid is None else flat[valid],) * 2  # every valid value, copied once for both spans
     )
     q_low = _quantile(low, 0, *spans[0]) if split else _quantile(high, n - high.size, *spans[0])
     q_high = _quantile(high, n - high.size, *spans[1])
-    # A NaN sorts last, into the high tail; np.quantile then gives NaN for both.
     if math.isnan(q_high):
         return math.nan, math.nan
     return q_low, q_high
 
 
-def _tails(flat, valid, n, low_rank, high_rank):
+def _tails(flat, valid, n, sample, low_rank, high_rank):
     """The valid values ``<= b`` and those not ``< a``, if they hold ranks ``<= low_rank`` and ``>= high_rank``.
 
-    `b` and `a` are sample values, of the band's dtype; no low tail is
-    gathered for a negative `low_rank`. None if no bracket is proven, or
-    once the tails hold half the valid values: joined, they hold no more.
+    `b` and `a` are values of `sample`, the band's sorted sample, in its
+    dtype; no low tail is gathered for a negative `low_rank`. None if no
+    bracket is proven, or once the tails hold half the valid values:
+    joined, they hold no more.
     """
-    sample = flat[::_SAMPLE_STEP].copy() if valid is None else flat[::_SAMPLE_STEP][valid[::_SAMPLE_STEP]]
-    sample.sort()
     m = sample.size
 
     def margin(p):  # four binomial standard deviations of the sample's count below rank p * n, plus two
@@ -144,7 +148,6 @@ def _tails(flat, valid, n, low_rank, high_rank):
     if top >= m or bottom < 0 or (top >= 0 and not sample[top] < sample[bottom]):  # overlapping brackets
         return None
     b, a = sample[top], sample[bottom]
-    del sample  # freed before the tails are gathered
     flag = np.empty(min(flat.size, _STRETCH_PIXELS), dtype=bool)
     lows, highs, held = [flat[:0]], [], 0
     for start in range(0, flat.size, _STRETCH_PIXELS):

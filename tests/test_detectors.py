@@ -393,13 +393,15 @@ def test_each_check_raises_its_error(build, error, message):
         (lambda bad: rx(np.array([0.3, bad]), _STATS2), "spectrum must be finite"),
         (lambda bad: mf(np.array([0.3, bad]), np.array([0.5, 0.1]), _STATS2), "spectrum must be finite"),
         (lambda bad: mf(np.array([0.5, 0.1]), np.array([0.3, bad]), _STATS2), "target must be finite"),
+        (lambda bad: sam(np.array([0.3, bad]), np.array([1.0, 1.0])), "spectrum must be finite"),
+        (lambda bad: sam(np.array([1.0, 1.0]), np.array([0.3, bad])), "target must be finite"),
         (lambda bad: detect_map(_CUBE3, "mf", target=np.array([0.1, 0.2, bad])), "target must be finite"),
         (lambda bad: detect_map(_CUBE3, "sam", target=np.array([0.1, 0.2, bad])), "target must be finite"),
         (lambda bad: SceneStats(np.array([0.0, bad]), np.eye(2), np.eye(2), 0.0, 5), "scene statistics must be finite"),
         (lambda bad: SceneStats(np.zeros(2), np.eye(2), np.diag([1.0, bad]), 0.0, 5),
          "scene statistics must be finite"),
     ],
-    ids=["rx-spectrum", "mf-spectrum", "mf-target", "map-mf-target", "map-sam-target", "stats-mean", "stats-factor"],
+    ids=["rx-spectrum", "mf-spectrum", "mf-target", "sam-spectrum", "sam-target", "map-mf-target", "map-sam-target", "stats-mean", "stats-factor"],
 )
 def test_a_non_finite_value_is_a_data_error(build, message, bad):
     # The triangular solves check nothing: unchecked, a NaN would come out as a score.

@@ -63,3 +63,13 @@ def test_scipy_loads_only_when_an_application_whitens(tmp_path):
     assert loaded[:-1] == [[step, 0, []] for step in ("import", "surface_water", "thermal", "clouds", "vegetation_sam")]
     step, code, modules = loaded[-1]
     assert (step, code) == ("vegetation_rx", 0) and "scipy.linalg" in modules
+
+
+def test_cli_import_loads_neither_statistics_nor_concurrent_futures():
+    # statistics pulls in fractions and decimal, and the thread pool logging;
+    # only a batch of scenes on more than one job needs the pool.
+    probe = "import json, sys; sys.path.insert(0, sys.argv[1]); import specscan.cli; print(json.dumps(list(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)], check=True, capture_output=True, text=True)
+    loaded = json.loads(done.stdout)
+    assert "specscan.cli" in loaded
+    assert [name for name in ("statistics", "concurrent.futures") if name in loaded] == []

@@ -163,12 +163,16 @@ class TestBandQuantiles:
             assert got == expected or (np.isnan(got).all() and np.isnan(expected).all()), fractions
             for params in TAIL_PARAMS:
                 assert_same_bits(stretch_band(plane, params, *got), stretch_band(plane, params, *expected))
-        if nan_rate <= 0.001 and layout != "signed-zeros":
+        sample = plane.ravel()[:: preprocess._SAMPLE_STEP]
+        if np.isnan(sample if validity is None else sample[validity.ravel()[:: preprocess._SAMPLE_STEP]]).any():
+            # A NaN in the sample proves (nan, nan): no tail is gathered and no value copied.
+            assert tails == []
+        elif nan_rate <= 0.001 and layout != "signed-zeros":
             # The default pair takes the tails. (0, 0) needs every value in its
             # high tail, (0, 0.01) a bracket below rank 1% that a sample of a
             # few hundred values cannot give, and (0.5, 0.5) and (0.25, 0.75)
             # tails of half the values, so those copy every value. So does a
-            # band whose zeros, or a NaN in its sample, fill both brackets.
+            # band whose zeros fill both brackets.
             assert tails[0] is not None and sum(tail is None for tail in tails) <= 5
 
 

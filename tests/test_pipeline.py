@@ -109,6 +109,24 @@ def structured_masks():
     return [comb, comb[::-1], snake, spiral, np.ones((9, 14), dtype=np.uint8), checkerboard]
 
 
+def overlap_masks():
+    """16-wide masks for both ways of finding the runs above: dense noise, sparse strips, and both."""
+    rng = np.random.default_rng(29)
+    noise = (rng.random((13, 16)) < 0.5).astype(np.uint8)
+    strips = np.zeros((24, 16), dtype=np.uint8)
+    strips[2:9, 1:15] = 1
+    strips[11, :] = 1
+    strips[12:22, 3:5] = strips[12:22, 9:16] = 1  # two legs hanging from the row-11 strip
+    strips[21, 3:16] = 1  # which close into a ring
+    # Noise above a few long runs: with 2- and 5-row blocks the noise blocks
+    # count edges and those below search, and runs join across that change.
+    mixed = np.zeros((20, 16), dtype=np.uint8)
+    mixed[:10] = rng.random((10, 16)) < 0.5
+    mixed[10:, 2:14] = 1
+    mixed[15, :] = 0
+    return {"noise": noise, "strips": strips, "mixed": mixed}
+
+
 class TestConnectedBoxes:
     def test_empty_mask(self):
         mask = BinaryMask(data=np.zeros((4, 4), dtype=np.uint8))
@@ -167,6 +185,37 @@ class TestConnectedBoxes:
         for data in masks + structured_masks():
             boxes = connected_boxes(BinaryMask(data=data), max_boxes=16)
             assert boxes == [box for _, box in flood_fill_boxes(data)][:16]
+
+    @pytest.mark.parametrize("max_boxes", [1, 3, 16])
+    @pytest.mark.parametrize("block_bytes", [1, 40, 100, pipeline._EDGE_BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "positions_per_edge", [0, pipeline._COUNT_EDGE_POSITIONS, 10**9], ids=["search", "crossover", "count"]
+    )
+    @pytest.mark.parametrize("shape", ["noise", "strips", "mixed"])
+    def test_both_overlap_paths_match_flood_fill(self, monkeypatch, shape, positions_per_edge, block_bytes, max_boxes):
+        # 0 sends every block to the binary search and 10**9 every block with
+        # an edge to the running count; the module's crossover sends each
+        # block its own way.
+        monkeypatch.setattr("specscan.pipeline._COUNT_EDGE_POSITIONS", positions_per_edge)
+        monkeypatch.setattr("specscan.pipeline._EDGE_BLOCK_BYTES", block_bytes)
+        data = overlap_masks()[shape]
+        boxes = connected_boxes(BinaryMask(data=data), max_boxes=max_boxes)
+        assert boxes == [box for _, box in flood_fill_boxes(data)][:max_boxes]
+
+    @pytest.mark.parametrize("block_bytes", [40, 100])
+    def test_the_mixed_mask_changes_path_between_blocks(self, block_bytes):
+        # Each block of rows counts its edges when it holds at least one per
+        # _COUNT_EDGE_POSITIONS positions of its plane, else it searches.
+        data = overlap_masks()["mixed"]
+        stride = data.shape[1] + 1
+        block_rows = block_bytes // stride
+        edges = np.diff(data, axis=1, prepend=0, append=0) != 0
+        dense = [
+            np.count_nonzero(edges[top : top + block_rows]) * pipeline._COUNT_EDGE_POSITIONS
+            >= edges[top : top + block_rows].size
+            for top in range(0, data.shape[0], block_rows)
+        ]
+        assert dense == [top < 10 for top in range(0, data.shape[0], block_rows)]
 
     def test_few_runs_peak_well_below_one_mask_plane(self):
         # Run edges are found a block of rows at a time, so a 2048 x 2048 mask

@@ -317,6 +317,22 @@ def test_band_quantiles_peaks_below_an_eighth_of_the_band():
     assert quantiles == quantiles_numpy(plane, validity)
 
 
+def test_a_nan_in_the_sample_gives_nan_without_a_copy():
+    # A valid NaN proves (nan, nan), as from np.quantile: the band takes
+    # neither the tails nor the copy of its values.
+    rng = np.random.default_rng(68)
+    plane = rng.random((1024, 1024), dtype=np.float32)
+    plane[rng.random(plane.shape) < 0.05] = np.nan
+    tracemalloc.start()
+    try:
+        quantiles = band_quantiles(plane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isnan(quantiles).all() and np.isnan(quantiles_numpy(plane, None)).all()
+    assert peak < plane.nbytes
+
+
 @pytest.mark.parametrize("layout", ["constant", "mostly-zero", "mostly-zero-negative"])
 @pytest.mark.parametrize("fractions", [(0.01, 0.99), (0.5, 0.5), (0.6, 0.9)])
 def test_tied_band_quantiles_peak_below_one_copy(layout, fractions):
