@@ -375,13 +375,12 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     """
     if max_boxes < 1:
         raise ConfigError(f"max_boxes must be at least 1, got {max_boxes}")
-    height, width = mask.data.shape
+    width = mask.data.shape[1]
     stride = width + 1
     # Each array is deleted once dead, so the per-run arrays alive at once
     # stay few.
     starts, stops, lo, hi = _runs(mask.data)
-    # A row's runs are those between its first key and the next row's.
-    rows = np.repeat(np.arange(height), np.diff(np.searchsorted(starts, np.arange(height + 1) * stride)))
+    rows = starts // stride
     # Hooking each run to the first run it overlaps above gives a forest
     # whose roots are the runs with nothing above them.
     parent = np.arange(starts.size)

@@ -114,13 +114,16 @@ def band_quantiles(
             spans.append((below, below + 1, position - below))
     (low_below, low_above, _), (high_below, _, _) = spans
     split = 2 * low_below < n - 1  # the low span lies in the lower half
+    low_rank, high_rank = (low_above, high_below) if split else (-1, low_below)
     sample = flat[::_SAMPLE_STEP].copy() if valid is None else flat[::_SAMPLE_STEP][valid[::_SAMPLE_STEP]]
     sample.sort()
     # A NaN sorts last, into the sample's end and the high tail; one valid
     # NaN makes np.quantile give NaN for both.
     if sample.size and math.isnan(sample[-1]):
         return math.nan, math.nan
-    low, high = _tails(flat, valid, n, sample, low_above if split else -1, high_below if split else low_below) or (
+    bracket = _bracket(sample, n, low_rank, high_rank)
+    del sample  # freed before the tails are gathered
+    low, high = _tails(flat, valid, n, bracket, low_rank, high_rank) or (
         (flat.copy() if valid is None else flat[valid],) * 2  # every valid value, copied once for both spans
     )
     q_low = _quantile(low, 0, *spans[0]) if split else _quantile(high, n - high.size, *spans[0])
@@ -130,13 +133,12 @@ def band_quantiles(
     return q_low, q_high
 
 
-def _tails(flat, valid, n, sample, low_rank, high_rank):
-    """The valid values ``<= b`` and those not ``< a``, if they hold ranks ``<= low_rank`` and ``>= high_rank``.
+def _bracket(sample, n, low_rank, high_rank):
+    """Values ``(b, a)`` of the sorted `sample` that bracket ranks `low_rank` and `high_rank` of `n`.
 
-    `b` and `a` are values of `sample`, the band's sorted sample, in its
-    dtype; no low tail is gathered for a negative `low_rank`. None if no
-    bracket is proven, or once the tails hold half the valid values:
-    joined, they hold no more.
+    Each lies beyond its rank by four binomial standard deviations of the
+    sample's count, plus two; `b` is None for a negative `low_rank`. None
+    where the brackets overlap.
     """
     m = sample.size
 
@@ -147,14 +149,27 @@ def _tails(flat, valid, n, sample, low_rank, high_rank):
     bottom = math.floor(m * high_rank / n - margin(high_rank / n))
     if top >= m or bottom < 0 or (top >= 0 and not sample[top] < sample[bottom]):  # overlapping brackets
         return None
-    b, a = sample[top], sample[bottom]
+    return (sample[top] if top >= 0 else None), sample[bottom]
+
+
+def _tails(flat, valid, n, bracket, low_rank, high_rank):
+    """The valid values ``<= b`` and those not ``< a``, if they hold ranks ``<= low_rank`` and ``>= high_rank``.
+
+    ``(b, a)`` is the `bracket` from the band's sample (:func:`_bracket`),
+    of the band's dtype; no low tail is gathered for a `b` of None. None if
+    no bracket is proven, or once the tails hold half the valid values:
+    joined, they hold no more.
+    """
+    if bracket is None:
+        return None
+    b, a = bracket
     flag = np.empty(min(flat.size, _STRETCH_PIXELS), dtype=bool)
     lows, highs, held = [flat[:0]], [], 0
     for start in range(0, flat.size, _STRETCH_PIXELS):
         chunk = flat[start : start + _STRETCH_PIXELS]
         at = flag[: chunk.size]
         ok = True if valid is None else valid[start : start + _STRETCH_PIXELS]
-        if top >= 0:
+        if b is not None:
             np.less_equal(chunk, b, out=at)
             lows.append(chunk[at if valid is None else np.logical_and(at, ok, out=at)])
         np.less(chunk, a, out=at)
