@@ -34,10 +34,9 @@ from .cube import (
     save_score_map,
 )
 from .detectors import DETECTORS, PRECISIONS, compute_scene_stats
-from .errors import ConfigError, SpecScanError
+from .errors import ConfigError, SpecScanError, _check_int, _check_real
 from .evaluation import (
-    _check_histogram_bins,
-    _check_repetitions,
+    _MIN_REPETITIONS,
     bench_detector,
     compare_paths,
     render_bench_table,
@@ -51,8 +50,6 @@ from .pipeline import (
     MAX_DETECTION_BOXES,
     _RUN_OUTPUTS,
     PipelineConfig,
-    _check_finite,
-    _check_max_boxes,
     build_summary,
     emit_summary,
     run_pipeline,
@@ -218,7 +215,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare_paths(args) -> int:
-    _check_histogram_bins(args.bins)
+    _check_int("bins", args.bins, 1)
     if args.out:
         for header in (args.a, args.b):
             _check_spares_input(header, [Path(args.out)])
@@ -252,7 +249,7 @@ def _synthetic_bench_cube(width: int, height: int, bands: int, seed: int) -> Ras
 def _cmd_bench(args) -> int:
     if min(args.width, args.height, args.bands) < 1:
         args.parser.error(f"--width, --height and --bands must be >= 1, got {args.width}x{args.height}x{args.bands}")
-    _check_repetitions(args.repetitions)
+    _check_int("repetitions", args.repetitions, _MIN_REPETITIONS)
     cube = _synthetic_bench_cube(args.width, args.height, args.bands, args.seed)
     rng = np.random.default_rng(args.seed + 1)
     target = rng.random(args.bands)
@@ -333,8 +330,8 @@ def _cmd_pipeline_run(args) -> int:
 
 
 def _cmd_summary(args) -> int:
-    _check_max_boxes(args.max_boxes)
-    _check_finite("threshold", args.threshold)
+    _check_int("max_boxes", args.max_boxes, 1, MAX_DETECTION_BOXES)
+    _check_real("threshold", args.threshold)
     _check_spares_input(args.mask, [Path(args.out)])
     mask = load_mask(args.mask)
     message = build_summary(

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, _check_int, _check_real
 
 Spectrum = NDArray[np.floating]
 """One-dimensional vector of per-band values."""
@@ -64,12 +64,14 @@ class BandMeta:
     wavelength_nm: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"name {self.name!r} must be a string")
         role = str(self.role).strip().lower()
         if role not in BAND_ROLES:
             raise DataError(f"unknown band role {self.role!r}; expected one of {BAND_ROLES}")
         object.__setattr__(self, "role", role)
         if self.wavelength_nm is not None:
-            wl = float(self.wavelength_nm)
+            wl = _check_real("wavelength_nm", self.wavelength_nm, DataError)
             if not (_WAVELENGTH_MIN_NM < wl < _WAVELENGTH_MAX_NM):
                 raise DataError(
                     f"wavelength {wl} nm outside ({_WAVELENGTH_MIN_NM}, {_WAVELENGTH_MAX_NM})"
@@ -180,10 +182,8 @@ def _checked_meta(band_meta: list[BandMeta], bands: int, nodata) -> tuple[list[B
     if dupes:
         raise DataError(f"duplicated band role(s): {dupes}")
     if nodata is not None:
-        if isinstance(nodata, bool) or not isinstance(nodata, numbers.Real):
-            raise DataError(f"nodata {nodata!r} must be a number")
-        # Float32 samples cannot match a value beyond float32, nor an integer beyond every float.
-        nodata = float(nodata) if abs(nodata) < 2.0**128 else math.inf
+        nodata = _check_real("nodata", nodata, DataError)
+        # Float32 samples cannot match a value beyond float32.
         with np.errstate(over="ignore"):
             if not np.isfinite(np.float32(nodata)):
                 raise DataError("nodata must be a finite float32 value")
@@ -476,12 +476,10 @@ def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None)
         if header.get(key, only) != only:
             raise FormatError(f"unsupported {key.replace('_', ' ')} {header[key]!r} (only {only!r})")
 
-    width, height, count = (header[key] for key in ("width", "height", "bands"))
-    # JSON integers only: not floats, strings or booleans.
-    if not all(type(n) is int for n in (width, height, count)):
-        raise FormatError(f"cube header {header_path} has non-integer dimensions")
-    if min(width, height, count) < 1:
-        raise FormatError(f"cube dimensions must be >= 1, got {width}x{height}x{count}")
+    width, height, count = (
+        _check_int(f"cube header {header_path}: {key}", header[key], 1, error=FormatError)
+        for key in ("width", "height", "bands")
+    )
 
     meta_entries = [] if header.get("bands_meta") is None else header["bands_meta"]
     if not isinstance(meta_entries, list):
@@ -494,16 +492,10 @@ def load_cube(header_path: str | Path, bands: Sequence[int | str] | None = None)
     for i, entry in enumerate(meta_entries):
         if not isinstance(entry, dict):
             raise FormatError(f"bands_meta entries must be objects in {header_path}")
-        name, wavelength = entry.get("name"), entry.get("wavelength_nm")
+        name = f"band_{i}" if entry.get("name") is None else entry["name"]
         try:
-            # JSON types only: a string wavelength is not a number, nor a number a name.
-            if not isinstance(name, (str, type(None))):
-                raise DataError(f"name must be a string or null, got {name!r}")
-            if wavelength is not None and (isinstance(wavelength, bool) or not isinstance(wavelength, numbers.Real)):
-                raise DataError(f"wavelength_nm must be a number or null, got {wavelength!r}")
-            name = f"band_{i}" if name is None else name
-            band_meta.append(BandMeta(name=name, role=entry.get("role", "other"), wavelength_nm=wavelength))
-        except (OverflowError, DataError) as exc:
+            band_meta.append(BandMeta(name, entry.get("role", "other"), entry.get("wavelength_nm")))
+        except DataError as exc:
             raise FormatError(f"malformed bands_meta entry in {header_path}: {exc}") from exc
     try:
         band_meta, nodata = _checked_meta(band_meta, count, header.get("nodata"))

@@ -44,7 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cube import RasterCube, ScoreMap, Spectrum, TargetSpectrum
-from .errors import ComputeError, DataError
+from .errors import ComputeError, DataError, _check_int
 
 DETECTORS = ("sam", "mf", "rx")
 TARGET_DETECTORS = ("sam", "mf")
@@ -86,8 +86,7 @@ class SceneStats:
         n_bands = mean.size
         if mean.ndim != 1 or cov.shape != (n_bands, n_bands) or factor.shape != cov.shape:
             raise DataError("stats shapes disagree: mean (B,), covariance and factor (B, B)")
-        if self.pixel_count < 2:
-            raise DataError(f"scene statistics need >= 2 pixels, got {self.pixel_count}")
+        object.__setattr__(self, "pixel_count", _check_int("pixel_count", self.pixel_count, 2, error=DataError))
         # Every check below compares, and a NaN compares False.
         _check_finite("scene statistics", mean, cov, factor, np.float64(self.ridge))
         scale = max(float(np.abs(cov).max()), 1.0)

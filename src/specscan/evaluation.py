@@ -19,7 +19,7 @@ from .detectors import (
     compute_scene_stats,
     detect_map,
 )
-from .errors import ConfigError, DataError
+from .errors import DataError, _check_int
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,6 @@ class ErrorReport:
             raise DataError("histogram counts must sum to the sample count")
 
 
-def _check_histogram_bins(bins: int) -> None:
-    if bins < 1:
-        raise ConfigError(f"histogram needs at least 1 bin, got {bins}")
-
-
 def compare_paths(scores_a: ScoreMap, scores_b: ScoreMap, bins: int = 32) -> ErrorReport:
     """Absolute-difference statistics between two score maps of the same kind."""
     if scores_a.score_kind != scores_b.score_kind:
@@ -126,7 +121,7 @@ def compare_paths(scores_a: ScoreMap, scores_b: ScoreMap, bins: int = 32) -> Err
         )
     if scores_a.data.shape != scores_b.data.shape:
         raise DataError(f"score shapes disagree: {scores_a.data.shape} vs {scores_b.data.shape}")
-    _check_histogram_bins(bins)
+    bins = _check_int("bins", bins, 1)
     diff = np.abs(scores_a.data - scores_b.data).ravel()
     max_err = float(diff.max())
     if max_err == 0.0:
@@ -167,6 +162,8 @@ def render_error_report(report: ErrorReport) -> str:
 # ---------------------------------------------------------------------------
 # Benchmark harness
 
+_MIN_REPETITIONS = 3  # timed runs, after the warm-up, that a benchmark's median takes at least
+
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -181,7 +178,8 @@ class BenchRecord:
     repetitions: int
 
     def __post_init__(self):
-        _check_repetitions(self.repetitions)
+        object.__setattr__(self, "artifact_bytes", _check_int("artifact_bytes", self.artifact_bytes, 0))
+        object.__setattr__(self, "repetitions", _check_int("repetitions", self.repetitions, _MIN_REPETITIONS))
 
 
 def serialize_detector_params(
@@ -228,11 +226,6 @@ def _timed_median(fn: Callable[[], object], repetitions: int) -> float:
     return float(np.median(samples))
 
 
-def _check_repetitions(repetitions: int) -> None:
-    if repetitions < 3:
-        raise ConfigError(f"benchmarks need >= 3 repetitions, got {repetitions}")
-
-
 def bench_detector(
     cube: RasterCube,
     detector: str,
@@ -249,7 +242,7 @@ def bench_detector(
     region covers exactly one full-scene detection. Wall time is the median
     over `repetitions` runs after one warm-up.
     """
-    _check_repetitions(repetitions)
+    _check_int("repetitions", repetitions, _MIN_REPETITIONS)
     detector = str(detector).lower()
     if detector in STATS_DETECTORS and stats is None:
         stats = compute_scene_stats(cube)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import BinaryMask, RasterCube, ScoreMap
-from .errors import ComputeError, ConfigError, DataError
+from .errors import ComputeError, ConfigError, DataError, _check_int
 
 HOT_MODES = ("as_written", "point_line_distance")
 POLARITIES = ("above", "below")
@@ -226,11 +226,6 @@ def hot(cube: RasterCube, line: ClearSkyLine, mode: str = "as_written", out: np.
     return ScoreMap(data=_band_pair_map(cube, ("blue", "red"), kernel, out), score_kind="HOT")
 
 
-def _check_otsu_bins(bins: int) -> None:
-    if bins < 2:
-        raise ConfigError("otsu_bins must be >= 2")
-
-
 def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
     """Histogram threshold maximizing inter-class variance.
 
@@ -240,7 +235,7 @@ def otsu_threshold(scores: ScoreMap, bins: int = 256) -> OtsuResult:
     matches an exhaustive search over all bin edges. A constant input is
     degenerate: the threshold is that value.
     """
-    _check_otsu_bins(bins)
+    bins = _check_int("otsu_bins", bins, 2)
     values = scores.data.ravel()
     lo, hi = scores.value_range
     if lo == hi:

@@ -45,10 +45,9 @@ from .detectors import (
     compute_scene_stats,
     detect_map,
 )
-from .errors import ConfigError, DataError, FormatError, SpecScanError, StageError
+from .errors import ConfigError, DataError, FormatError, SpecScanError, StageError, _check_int, _check_real
 from .labeling import (
     HOT_MODES,
-    _check_otsu_bins,
     band_threshold_label,
     binarize,
     fit_clear_sky_line,
@@ -68,16 +67,6 @@ _EDGE_BLOCK_BYTES = 1 << 18
 # finds the runs above its runs from a running count of its edges, a
 # sparser one by binary search (measured crossover).
 _COUNT_EDGE_POSITIONS = 7
-
-
-def _check_max_boxes(max_boxes: int) -> None:
-    if not 1 <= max_boxes <= MAX_DETECTION_BOXES:
-        raise ConfigError(f"max_boxes must be in [1, {MAX_DETECTION_BOXES}], got {max_boxes}")
-
-
-def _check_finite(name: str, value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -234,12 +223,13 @@ class PipelineConfig:
             raise ConfigError(f"unknown HOT mode {self.hot_mode!r}")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}")
-        _check_otsu_bins(self.otsu_bins)
-        _check_max_boxes(self.max_boxes)
+        _check_int("otsu_bins", self.otsu_bins, 2)
+        _check_int("max_boxes", self.max_boxes, 1, MAX_DETECTION_BOXES)
         if self.stretch is not None:
             self.stretch.check_float32()
         for name in ("fixed_threshold", "thermal_low", "thermal_high"):
-            _check_finite(name, getattr(self, name))
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
         if app.needs_target and self.target is None:
             raise ConfigError(
                 f"application {self.application!r} requires a target spectrum (--library and --target)"
@@ -281,21 +271,27 @@ class SummaryMessage:
     version: str
 
     def __post_init__(self):
-        if not all(type(n) is int for n in (self.pixel_count, self.positive_count)):
-            raise DataError(f"counts must be integers, got {self.pixel_count!r} and {self.positive_count!r}")
-        if not 0 <= self.positive_count <= self.pixel_count:
-            raise DataError("positive_count must lie in [0, pixel_count]")
+        for name in ("scene_id", "application", "produced_at", "algorithm", "version"):
+            if not isinstance(getattr(self, name), str):
+                raise DataError(f"{name} {getattr(self, name)!r} must be a string")
+        self.pixel_count = _check_int("pixel_count", self.pixel_count, 0, error=DataError)
+        self.positive_count = _check_int("positive_count", self.positive_count, 0, self.pixel_count, error=DataError)
+        self.positive_fraction = _check_real("positive_fraction", self.positive_fraction, DataError)
         expected = self.positive_count / self.pixel_count if self.pixel_count else 0.0
         if not math.isclose(self.positive_fraction, expected, rel_tol=0.0, abs_tol=1e-12):
             raise DataError("positive_fraction must equal positive_count / pixel_count")
-        if not math.isfinite(self.threshold):
-            raise DataError(f"threshold must be finite, got {self.threshold}")
-        if len(self.detection_boxes) > MAX_DETECTION_BOXES:
-            raise DataError(f"at most {MAX_DETECTION_BOXES} detection boxes allowed")
-        self.detection_boxes = [tuple(int(v) for v in box) for box in self.detection_boxes]
-        for x, y, w, h in self.detection_boxes:
-            if x < 0 or y < 0 or w < 1 or h < 1:
-                raise DataError(f"invalid detection box ({x}, {y}, {w}, {h})")
+        self.threshold = _check_real("threshold", self.threshold, DataError)
+        boxes = self.detection_boxes
+        if not isinstance(boxes, (list, tuple)) or len(boxes) > MAX_DETECTION_BOXES:
+            raise DataError(f"detection_boxes must be a list of at most {MAX_DETECTION_BOXES} boxes")
+        for box in boxes:
+            if not isinstance(box, (list, tuple)) or len(box) != 4:
+                raise DataError(f"invalid detection box {box!r}: not the 4 values (x, y, w, h)")
+        self.detection_boxes = [
+            tuple(_check_int(f"invalid detection box {box!r}: {name}", value, low, error=DataError)
+                  for name, value, low in zip("xywh", box, (0, 0, 1, 1)))
+            for box in boxes
+        ]
 
 
 def _find_roots(parent: np.ndarray) -> np.ndarray:
@@ -373,8 +369,7 @@ def connected_boxes(mask: BinaryMask, max_boxes: int = MAX_DETECTION_BOXES) -> l
     are merged by min-label hooking and pointer jumping (Shiloach & Vishkin
     1982), so each component ends up named by its first run.
     """
-    if max_boxes < 1:
-        raise ConfigError(f"max_boxes must be at least 1, got {max_boxes}")
+    max_boxes = _check_int("max_boxes", max_boxes, 1)
     width = mask.data.shape[1]
     stride = width + 1
     # Each array is deleted once dead, so the per-run arrays alive at once
@@ -449,7 +444,7 @@ def build_summary(
     max_boxes: int = MAX_DETECTION_BOXES,
 ) -> SummaryMessage:
     """Summarize a mask: counts, threshold, and largest detection boxes."""
-    _check_max_boxes(max_boxes)
+    _check_int("max_boxes", max_boxes, 1, MAX_DETECTION_BOXES)
     pixel_count = mask.height * mask.width
     positive = mask.positive_count()
     return SummaryMessage(

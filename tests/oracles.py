@@ -6,6 +6,7 @@ loops, breadth-first flood fill. Slow and obvious on purpose.
 """
 
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -350,3 +351,40 @@ def whitened_scores_solve_triangular(matrix, detector, target, stats, dtype, til
         else:
             scores[cols] = (whitened_t @ whitened) / np.dot(whitened_t, whitened_t)
     return scores
+
+
+SUMMARY_KEYS = (
+    "scene_id", "application", "pixel_count", "positive_count", "positive_fraction",
+    "threshold", "detection_boxes", "produced_at", "algorithm", "version",
+)
+
+
+def summary_is_valid(payload):
+    """Whether a decoded summary.json obeys README "Summary message", checked key by key."""
+    def is_int(value):
+        return type(value) is int
+
+    def is_real(value):  # a number a double holds as a finite value
+        return type(value) is float and math.isfinite(value) or is_int(value) and abs(value) <= sys.float_info.max
+
+    if type(payload) is not dict or sorted(payload) != sorted(SUMMARY_KEYS):
+        return False
+    if not all(type(payload[key]) is str for key in ("scene_id", "application", "produced_at", "algorithm", "version")):
+        return False
+    pixels, positive, fraction = payload["pixel_count"], payload["positive_count"], payload["positive_fraction"]
+    if not (is_int(pixels) and is_int(positive) and 0 <= positive <= pixels):
+        return False
+    if not (is_real(fraction) and is_real(payload["threshold"])):
+        return False
+    if abs(fraction - (positive / pixels if pixels else 0.0)) > 1e-12:
+        return False
+    boxes = payload["detection_boxes"]
+    if type(boxes) is not list or len(boxes) > 16:
+        return False
+    for box in boxes:
+        if type(box) is not list or len(box) != 4 or not all(is_int(v) for v in box):
+            return False
+        x, y, w, h = box
+        if x < 0 or y < 0 or w < 1 or h < 1:
+            return False
+    return True

@@ -114,12 +114,16 @@ class TestExitCodes:
         assert main(["label", "ndwi", "--cube", str(scene_path), "--out", str(tmp_path / "n")]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("nodata", [10**400, 1e308], ids=["401-digit-int", "1e308"])
-    def test_nodata_float32_cannot_hold_is_exit_two(self, capsys, scene_path, tmp_path, nodata):
+    @pytest.mark.parametrize(
+        "nodata, message",
+        [(10**400, "nodata must be finite, got inf"), (1e308, "nodata must be a finite float32 value")],
+        ids=["401-digit-int", "1e308"],
+    )
+    def test_nodata_float32_cannot_hold_is_exit_two(self, capsys, scene_path, tmp_path, nodata, message):
         header = json.loads(scene_path.read_text())
         scene_path.write_text(json.dumps({**header, "nodata": nodata}))
         assert main(["stretch", "--cube", str(scene_path), "--out", str(tmp_path / "o.json")]) == 2
-        assert "nodata must be a finite float32 value" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize(
@@ -451,7 +455,7 @@ class TestBinarizeEvalCompare:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "at least 1 bin" in err and "missing" not in err
+        assert "bins must be >= 1, got 0" in err and "missing" not in err
         assert not out.exists()
 
 
@@ -480,7 +484,7 @@ class TestBenchCli:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--repetitions", "2"], "3 repetitions"),
+            (["--repetitions", "2"], "repetitions must be >= 3, got 2"),
             (["--width", "0"], "--width"),
             (["--height", "0"], "--height"),
             (["--bands", "0"], "--bands"),

@@ -124,14 +124,22 @@ class TestCubeRoundTrip:
                 save_score_map(ScoreMap(data=np.zeros((4, 4)), score_kind="HOT"), tmp_path / "y.raw")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("nodata", [10**400, 1e308, -3.5e38], ids=["401-digit-int", "1e308", "below-float32"])
-    def test_nodata_float32_cannot_hold_is_format_error(self, tmp_path, nodata):
+    @pytest.mark.parametrize(
+        "nodata, message",
+        [
+            (10**400, "nodata must be finite, got inf"),
+            (1e308, "nodata must be a finite float32 value"),
+            (-3.5e38, "nodata must be a finite float32 value"),
+        ],
+        ids=["401-digit-int", "1e308", "below-float32"],
+    )
+    def test_nodata_float32_cannot_hold_is_format_error(self, tmp_path, nodata, message):
         # No float32 sample can hold it, so it would match none.
         (tmp_path / "m.json").write_text(json.dumps({**HEADER, "nodata": nodata}))
         (tmp_path / "m.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
-        with pytest.raises(FormatError, match="invalid: nodata must be a finite float32 value"):
+        with pytest.raises(FormatError, match=f"invalid: {message}"):
             load_cube(tmp_path / "m.json")
-        with pytest.raises(DataError, match="nodata must be a finite float32 value"):
+        with pytest.raises(DataError, match=message):
             RasterCube(data=np.zeros((2, 1, 2), dtype=np.float32), nodata=nodata)
 
     def test_map_float32_cannot_hold_is_refused_before_any_write(self, tmp_path):
@@ -193,7 +201,7 @@ class TestCubeRoundTrip:
             ({**HEADER, "dtype": "f64"}, "dtype"),
             ({**HEADER, "interleave": "bip"}, "interleave"),
             ({**HEADER, "byte_order": "big"}, "byte order"),
-            ({**HEADER, "height": "two"}, "non-integer"),
+            ({**HEADER, "height": "two"}, "height 'two' must be an integer"),
             ({**HEADER, "bands": 0}, ">= 1"),
             ({**HEADER, "bands_meta": [{"name": "a"}]}, "entries for 2 bands"),
             ({**HEADER, "bands_meta": ["a", "b"]}, "must be objects"),
@@ -203,9 +211,9 @@ class TestCubeRoundTrip:
             ({**HEADER, "nodata": [1]}, "nodata .* must be a number"),
             ({**HEADER, "bands_meta": 3}, "must be a list"),
             ({**HEADER, "bands_meta": [{"name": "a", "wavelength_nm": "abc"}, {"name": "b"}]}, "malformed bands_meta"),
-            ({**HEADER, "width": 3.9}, "non-integer"),
-            ({**HEADER, "bands": True}, "non-integer"),
-            ({**HEADER, "height": "2"}, "non-integer"),
+            ({**HEADER, "width": 3.9}, "width 3.9 must be an integer"),
+            ({**HEADER, "bands": True}, "bands True must be an integer"),
+            ({**HEADER, "height": "2"}, "height '2' must be an integer"),
             ({**HEADER, "nodata": True}, "nodata .* must be a number"),
             ({**HEADER, "nodata": "0"}, "nodata .* must be a number"),
             ({**HEADER, "bands_meta": [{"name": "a", "role": "ultraviolet"}, {"name": "b"}]}, "malformed bands_meta"),
@@ -236,15 +244,15 @@ class TestCubeRoundTrip:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ({"wavelength_nm": "500"}, "wavelength_nm must be a number or null, got '500'"),
-            ({"wavelength_nm": True}, "wavelength_nm must be a number or null, got True"),
-            ({"wavelength_nm": [500]}, "wavelength_nm must be a number or null, got [500]"),
-            ({"wavelength_nm": {}}, "wavelength_nm must be a number or null, got {}"),
-            ({"name": 5}, "name must be a string or null, got 5"),
-            ({"name": False}, "name must be a string or null, got False"),
-            ({"name": 1.5}, "name must be a string or null, got 1.5"),
-            ({"name": ["b"]}, "name must be a string or null, got ['b']"),
-            ({"wavelength_nm": 10**400}, "int too large to convert to float"),
+            ({"wavelength_nm": "500"}, "wavelength_nm '500' must be a number"),
+            ({"wavelength_nm": True}, "wavelength_nm True must be a number"),
+            ({"wavelength_nm": [500]}, "wavelength_nm [500] must be a number"),
+            ({"wavelength_nm": {}}, "wavelength_nm {} must be a number"),
+            ({"name": 5}, "name 5 must be a string"),
+            ({"name": False}, "name False must be a string"),
+            ({"name": 1.5}, "name 1.5 must be a string"),
+            ({"name": ["b"]}, "name ['b'] must be a string"),
+            ({"wavelength_nm": 10**400}, "wavelength_nm must be finite, got inf"),
         ],
         ids=["string-wavelength", "bool-wavelength", "list-wavelength", "object-wavelength",
              "int-name", "bool-name", "float-name", "list-name", "huge-int-wavelength"],
@@ -256,6 +264,10 @@ class TestCubeRoundTrip:
         with pytest.raises(FormatError) as excinfo:
             load_cube(tmp_path / "m.json")
         assert str(excinfo.value) == f"malformed bands_meta entry in {tmp_path / 'm.json'}: {message}"
+        # The reader restates no rule: the same entry given straight to BandMeta fails the same way.
+        with pytest.raises(DataError) as excinfo:
+            BandMeta(**{"name": "b", **entry})
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "entry, name, wavelength",

@@ -365,7 +365,9 @@ _CUBE3 = RasterCube(data=np.arange(1, 13, dtype=np.float32).reshape(3, 2, 2))
         (lambda: SceneStats(np.zeros(2), np.eye(3), np.eye(3), 0.0, 5), DataError,
          "stats shapes disagree: mean (B,), covariance and factor (B, B)"),
         (lambda: SceneStats(np.zeros(2), np.eye(2), np.eye(2), 0.0, 1), DataError,
-         "scene statistics need >= 2 pixels, got 1"),
+         "pixel_count must be >= 2, got 1"),
+        (lambda: scene_stats_from_moments(np.zeros(2), np.eye(2), pixel_count=2.5), DataError,
+         "pixel_count 2.5 must be an integer"),
         (lambda: SceneStats(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), 0.0, 5), DataError,
          "covariance is not symmetric"),
         (lambda: SceneStats(np.zeros(2), np.eye(2), 2 * np.eye(2), 0.0, 5), DataError,
@@ -377,7 +379,7 @@ _CUBE3 = RasterCube(data=np.arange(1, 13, dtype=np.float32).reshape(3, 2, 2))
          "spectral angle is undefined for a zero target"),
         (lambda: detect_map(_CUBE3, "rx", stats=_STATS2), DataError, "statistics cover 2 bands, cube has 3"),
     ],
-    ids=["stats-shapes", "stats-one-pixel", "stats-asymmetric", "stats-factor", "rx-length",
+    ids=["stats-shapes", "stats-one-pixel", "stats-float-pixels", "stats-asymmetric", "stats-factor", "rx-length",
          "map-unknown-precision", "map-zero-sam-target", "map-stats-bands"],
 )
 def test_each_check_raises_its_error(build, error, message):

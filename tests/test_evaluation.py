@@ -112,7 +112,7 @@ class TestComparePaths:
 
     def test_bins_below_one_is_a_config_error(self):
         scores = ScoreMap(data=np.zeros((2, 2)), score_kind="RX")
-        with pytest.raises(ConfigError, match="at least 1 bin"):
+        with pytest.raises(ConfigError, match="bins must be >= 1, got 0"):
             compare_paths(scores, scores, bins=0)
 
     def test_histogram_covers_all_samples(self):
@@ -195,7 +195,7 @@ class TestBench:
         with pytest.raises(ConfigError, match="3"):
             bench_detector(cube, "rx", repetitions=2)
 
-    @pytest.mark.parametrize("repetitions", [2, 0, -1])
+    @pytest.mark.parametrize("repetitions", [2, 0, -1, 3.5])
     def test_record_has_the_same_repetition_floor(self, repetitions):
         with pytest.raises(ConfigError, match="3"):
             BenchRecord("a/rx", "a", "RX", 10, 0.1, "4x4x3", repetitions)

@@ -257,7 +257,7 @@ class TestConnectedBoxes:
         data[1, 1] = 1
         assert len(connected_boxes(BinaryMask(data=data))) == 2
 
-    @pytest.mark.parametrize("max_boxes", [0, -1])
+    @pytest.mark.parametrize("max_boxes", [0, -1, 2.5, True])
     def test_max_boxes_below_one_is_rejected(self, max_boxes):
         data = np.zeros((5, 5), dtype=np.uint8)
         data[0, 0] = data[2, 2] = data[4, 4] = 1
@@ -361,12 +361,12 @@ class TestSummaryMessage:
     @pytest.mark.parametrize(
         "pixel_count, positive, message",
         [
-            (-1, -5, "lie in"),
+            (-1, -5, "pixel_count must be >= 0, got -1"),
             (10, -1, "lie in"),
             (10, 11, "lie in"),
-            (10.5, 5, "integers"),
-            (True, 1, "integers"),
-            (10, 5.0, "integers"),
+            (10.5, 5, "pixel_count 10.5 must be an integer"),
+            (True, 1, "pixel_count True must be an integer"),
+            (10, 5.0, "positive_count 5.0 must be an integer"),
         ],
     )
     def test_counts_must_be_possible(self, tmp_path, pixel_count, positive, message):
@@ -380,8 +380,16 @@ class TestSummaryMessage:
 
     @pytest.mark.parametrize(
         "boxes, message",
-        [([[i, 0, 1, 1] for i in range(17)], "at most 16"), ([[0, 0, 0, 1]], "invalid detection box")],
-        ids=["17-boxes", "zero-width"],
+        [
+            ([[i, 0, 1, 1] for i in range(17)], "at most 16"),
+            ([[0, 0, 0, 1]], "invalid detection box"),
+            ([[0, 0, 1, float("inf")]], "invalid detection box .*: h inf must be an integer"),
+            ([[0.7, 0, 1, 1]], "invalid detection box .*: x 0.7 must be an integer"),
+            ([[0, 0, True, 1]], "invalid detection box .*: w True must be an integer"),
+            ([[0, 0, 1, "1"]], "invalid detection box .*: h '1' must be an integer"),
+            ([[0, 0, 1]], "invalid detection box .*: not the 4 values"),
+        ],
+        ids=["17-boxes", "zero-width", "infinite-value", "float-value", "bool-value", "string-value", "three-values"],
     )
     def test_boxes_must_be_possible(self, tmp_path, boxes, message):
         with pytest.raises(DataError, match=message):
@@ -390,6 +398,16 @@ class TestSummaryMessage:
         payload["detection_boxes"] = boxes
         (tmp_path / "sum.json").write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FormatError, match=message):
+            parse_summary(tmp_path / "sum.json")
+
+    @pytest.mark.parametrize("name", ["scene_id", "application", "produced_at", "algorithm", "version"])
+    def test_text_fields_must_be_strings(self, tmp_path, name):
+        with pytest.raises(DataError, match=f"{name} 5 must be a string"):
+            SummaryMessage(**{**vars(self.make_message()), name: 5})
+        payload = json.loads(summary_to_bytes(self.make_message()))
+        payload[name] = 5
+        (tmp_path / "sum.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"{name} 5 must be a string"):
             parse_summary(tmp_path / "sum.json")
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
@@ -818,19 +836,29 @@ class TestRunPipeline:
             ({"hot_mode": "bogus"}, "HOT mode"),
             ({"precision": "quad"}, "precision"),
             ({"otsu_bins": 1}, "otsu_bins"),
+            ({"otsu_bins": 2.5}, "otsu_bins 2.5 must be an integer"),
+            ({"otsu_bins": True}, "otsu_bins True must be an integer"),
             ({"max_boxes": 0}, "max_boxes"),
             ({"max_boxes": MAX_DETECTION_BOXES + 1}, "max_boxes"),
+            ({"max_boxes": 2.5}, "max_boxes 2.5 must be an integer"),
+            ({"max_boxes": True}, "max_boxes True must be an integer"),
             ({"application": "thermal", "thermal_low": 0.7, "thermal_high": 0.2}, "exceeds"),
             ({"fixed_threshold": float("nan")}, "fixed_threshold must be finite"),
             ({"fixed_threshold": float("-inf")}, "fixed_threshold must be finite"),
+            ({"fixed_threshold": "0.5"}, "fixed_threshold '0.5' must be a number"),
+            ({"fixed_threshold": True}, "fixed_threshold True must be a number"),
+            ({"fixed_threshold": 10**400}, "fixed_threshold must be finite, got inf"),
+            ({"application": "thermal", "thermal_low": 10**400}, "thermal_low must be finite, got inf"),
             ({"application": "thermal", "thermal_low": float("nan")}, "thermal_low must be finite"),
             ({"application": "thermal", "thermal_high": float("inf")}, "thermal_high must be finite"),
             ({"stretch": StretchParams(v_max=1e39)}, "finite float32"),
             ({"stretch": StretchParams(v_min=float(np.finfo(np.float32).min))}, "finite float32"),
         ],
         ids=[
-            "application", "hot-mode", "precision", "otsu-bins", "no-boxes", "too-many-boxes", "inverted-window",
-            "nan-threshold", "infinite-threshold", "nan-low", "infinite-high", "v-max-beyond-float32",
+            "application", "hot-mode", "precision", "otsu-bins", "float-otsu-bins", "bool-otsu-bins", "no-boxes",
+            "too-many-boxes", "float-max-boxes", "bool-max-boxes", "inverted-window",
+            "nan-threshold", "infinite-threshold", "string-threshold", "bool-threshold", "401-digit-threshold",
+            "401-digit-low", "nan-low", "infinite-high", "v-max-beyond-float32",
             "nodata-beyond-float32",
         ],
     )
